@@ -217,9 +217,10 @@ void sharing_study() {
 
     const auto run = [&](const char* engine_name, FilterEngine& engine) {
       std::vector<SubscriptionId> out;
+      const auto ctx = engine.make_context();
       const double seconds = time_seconds([&] {
         out.clear();
-        engine.match_predicates(fulfilled, out);
+        match_predicates(engine, fulfilled, *ctx, out);
       });
       std::printf("phase2_sharing,%d%%,%s,%.3e s/event,%zu matches\n",
                   sharing_pct, engine_name, seconds, out.size());

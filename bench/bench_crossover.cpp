@@ -27,6 +27,9 @@ int main() {
   config.seed = 0xc0ffee;
   PaperWorkload workload(config, attrs, table);
   EngineTrio engines(table);
+  const auto nc_ctx = engines.non_canonical.make_context();
+  const auto variant_ctx = engines.counting_variant.make_context();
+  const auto counting_ctx = engines.counting.make_context();
 
   std::printf("# Crossover analysis: |p|=%zu, %zu fulfilled predicates\n",
               kPredicates, kFulfilled);
@@ -54,15 +57,15 @@ int main() {
 
     const double nc = time_seconds([&] {
       out.clear();
-      engines.non_canonical.match_predicates(fulfilled, out);
+      match_predicates(engines.non_canonical, fulfilled, *nc_ctx, out);
     });
     const double var = time_seconds([&] {
       out.clear();
-      engines.counting_variant.match_predicates(fulfilled, out);
+      match_predicates(engines.counting_variant, fulfilled, *variant_ctx, out);
     });
     const double cnt = time_seconds([&] {
       out.clear();
-      engines.counting.match_predicates(fulfilled, out);
+      match_predicates(engines.counting, fulfilled, *counting_ctx, out);
     });
 
     const char* fastest = "non-canonical";

@@ -50,6 +50,9 @@ std::vector<PanelResult> run_panel(char label, std::size_t predicates,
   config.seed = 0x2005 + predicates * 31 + fulfilled_count;
   PaperWorkload workload(config, attrs, table);
   EngineTrio engines(table);
+  const auto nc_ctx = engines.non_canonical.make_context();
+  const auto variant_ctx = engines.counting_variant.make_context();
+  const auto counting_ctx = engines.counting.make_context();
 
   std::vector<PanelResult> results;
   std::size_t registered = 0;
@@ -68,15 +71,15 @@ std::vector<PanelResult> run_panel(char label, std::size_t predicates,
     r.n = n;
     r.non_canonical = time_seconds([&] {
       out.clear();
-      engines.non_canonical.match_predicates(fulfilled, out);
+      match_predicates(engines.non_canonical, fulfilled, *nc_ctx, out);
     });
     r.counting_variant = time_seconds([&] {
       out.clear();
-      engines.counting_variant.match_predicates(fulfilled, out);
+      match_predicates(engines.counting_variant, fulfilled, *variant_ctx, out);
     });
     r.counting = time_seconds([&] {
       out.clear();
-      engines.counting.match_predicates(fulfilled, out);
+      match_predicates(engines.counting, fulfilled, *counting_ctx, out);
     });
     results.push_back(r);
     std::printf("%zu,%.6e,%.6e,%.6e\n", r.n, r.non_canonical,

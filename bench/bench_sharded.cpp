@@ -1,21 +1,17 @@
-// Publish throughput of the sharded broker: shard count × scheduler ×
-// load shape.
+// Publish throughput of the sharded broker: shard count × load shape.
 //
 // The paper workload (AND of binary ORs over unique predicates, §4) is
 // registered once as subscription text, then replayed into brokers across a
-// three-axis sweep:
+// two-axis sweep:
 //
 //   shards     1, 2, 4, 8 engine shards;
-//   scheduler  kWorkStealing (the (shard × chunk) default) versus kPerShard
-//              (one task per shard — the pre-work-stealing design, kept as
-//              the baseline that quantifies what stealing buys);
 //   scenario   "uniform" spreads subscriptions evenly (kSpread placement,
 //              balanced subscriber population) while "skewed" gives one
 //              heavy subscriber most of the population under
 //              kSubscriberAffine placement, concentrating its whole
-//              portfolio on one hot shard. Under kPerShard that shard is
-//              the batch's critical path; under work stealing idle workers
-//              take its chunks, which is the effect this bench measures.
+//              portfolio on one hot shard. Idle workers steal that shard's
+//              (shard × chunk) match tasks, so it does not become the
+//              batch's critical path.
 //
 // Honest about hardware: every row records hw_threads (via JsonRow run
 // metadata) and events_per_sec_per_hw_thread, so a single-core container
@@ -24,7 +20,7 @@
 // Scheduler-telemetry columns (match_tasks, steals) come from the broker's
 // own metrics snapshot, proving stealing actually happened on skew.
 //
-// Output: one JSON row per (scenario, engine, shards, scheduler) via
+// Output: one JSON row per (scenario, engine, shards) via
 // bench_util.h's JsonRow, plus per-scenario human-readable summaries.
 //
 // Scale via REPRO_SCALE (quick | big | paper); engines via
@@ -47,8 +43,8 @@ struct SweepConfig {
   std::size_t batch_size;
   std::size_t batches;
   /// Shard counts swept. The quick scale keeps only the endpoints — the
-  /// scenario × scheduler axes already multiply the cell count by four, and
-  /// quick's job is schema + smoke, not the scaling curve.
+  /// scenario axis already doubles the cell count, and quick's job is
+  /// schema + smoke, not the scaling curve.
   std::vector<std::size_t> shard_counts;
 };
 
@@ -90,14 +86,12 @@ struct RunResult {
 
 RunResult run_once(AttributeRegistry& attrs, EngineKind kind,
                    const Scenario& scenario, std::size_t shards,
-                   MatchScheduler scheduler,
                    const std::vector<std::string>& texts,
                    const std::vector<Event>& events, std::size_t batch_size) {
   ShardedBroker broker(attrs, ShardedBrokerConfig{.shard_count = shards,
                                                   .engine = kind,
                                                   .placement =
-                                                      scenario.placement,
-                                                  .scheduler = scheduler});
+                                                      scenario.placement});
   std::vector<SubscriberId> consumers;
   for (std::size_t i = 0; i < scenario.subscriber_count; ++i) {
     consumers.push_back(broker.register_subscriber(
@@ -135,11 +129,6 @@ RunResult run_once(AttributeRegistry& attrs, EngineKind kind,
   result.steals = after.counter_total("ncps_steals_total") -
                   before.counter_total("ncps_steals_total");
   return result;
-}
-
-const char* to_string(MatchScheduler scheduler) {
-  return scheduler == MatchScheduler::kWorkStealing ? "work-stealing"
-                                                    : "per-shard";
 }
 
 }  // namespace
@@ -193,65 +182,41 @@ int main() {
 
   for (const Scenario& scenario : kScenarios) {
     for (const EngineKind kind : kinds) {
-      double stealing_baseline = 0;  // 1-shard work-stealing seconds
+      double baseline = 0;  // 1-shard seconds
       double best_speedup = 0;
       std::size_t best_shards = 1;
-      double best_steal_gain = 0;  // stealing vs per-shard, same shard count
-      std::size_t best_steal_shards = 1;
       for (const std::size_t shards : config.shard_counts) {
-        double per_shard_seconds = 0;
-        for (const MatchScheduler scheduler :
-             {MatchScheduler::kPerShard, MatchScheduler::kWorkStealing}) {
-          const RunResult r =
-              run_once(attrs, kind, scenario, shards, scheduler, texts,
-                       events, config.batch_size);
-          const double events_per_sec = total_events / r.seconds;
-          const bool stealing = scheduler == MatchScheduler::kWorkStealing;
-          if (!stealing) per_shard_seconds = r.seconds;
-          if (stealing && shards == 1) stealing_baseline = r.seconds;
-
-          JsonRow("sharded_publish")
-              .field("scenario", scenario.name)
-              .field("engine", ncps::to_string(kind))
-              .field("scheduler", to_string(scheduler))
-              .field("shards", shards)
-              .field("subscriptions", config.subscriptions)
-              .field("batch_size", config.batch_size)
-              .field("events", config.batches * config.batch_size)
-              .field("seconds", r.seconds)
-              .field("events_per_sec", events_per_sec)
-              .field("events_per_sec_per_hw_thread",
-                     events_per_sec /
-                         static_cast<double>(hw_threads == 0 ? 1
-                                                             : hw_threads))
-              .field("notifications", r.notifications)
-              .field("match_tasks", r.match_tasks)
-              .field("steals", r.steals)
-              .field("speedup_vs_1_shard",
-                     stealing ? stealing_baseline / r.seconds : 0.0)
-              .field("speedup_vs_per_shard",
-                     stealing ? per_shard_seconds / r.seconds : 0.0)
-              .emit();
-
-          if (stealing) {
-            const double speedup = stealing_baseline / r.seconds;
-            if (speedup > best_speedup) {
-              best_speedup = speedup;
-              best_shards = shards;
-            }
-            const double steal_gain = per_shard_seconds / r.seconds;
-            if (steal_gain > best_steal_gain) {
-              best_steal_gain = steal_gain;
-              best_steal_shards = shards;
-            }
-          }
+        const RunResult r = run_once(attrs, kind, scenario, shards, texts,
+                                     events, config.batch_size);
+        const double events_per_sec = total_events / r.seconds;
+        if (shards == 1) baseline = r.seconds;
+        const double speedup = baseline / r.seconds;
+        if (speedup > best_speedup) {
+          best_speedup = speedup;
+          best_shards = shards;
         }
+
+        JsonRow("sharded_publish")
+            .field("scenario", scenario.name)
+            .field("engine", ncps::to_string(kind))
+            .field("shards", shards)
+            .field("subscriptions", config.subscriptions)
+            .field("batch_size", config.batch_size)
+            .field("events", config.batches * config.batch_size)
+            .field("seconds", r.seconds)
+            .field("events_per_sec", events_per_sec)
+            .field("events_per_sec_per_hw_thread",
+                   events_per_sec /
+                       static_cast<double>(hw_threads == 0 ? 1 : hw_threads))
+            .field("notifications", r.notifications)
+            .field("match_tasks", r.match_tasks)
+            .field("steals", r.steals)
+            .field("speedup_vs_1_shard", speedup)
+            .emit();
       }
-      std::printf(
-          "# %s/%s: best %.2fx vs 1 shard at %zu shards; stealing up to "
-          "%.2fx vs per-shard (at %zu shards)\n",
-          scenario.name, std::string(ncps::to_string(kind)).c_str(),
-          best_speedup, best_shards, best_steal_gain, best_steal_shards);
+      std::printf("# %s/%s: best %.2fx vs 1 shard at %zu shards\n",
+                  scenario.name, std::string(ncps::to_string(kind)).c_str(),
+                  best_speedup, best_shards);
     }
   }
   return 0;

@@ -199,15 +199,15 @@ int main() {
       cell.storage_bytes = sum_components(*engine, engine_config.forest);
       cell.phase2_bytes = phase2_bytes(*engine);
       std::vector<SubscriptionId> out;
+      const auto ctx = engine->make_context();
       std::uint64_t evals = 0;
       cell.seconds_per_event = time_seconds([&] {
         evals = 0;
         for (const auto& fulfilled : fulfilled_sets) {
           out.clear();
-          engine->match_predicates(fulfilled, out);
-          const MatchStats& stats = engine->last_stats();
-          evals += engine_config.forest ? stats.node_evaluations
-                                        : stats.tree_evaluations;
+          match_predicates(*engine, fulfilled, *ctx, out);
+          evals += engine_config.forest ? ctx->stats.node_evaluations
+                                        : ctx->stats.tree_evaluations;
         }
       }) / static_cast<double>(events);
       cell.evals_per_event =

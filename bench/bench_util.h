@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -167,6 +168,20 @@ class JsonRow {
 /// The non-canonical entry is the paper's §3.3 prototype (per-subscription
 /// encoded trees) — reproduction benches measure what the paper measured;
 /// the shared-forest engine is benchmarked against it in bench_sharing.
+/// Phase 2 alone, the way the paper's figures time it: appends the matches
+/// for a given fulfilled set to `out` through the const entry point on a
+/// caller-held context. ctx.stats is reset first, so afterwards it covers
+/// exactly this call.
+inline void match_predicates(const FilterEngine& engine,
+                             std::span<const PredicateId> fulfilled,
+                             MatchContext& ctx,
+                             std::vector<SubscriptionId>& out) {
+  static const Event kNoEvent;  // phase-2-only callers carry no event
+  VectorSink sink(out);
+  ctx.stats.reset();
+  engine.match_predicates(fulfilled, 0, kNoEvent, sink, ctx);
+}
+
 struct EngineTrio {
   explicit EngineTrio(PredicateTable& table)
       : non_canonical(table),

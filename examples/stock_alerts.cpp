@@ -146,8 +146,7 @@ int main() {
     // One shared deterministic tick stream.
     Pcg32 rng(99);
     ZipfSampler zipf(kSymbolCount, 1.2);
-    std::uint64_t candidates = 0;
-    std::uint64_t work = 0;
+    const obs::MetricsSnapshot before = broker->metrics();
     for (int tick = 0; tick < 5000; ++tick) {
       const Event e =
           EventBuilder(attrs)
@@ -158,11 +157,17 @@ int main() {
                    static_cast<double>(rng.range(-100, 100)) / 10.0)
               .build();
       broker->publish(e);
-      const MatchStats& stats = broker->engine().last_stats();
-      candidates += stats.candidates;
-      work += stats.tree_evaluations + stats.node_evaluations +
-              stats.hit_increments + stats.counter_comparisons;
     }
+    // Phase-2 work over the tick stream, from the broker's match counters.
+    const obs::MetricsSnapshot after = broker->metrics();
+    const auto delta = [&](const char* counter) {
+      return after.counter_total(counter) - before.counter_total(counter);
+    };
+    const std::uint64_t candidates = delta("ncps_match_candidates_total");
+    const std::uint64_t work = delta("ncps_match_tree_evaluations_total") +
+                               delta("ncps_match_node_evaluations_total") +
+                               delta("ncps_match_hit_increments_total") +
+                               delta("ncps_match_counter_comparisons_total");
 
     std::printf("%-18s %12zu %12llu %14llu %14zu\n",
                 std::string(to_string(kind)).c_str(), notifications,

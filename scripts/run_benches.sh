@@ -104,13 +104,13 @@ if [ -s "$delivery_json" ] && ! grep -q '"p99_latency_us"' "$delivery_json"; the
   status=1
 fi
 
-# Schema guard: bench_sharded rows must carry the scheduler-sweep axes and
-# the honest-hardware throughput column — the work-stealing scheduler's
-# acceptance numbers (skewed stealing gain, per-hw-thread throughput) are
-# scraped from these.
+# Schema guard: bench_sharded rows must carry the placement-scenario axis,
+# the honest-hardware throughput column and the steal counts — the
+# work-stealing scheduler's acceptance numbers (per-hw-thread throughput,
+# steals on skew) are scraped from these.
 sharded_json="$repo_root/BENCH_sharded.json"
 if [ -s "$sharded_json" ]; then
-  for col in '"scenario"' '"scheduler"' '"events_per_sec_per_hw_thread"' '"steals"' '"speedup_vs_per_shard"'; do
+  for col in '"scenario"' '"events_per_sec_per_hw_thread"' '"steals"'; do
     if ! grep -q "$col" "$sharded_json"; then
       echo "error: BENCH_sharded.json lacks the $col column" >&2
       status=1

@@ -294,6 +294,7 @@ void ShardedBroker::restore_snapshot_payload(storage::Reader& r) {
       // mapped == live(engine) == live(routes on this shard) and every pair
       // was distinct on both sides, so local↔global is a bijection: no live
       // engine id can reach ShardSink unmapped.
+      shard.subscriptions.store(mapped, std::memory_order_relaxed);
     } else if (tag == 0) {
       // Generic engine: rebuild by re-subscribing the stored texts through
       // the bulk path — semantically identical adds, batch-built index.
@@ -450,7 +451,7 @@ void ShardedBroker::checkpoint() {
   // unconditionally. prepare_snapshot/compact below then see the canonical
   // quarantine-free shape save_state() expects.
   for (auto& shard : shards_) {
-    if (shard->epochs != nullptr) shard->epochs->flush_reclaim();
+    shard->epochs->flush_reclaim();
   }
 
   storage::Writer payload;

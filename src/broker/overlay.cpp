@@ -48,6 +48,7 @@ BrokerNetwork::LinkInterest& BrokerNetwork::link_interest(BrokerId node,
   if (it == links.end()) {
     auto interest = std::make_unique<LinkInterest>();
     interest->engine = make_engine(engine_kind_, interest->table);
+    interest->context = interest->engine->make_context();
     it = links.emplace(neighbor.value(), std::move(interest)).first;
   }
   return *it->second;
@@ -110,7 +111,9 @@ void BrokerNetwork::forward_event(BrokerId at, BrokerId arrived_from,
     // Content-based routing: the link is taken only when somebody beyond it
     // is interested. The interest check is itself a filtering-engine match.
     match_scratch_.clear();
-    interest.engine->match(event, match_scratch_);
+    VectorSink sink(match_scratch_);
+    interest.engine->match_range(std::span<const Event>(&event, 1), 0, 1,
+                                 sink, *interest.context);
     if (match_scratch_.empty()) continue;
     OverlayMessage msg;
     msg.kind = OverlayMessage::Kind::Publish;

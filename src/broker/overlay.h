@@ -134,6 +134,7 @@ class BrokerNetwork {
   struct LinkInterest {
     PredicateTable table;
     std::unique_ptr<FilterEngine> engine;
+    std::unique_ptr<MatchContext> context;  // forward_event's match scratch
     std::unordered_map<std::uint64_t, SubscriptionId> by_global;
     // Covering support: parsed forms of registered subscriptions (for
     // covers() checks) and per-cover shadow lists.

@@ -25,12 +25,10 @@ constexpr std::size_t kMatchTasksPerWorker = 8;
 /// event, so fewer, larger ranges than the match fan-out.
 constexpr std::size_t kMergeTasksPerWorker = 4;
 
-/// Hard ceiling on adaptively sized chunks. A mutator's epoch grace period
-/// waits out at most the chunks currently pinned, so this cap — not the
-/// batch size — bounds control-op apply latency: a 1M-event batch still
-/// yields the write gate every <= 512 events per worker. Explicit
-/// match_chunk_events and the kPerShard baseline are exempt (callers who
-/// pin the chunking own the latency consequence).
+/// Hard ceiling on chunk size. A mutator's epoch grace period waits out at
+/// most the chunks currently pinned, so this cap — not the batch size —
+/// bounds control-op apply latency: a 1M-event batch still yields the write
+/// gate every <= 512 events per worker.
 constexpr std::size_t kMaxChunkEvents = 512;
 
 }  // namespace
@@ -77,8 +75,6 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
   if (config.metrics && obs::kMetricsEnabled) {
     cells_ = std::make_unique<obs::BrokerMetrics>(registry_);
   }
-  scheduler_ = config.scheduler;
-  match_chunk_events_ = config.match_chunk_events;
   std::size_t threads = config.worker_threads;
   if (threads == 0) {
     const std::size_t hw = std::thread::hardware_concurrency();
@@ -86,20 +82,21 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
   }
   if (config.shard_count > 1 || threads > 1) {
     pool_ = std::make_unique<WorkStealingPool>(threads);
-    // One context per worker, built from shard 0's engine (all shards run
-    // the same engine kind, and contexts of one kind are interchangeable).
-    worker_contexts_.reserve(pool_->thread_count());
-    for (std::size_t w = 0; w < pool_->thread_count(); ++w) {
-      worker_contexts_.push_back(shards_[0]->engine->make_context());
-    }
-    // One epoch domain per shard, one reader slot per pool worker: match
-    // tasks pin their worker's slot, mutators close the write gate. The
-    // engines route their internal deferred frees (forest quarantine,
-    // posting-block collapse) onto it.
-    for (auto& shard : shards_) {
-      shard->epochs = std::make_unique<EpochDomain>(pool_->thread_count());
-      shard->engine->set_epoch_domain(shard->epochs.get());
-    }
+  }
+  const std::size_t workers = pool_ == nullptr ? 1 : pool_->thread_count();
+  // One context per worker, built from shard 0's engine (all shards run the
+  // same engine kind, and contexts of one kind are interchangeable).
+  worker_contexts_.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    worker_contexts_.push_back(shards_[0]->engine->make_context());
+  }
+  // One epoch domain per shard, one reader slot per worker: match tasks pin
+  // their worker's slot, mutators close the write gate. The engines route
+  // their internal deferred frees (forest quarantine, posting-block
+  // collapse) onto it.
+  for (auto& shard : shards_) {
+    shard->epochs = std::make_unique<EpochDomain>(workers);
+    shard->engine->set_epoch_domain(shard->epochs.get());
   }
   shard_match_stats_.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -641,6 +638,7 @@ SubscriptionId ShardedBroker::apply_subscribe(
   shard.to_global[local.value()] = global;
   shard.owner_of[local.value()] = owner;
   shard.local_of[global.value()] = local;
+  shard.subscriptions.fetch_add(1, std::memory_order_relaxed);
   return local;
 }
 
@@ -653,29 +651,10 @@ void ShardedBroker::apply_unsubscribe(Shard& shard, SubscriptionId global) {
   NCPS_ASSERT(removed);
   shard.to_global[local.value()] = SubscriptionId::invalid();
   shard.owner_of[local.value()] = SubscriberId::invalid();
+  shard.subscriptions.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void ShardedBroker::run_match_tasks(std::span<const Event> events) {
-  const std::size_t shard_count = shards_.size();
-  if (pool_ == nullptr) {
-    // Seed path (one shard, one thread): drain and match under one
-    // continuous exclusive lock through the engine's legacy match_batch, so
-    // its last_stats()/cumulative_stats() keep their single-threaded
-    // per-publish semantics. No epoch domain exists here; the guard is a
-    // no-op and frees stay immediate.
-    chunk_events_ = events.size();
-    chunk_count_ = 1;
-    if (match_buffers_.empty()) match_buffers_.resize(1);
-    match_buffers_[0].clear();
-    Shard& shard = *shards_[0];
-    const std::lock_guard<std::shared_mutex> lock(shard.mutex);
-    ShardWriteGuard gate(shard);
-    drain_shard(shard, gate);
-    ChunkSink sink(shard, match_buffers_[0]);
-    shard.engine->match_batch(events, sink);
-    return;
-  }
-
   // Phase A — batch-start barrier: apply queued commands shard by shard, so
   // every command issued before this batch started is visible to all of it
   // (the "matched by every batch that starts after subscribe() returns"
@@ -693,30 +672,28 @@ void ShardedBroker::run_match_tasks(std::span<const Event> events) {
 
   // Chunking: enough (shard × chunk) tasks that stealing can level a
   // skewed shard, but no more — per-task cost is one epoch pin plus one
-  // stats fold. The kMaxChunkEvents cap bounds how long a chunk can hold
-  // its pin, which is what bounds every mutator's grace-period wait.
-  const std::size_t workers = pool_->thread_count();
-  std::size_t chunk = match_chunk_events_;
-  if (scheduler_ == MatchScheduler::kPerShard) {
-    chunk = events.size();
-  } else if (chunk == 0) {
-    const std::size_t target_tasks =
-        std::max(shard_count, workers * kMatchTasksPerWorker);
-    const std::size_t per_shard =
-        std::max<std::size_t>(1, target_tasks / shard_count);
-    chunk = (events.size() + per_shard - 1) / per_shard;
-    chunk = std::min(chunk, kMaxChunkEvents);
-  }
-  chunk_events_ = std::max<std::size_t>(1, std::min(chunk, events.size()));
+  // stats fold. A single worker has nobody to steal from, so it gets one
+  // task per shard (per kMaxChunkEvents events): phase 1 runs over as much
+  // of the batch as the cap allows. The cap bounds how long a chunk can
+  // hold its pin, which is what bounds every mutator's grace-period wait.
+  const std::size_t shard_count = shards_.size();
+  const std::size_t workers = worker_contexts_.size();
+  const std::size_t per_shard =
+      workers == 1
+          ? 1
+          : std::max(shard_count, workers * kMatchTasksPerWorker) /
+                shard_count;
+  chunk_events_ =
+      std::min((events.size() + per_shard - 1) / per_shard, kMaxChunkEvents);
   chunk_count_ = (events.size() + chunk_events_ - 1) / chunk_events_;
 
   const std::size_t task_count = shard_count * chunk_count_;
   if (match_buffers_.size() < task_count) match_buffers_.resize(task_count);
   for (std::size_t t = 0; t < task_count; ++t) match_buffers_[t].clear();
 
-  // Phase B — concurrent matching: task t is chunk (t % chunk_count_) of
-  // shard (t / chunk_count_). Shard-major, so the contiguous slices the
-  // pool deals keep a worker on one shard's engine until it runs dry and
+  // Phase B — matching: task t is chunk (t % chunk_count_) of shard
+  // (t / chunk_count_). Shard-major, so the contiguous slices the pool
+  // deals keep a worker on one shard's engine until it runs dry and
   // steals. Workers match lock-free inside an epoch-pinned EngineView on
   // their own slot; a shard's engine may be read by many workers at once,
   // and a mutator slips in whenever no chunk of that shard is pinned.
@@ -729,13 +706,20 @@ void ShardedBroker::run_match_tasks(std::span<const Event> events) {
     MatchContext& ctx = *worker_contexts_[worker];
     ctx.stats.reset();
     {
-      const EngineView view(*shard.engine, shard.epochs.get(), worker);
+      const EngineView view(*shard.engine, *shard.epochs, worker);
       ChunkSink sink(shard, match_buffers_[task]);
       view.match_range(events, first, last, sink, ctx);
     }
     shard_match_stats_[s]->add(ctx.stats);
   };
-  const WorkStealingPool::RunStats run = pool_->run_tasks(task_count, fn);
+  WorkStealingPool::RunStats run;
+  if (pool_ != nullptr) {
+    run = pool_->run_tasks(task_count, fn);
+  } else {
+    // Seed broker: the publishing thread is the only worker.
+    for (std::size_t t = 0; t < task_count; ++t) fn(t, 0);
+    run.tasks = task_count;
+  }
   if (cells_ != nullptr) {
     cells_->match_tasks.add(run.tasks);
     cells_->steals.add(run.steals);
@@ -1018,8 +1002,7 @@ void ShardedBroker::quiesce() {
 std::size_t ShardedBroker::subscription_count() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    const std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    total += shard->engine->subscription_count();
+    total += shard->subscriptions.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -1035,8 +1018,7 @@ std::size_t ShardedBroker::subscriber_count() const {
 
 std::size_t ShardedBroker::shard_subscription_count(std::size_t shard) const {
   NCPS_EXPECTS(shard < shards_.size());
-  const std::shared_lock<std::shared_mutex> lock(shards_[shard]->mutex);
-  return shards_[shard]->engine->subscription_count();
+  return shards_[shard]->subscriptions.load(std::memory_order_relaxed);
 }
 
 obs::MetricsSnapshot ShardedBroker::metrics() const {
@@ -1045,26 +1027,18 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
   // and journal cells): a pure copy of relaxed atomics, no broker locks.
   registry_.snapshot_into(snap);
 
-  // Per-shard samples under each shard's lock (shared — sampling is a
-  // read), taken one at a time so a long batch on shard 3 doesn't block
-  // sampling shard 0. Two disjoint sources fold together: the engine's own
-  // cumulative stats (grown only by the legacy single-threaded publish
-  // path, plain integers under the exclusive lock) and the per-shard
-  // AtomicMatchStats cells the concurrent match tasks feed once per task —
-  // still zero atomics per event on the match path.
+  // Per-shard samples, all relaxed atomics — no shard mutex: match stats
+  // from the AtomicMatchStats cells the match tasks feed once per task
+  // (zero atomics per event on the match path), subscription counts from
+  // the apply path's counter.
   const std::uint64_t issued =
       issue_generation_.load(std::memory_order_acquire);
   std::size_t subscriptions_total = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    MatchStats stats;
-    std::size_t subs = 0;
-    {
-      const std::shared_lock<std::shared_mutex> lock(shard.mutex);
-      stats = shard.engine->cumulative_stats();
-      subs = shard.engine->subscription_count();
-    }
-    stats.accumulate(shard_match_stats_[s]->load());
+    const Shard& shard = *shards_[s];
+    const MatchStats stats = shard_match_stats_[s]->load();
+    const std::size_t subs =
+        shard.subscriptions.load(std::memory_order_relaxed);
     subscriptions_total += subs;
     const obs::Labels labels{{"shard", std::to_string(s)}};
     snap.add_counter("ncps_match_events_total", labels, stats.events);
@@ -1098,10 +1072,8 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
     // Epoch-reclaim backlog: retired entries (forest nodes, posting blocks)
     // whose grace period has not yet passed. Persistent growth here means a
     // reader is pinning an epoch far longer than one chunk should take.
-    if (shard.epochs != nullptr) {
-      snap.add_gauge("ncps_epoch_reclaim_deferred", labels,
-                     static_cast<double>(shard.epochs->deferred_count()));
-    }
+    snap.add_gauge("ncps_epoch_reclaim_deferred", labels,
+                   static_cast<double>(shard.epochs->deferred_count()));
     snap.add_gauge("ncps_shard_subscriptions", labels,
                    static_cast<double>(subs));
   }

@@ -23,8 +23,7 @@
 // write gate (waiting out the pinned chunks, never a whole batch) for
 // exactly the duration of the mutation. The shard mutex survives only to
 // serialise *mutators* against each other — drains, inline applies, bulk
-// loads, checkpoint, metrics sampling — never to admit readers. Each task
-// streams matches
+// loads, checkpoint — never to admit readers. Each task streams matches
 // into its own (shard, chunk) buffer via the engines' MatchSink interface,
 // and the buffers are merged deterministically (per event, ascending global
 // subscription id — byte-identical regardless of shard count, chunking or
@@ -83,8 +82,9 @@
 // the calling thread, so DNF-explosion errors are also synchronous and a
 // queued command can no longer fail.
 //
-// shard_count=1 is the seed broker: no threads are spawned and the publish
-// path degenerates to match-then-deliver — Broker (broker.h) is a thin
+// shard_count=1 with one worker is the seed broker: no threads are spawned,
+// and the publishing thread runs the batch's match tasks itself, as worker 0,
+// through the same epoch-pinned path — Broker (broker.h) is a thin
 // specialisation of this class.
 #pragma once
 
@@ -126,17 +126,6 @@ class Writer;
 class Reader;
 }  // namespace storage
 
-/// How publish_batch schedules match work across the worker pool.
-enum class MatchScheduler : std::uint8_t {
-  /// (shard × event-chunk) tasks on the work-stealing pool: chunk size
-  /// adapts to batch size and shard count, idle workers steal chunks from
-  /// loaded shards. The default.
-  kWorkStealing,
-  /// One task per shard (the pre-work-stealing design), kept as the
-  /// benchmark baseline for quantifying what stealing buys under skew.
-  kPerShard,
-};
-
 struct ShardedBrokerConfig {
   /// Independent engine shards. 1 reproduces the seed single-engine broker.
   std::size_t shard_count = 1;
@@ -147,20 +136,15 @@ struct ShardedBrokerConfig {
   /// Worker threads matching published batches. 0 picks
   /// min(shard_count, hardware_concurrency). A pool is spawned when the
   /// resolved count exceeds 1 *or* shard_count exceeds 1; a single-shard
-  /// single-worker broker never spawns threads (the seed publish path).
-  /// More workers than shards is meaningful: workers share one shard's
-  /// engine as concurrent readers, each with its own match context.
+  /// single-worker broker never spawns threads (the publishing thread runs
+  /// its match tasks). More workers than shards is meaningful: workers
+  /// share one shard's engine as concurrent readers, each with its own
+  /// match context.
   std::size_t worker_threads = 0;
   /// Subscription placement (broker/shard_router.h). kSubscriberAffine
   /// colocates a subscriber's portfolio on one shard — deliberate skew,
   /// which the work-stealing scheduler is built to absorb.
   ShardPlacement placement = ShardPlacement::kSpread;
-  /// Match task scheduling policy (see MatchScheduler).
-  MatchScheduler scheduler = MatchScheduler::kWorkStealing;
-  /// Events per (shard × chunk) match task under kWorkStealing. 0 sizes
-  /// chunks adaptively: enough tasks per shard that stealing can level a
-  /// skewed load (~8 tasks per worker across the batch), but no more.
-  std::size_t match_chunk_events = 0;
   /// Delivery plane configuration. The default (DeliveryMode::Inline) runs
   /// callbacks on the publishing thread — the seed semantics; Async routes
   /// them through per-subscriber outboxes and the delivery executor
@@ -324,13 +308,12 @@ class ShardedBroker {
 
   /// Point-in-time telemetry snapshot: every registry cell (publish/latency
   /// counters and histograms, the control-apply-latency histogram, delivery
-  /// and journal cells) plus values sampled under the broker's locks —
-  /// per-shard cumulative match stats, control-plane apply lag and queue
-  /// depth, epoch-reclaim deferred counts, outbox gauges. Thread-safe
-  /// and concurrent with publishing (it takes each shard mutex briefly, one
-  /// at a time); never call it from a delivery callback, whose thread may
-  /// hold a shard mutex through the publish path. Render with
-  /// to_prometheus() / to_json().
+  /// and journal cells) plus sampled values — per-shard match stats and
+  /// subscription counts, control-plane apply lag and queue depth,
+  /// epoch-reclaim deferred counts, outbox gauges. Thread-safe and
+  /// concurrent with publishing; it takes no shard mutex (every per-shard
+  /// value is a relaxed atomic), so an inline delivery callback may call it.
+  /// Render with to_prometheus() / to_json().
   [[nodiscard]] obs::MetricsSnapshot metrics() const;
 
   // ---- persistence (only when config.storage.enabled) ----
@@ -402,11 +385,11 @@ class ShardedBroker {
 
   /// One engine shard: exclusive table + engine + its command queue.
   /// `mutex` serialises *mutators* — control-command application, drains,
-  /// bulk loads, snapshots hold it exclusive; metrics sampling and memory
-  /// accounting take it shared. Match workers take no lock: they read the
-  /// engine (and to_global/owner_of) inside an epoch-pinned EngineView on
-  /// `epochs`, and every mutator additionally closes that domain's write
-  /// gate (via ShardWriteGuard) around the actual mutation.
+  /// bulk loads, snapshots hold it exclusive; memory accounting takes it
+  /// shared. Match workers take no lock: they read the engine (and
+  /// to_global/owner_of) inside an epoch-pinned EngineView on `epochs`, and
+  /// every mutator additionally closes that domain's write gate (via
+  /// ShardWriteGuard) around the actual mutation.
   struct Shard {
     PredicateTable table;
     std::unique_ptr<FilterEngine> engine;
@@ -421,14 +404,18 @@ class ShardedBroker {
     /// Commands pushed but not yet applied (telemetry only: MpscQueue has no
     /// size, and metrics() must not take the shard mutex to estimate one).
     std::atomic<std::uint64_t> queued_commands{0};
+    /// Live subscriptions in `engine`, maintained by apply_subscribe /
+    /// apply_unsubscribe (and snapshot recovery) so counts and metrics()
+    /// never take the shard mutex.
+    std::atomic<std::size_t> subscriptions{0};
     GenerationFence fence;
     std::shared_mutex mutex;
     /// Epoch read-gate + deferred reclamation over this shard's
     /// reader-visible state (engine structures, to_global/owner_of). One
-    /// reader slot per pool worker; null for seed brokers (no pool — the
-    /// publish path is sequential and exclusive anyway). Declared last so
-    /// its destructor — which runs every deferred deleter — executes while
-    /// the engine, forest and table those deleters touch are still alive.
+    /// reader slot per worker (the seed broker's one is the publishing
+    /// thread). Declared last so its destructor — which runs every deferred
+    /// deleter — executes while the engine, forest and table those deleters
+    /// touch are still alive.
     std::unique_ptr<EpochDomain> epochs;
   };
 
@@ -481,8 +468,7 @@ class ShardedBroker {
   /// chunk — and installs the domain as the thread's reclamation target so
   /// engine-internal free sites defer instead of deleting. Lazy: a drain
   /// that finds nothing queued never calls enter() and never pays a grace
-  /// period. A no-op throughout on shards without a domain (seed broker).
-  /// Destruction reopens the gate and reclaims what the grace period
+  /// period. Destruction reopens the gate and reclaims what the grace period
   /// proved unreachable.
   class ShardWriteGuard {
    public:
@@ -498,7 +484,7 @@ class ShardedBroker {
 
     /// Idempotent. Call immediately before the first actual mutation.
     void enter() {
-      if (entered_ || shard_->epochs == nullptr) return;
+      if (entered_) return;
       shard_->epochs->writer_enter();
       scope_.emplace(*shard_->epochs);
       entered_ = true;
@@ -510,10 +496,9 @@ class ShardedBroker {
     bool entered_ = false;
   };
 
-  /// Per-shard match-work totals fed by concurrent match tasks (relaxed
-  /// fetch_adds, once per task — never per event). metrics() sums these
-  /// with the engine's own cumulative_stats(), which only the legacy
-  /// single-threaded publish path grows; the two sources are disjoint.
+  /// Per-shard match-work totals fed by the match tasks (relaxed
+  /// fetch_adds, once per task — never per event); metrics() reports them
+  /// as the ncps_match_* counters.
   struct AtomicMatchStats {
     std::atomic<std::uint64_t> events{0};
     std::atomic<std::uint64_t> fulfilled_predicates{0};
@@ -595,9 +580,8 @@ class ShardedBroker {
                                         BackpressurePolicy policy);
   /// Phases A+B of the publish path: exclusive per-shard drains, then the
   /// (shard × chunk) match fan-out into match_buffers_ — on the
-  /// work-stealing pool when one exists, sequentially otherwise (the seed
-  /// single-shard path, which uses the engine's legacy match_batch so its
-  /// last/cumulative stats keep their single-threaded semantics).
+  /// work-stealing pool when one exists, otherwise inline on the publishing
+  /// thread as worker 0 (the seed broker).
   void run_match_tasks(std::span<const Event> events);
   /// Phase C part 1: merge match_buffers_ into merged_ / event_offsets_ —
   /// per event, ascending global subscription id. The per-event-range merge
@@ -618,12 +602,11 @@ class ShardedBroker {
   BackpressurePolicy delivery_default_policy_ = BackpressurePolicy::Block;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Match scheduler pool; null only for single-shard single-worker brokers
-  /// (the seed sequential publish path).
+  /// (the seed broker, whose publishing thread runs the tasks).
   std::unique_ptr<WorkStealingPool> pool_;
-  MatchScheduler scheduler_ = MatchScheduler::kWorkStealing;
-  std::size_t match_chunk_events_ = 0;  // config knob; 0 = adaptive
-  /// One reusable match context per pool worker (contexts of one engine
-  /// kind are interchangeable across shards). Index = worker id.
+  /// One reusable match context per worker (contexts of one engine kind are
+  /// interchangeable across shards). Index = worker id; exactly one when
+  /// there is no pool.
   std::vector<std::unique_ptr<MatchContext>> worker_contexts_;
   /// Per-shard concurrent match-work totals (see AtomicMatchStats).
   std::vector<std::unique_ptr<AtomicMatchStats>> shard_match_stats_;

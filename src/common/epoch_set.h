@@ -48,10 +48,6 @@ class EpochSet {
     }
   }
 
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return stamps_.capacity() * sizeof(std::uint32_t);
-  }
-
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
 
   /// Test hook: jump the epoch counter (e.g. to ~0u so the next clear()
@@ -62,9 +58,6 @@ class EpochSet {
     NCPS_ASSERT(epoch != 0);
     epoch_ = epoch;
   }
-
-  /// Release growth slack.
-  void shrink_to_fit() { stamps_.shrink_to_fit(); }
 
   /// Unchecked read-only view for hot loops whose ids are known in-range
   /// (e.g. predicate ids read back out of the engine's own encoded trees).

@@ -133,11 +133,6 @@ MemoryBreakdown CountingBase::memory() const {
     record_bytes += nested_vector_bytes(r.disjuncts);
   }
   mem.add("unsub_support/subscription_disjuncts", record_bytes);
-  // The hit vector and the match scratch are context-owned (one per
-  // matching thread); report the engine's own default context only.
-  if (const MatchContext* ctx = default_context_if_any()) {
-    ctx->add_memory(mem);
-  }
   mem.add("scratch/free_ids", vector_bytes(free_ids_));
   mem.add("scratch/free_tids", vector_bytes(free_tids_));
   mem.add_nested("index/", index_.memory());

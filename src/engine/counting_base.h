@@ -91,22 +91,6 @@ class CountingBase : public FilterEngine {
     EpochSet matched_subs;           // output de-duplication across disjuncts
     std::vector<Tid> touched;        // variant: tids bumped this event
     EpochSet touched_set;
-
-    void compact() override {
-      MatchContext::compact();
-      hits.shrink_to_fit();
-      matched_subs.shrink_to_fit();
-      touched.shrink_to_fit();
-      touched_set.shrink_to_fit();
-    }
-
-    void add_memory(MemoryBreakdown& mem) const override {
-      MatchContext::add_memory(mem);
-      mem.add("hit_vector", vector_bytes(hits));
-      mem.add("scratch/matched_set", matched_subs.memory_bytes());
-      mem.add("scratch/touched_list", vector_bytes(touched));
-      mem.add("scratch/touched_set", touched_set.memory_bytes());
-    }
   };
 
   Tid allocate_tid();

@@ -2,25 +2,6 @@
 
 namespace ncps {
 
-namespace {
-
-/// Adapts the streaming MatchSink interface back to vector accumulation for
-/// the legacy entry points.
-class VectorSink final : public MatchSink {
- public:
-  explicit VectorSink(std::vector<SubscriptionId>& out) : out_(&out) {}
-
-  void on_match(std::size_t /*event_index*/, const Event& /*event*/,
-                SubscriptionId subscription) override {
-    out_->push_back(subscription);
-  }
-
- private:
-  std::vector<SubscriptionId>* out_;
-};
-
-}  // namespace
-
 void FilterEngine::finish_bulk_load(ThreadPool* pool) {
   NCPS_EXPECTS(bulk_loading_);
   bulk_loading_ = false;
@@ -54,40 +35,6 @@ void FilterEngine::match_range(std::span<const Event> events,
     // Event indexes reported to the sink are batch-global: chunked tasks on
     // different workers all address the same per-event merge buffers.
     match_predicates(fulfilled, first + i, range[i], sink, ctx);
-  }
-}
-
-void FilterEngine::match_predicates(std::span<const PredicateId> fulfilled,
-                                    std::vector<SubscriptionId>& out) {
-  VectorSink sink(out);
-  const Event no_event;  // phase-2-only callers carry no event context
-  match_predicates(fulfilled, 0, no_event, sink);
-}
-
-void FilterEngine::match(const Event& event,
-                         std::vector<SubscriptionId>& out) {
-  MatchContext& ctx = default_context();
-  ctx.fulfilled.clear();
-  ctx.offsets.clear();
-  index_.match(event, *table_, ctx.fulfilled);
-  VectorSink sink(out);
-  match_predicates(ctx.fulfilled, 0, event, sink);
-}
-
-void FilterEngine::match_batch(std::span<const Event> events,
-                               MatchSink& sink) {
-  MatchContext& ctx = default_context();
-  ctx.fulfilled.clear();
-  ctx.offsets.clear();
-  index_.match_batch(events, *table_, ctx.fulfilled, ctx.offsets);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const std::span<const PredicateId> fulfilled(
-        ctx.fulfilled.data() + ctx.offsets[i],
-        ctx.offsets[i + 1] - ctx.offsets[i]);
-    // Route through the legacy per-event wrapper so last_stats() stays
-    // per-event and cumulative_stats() grows — metrics() on the
-    // single-threaded path reads engine cumulative totals only.
-    match_predicates(fulfilled, i, events[i], sink);
   }
 }
 

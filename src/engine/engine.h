@@ -7,15 +7,15 @@
 //   phase 2 (subscription matching): {id(p)} → {id(s)} — where the
 //     algorithms differ and where the paper measures.
 //
-// match(event) runs both phases; match_predicates(fulfilled) enters at
-// phase 2 with an externally supplied fulfilled-predicate set, which is how
-// the figure benchmarks reproduce the paper's methodology (fulfilled counts
-// of 5 000/10 000 are workload parameters there, not event outcomes).
-//
-// match_batch(events, sink) is the batch-oriented entry point the sharded
-// broker drives: phase 1 runs once over the whole batch (index lookups and
-// scratch buffers amortise across events) and phase-2 results stream into a
-// MatchSink instead of accumulating in one vector.
+// match_range(events, first, last, sink, ctx) runs both phases over a slice
+// of a batch: phase 1 once over the slice (index lookups and scratch buffers
+// amortise across events), then phase 2 per event, streaming matches into a
+// MatchSink. match_predicates(fulfilled, ..., ctx) enters at phase 2 with an
+// externally supplied fulfilled-predicate set, which is how the figure
+// benchmarks reproduce the paper's methodology (fulfilled counts of
+// 5 000/10 000 are workload parameters there, not event outcomes). Both are
+// const and take a caller-owned MatchContext; there is no other match entry
+// point.
 //
 // Engines own their predicate references: add() takes one PredicateTable
 // reference per unique predicate stored, remove() releases them, and index
@@ -23,15 +23,15 @@
 //
 // Threading: mutation (add/remove/bulk load/snapshots) is single-threaded —
 // the broker layer serialises it per shard. Matching is read-mostly: the
-// const entry points (match_predicates with a MatchContext, match_range)
-// touch no mutable engine state — every scratch array and every counter
-// lives in the caller-supplied MatchContext — so any number of threads may
-// match against one engine concurrently, provided mutation is excluded for
-// the duration. The sharded broker enforces that exclusion with an epoch
-// read-gate (common/epoch_domain.h): each match task runs inside an
-// EngineView — an epoch-pinned read-side section — and an applier closes
-// the gate (waiting out pinned readers) only for the actual mutation, so
-// lock-free readers and mid-batch mutation interleave at chunk granularity.
+// match entry points touch no mutable engine state — every scratch array
+// and every counter lives in the caller-supplied MatchContext — so any
+// number of threads may match against one engine concurrently, provided
+// mutation is excluded for the duration. The sharded broker enforces that
+// exclusion with an epoch read-gate (common/epoch_domain.h): each match
+// task runs inside an EngineView — an epoch-pinned read-side section — and
+// an applier closes the gate (waiting out pinned readers) only for the
+// actual mutation, so lock-free readers and mid-batch mutation interleave
+// at chunk granularity.
 // An engine's state therefore splits into two classes:
 //   - reader-visible: everything the const match path traverses — the
 //     phase-1 index, predicate table entries, the forest/tree/counting
@@ -39,10 +39,10 @@
 //     gate; memory leaving these structures is retired to the engine's
 //     EpochDomain (retire_or_delete), never freed in place.
 //   - apply-side: bookkeeping only mutators touch (use counts, free lists,
-//     bulk-load queues, cumulative stats, the default context). Guarded by
-//     the broker's per-shard mutex alone; readers never look at it.
+//     bulk-load queues). Guarded by the broker's per-shard mutex alone;
+//     readers never look at it.
 // Engines that cache the domain (set_epoch_domain) route deferred frees
-// onto it; engines without one keep the legacy free-immediately behaviour.
+// onto it; standalone engines (no domain) free immediately.
 #pragma once
 
 #include <cstddef>
@@ -67,10 +67,8 @@ class Writer;
 class Reader;
 }  // namespace storage
 
-/// Phase-2 work counters. Two instances live in every engine: `last_stats()`
-/// covers exactly the most recent match_predicates call (reset by the base
-/// class before each dispatch), while `cumulative_stats()` accumulates
-/// forever — that one feeds the telemetry plane's per-shard match counters.
+/// Phase-2 work counters, accumulated in MatchContext::stats by every match
+/// call on that context.
 struct MatchStats {
   std::uint64_t events = 0;               ///< phase-2 invocations folded in
   std::uint64_t fulfilled_predicates = 0; ///< phase-1 candidates handed to phase 2
@@ -84,19 +82,6 @@ struct MatchStats {
   std::uint64_t matches = 0;              ///< subscriptions reported
 
   void reset() { *this = MatchStats{}; }
-
-  void accumulate(const MatchStats& other) {
-    events += other.events;
-    fulfilled_predicates += other.fulfilled_predicates;
-    candidates += other.candidates;
-    tree_evaluations += other.tree_evaluations;
-    node_evaluations += other.node_evaluations;
-    truth_lookups += other.truth_lookups;
-    hit_increments += other.hit_increments;
-    counter_comparisons += other.counter_comparisons;
-    covering_skips += other.covering_skips;
-    matches += other.matches;
-  }
 };
 
 /// Receives subscription matches as they are found, so results stream out of
@@ -109,19 +94,32 @@ class MatchSink {
                         SubscriptionId subscription) = 0;
 };
 
-/// Caller-owned match state: per-task MatchStats plus every scratch
-/// structure one matching thread needs. Engines subclass it (make_context())
-/// with their phase-2 scratch arrays — memoized truth, hit vectors,
-/// frontier buffers — which is what makes the const match path safe to run
-/// from several threads at once: all mutation lands in the context, all
-/// engine state is read-only. One context serves one thread at a time; a
-/// worker reuses its context across tasks and batches so the scratch
-/// allocations amortise exactly as the old engine-owned scratch did.
+/// Collects matched subscription ids into a vector, for callers that want
+/// the match set rather than a stream (tests, benches, overlay routing).
+class VectorSink final : public MatchSink {
+ public:
+  explicit VectorSink(std::vector<SubscriptionId>& out) : out_(&out) {}
+
+  void on_match(std::size_t /*event_index*/, const Event& /*event*/,
+                SubscriptionId subscription) override {
+    out_->push_back(subscription);
+  }
+
+ private:
+  std::vector<SubscriptionId>* out_;
+};
+
+/// Caller-owned match state: MatchStats plus every scratch structure one
+/// matching thread needs. Engines subclass it (make_context()) with their
+/// phase-2 scratch arrays — memoized truth, hit vectors, frontier buffers —
+/// which is what makes the match path safe to run from several threads at
+/// once: all mutation lands in the context, all engine state is read-only.
+/// One context serves one thread at a time; a caller reuses its context
+/// across calls so the scratch allocations amortise.
 ///
 /// stats accumulates across calls (the broker folds a worker's context into
 /// per-shard totals after each task); callers wanting per-call numbers
-/// reset it themselves — the legacy non-const FilterEngine entry points do,
-/// preserving last_stats() semantics.
+/// reset it before the call.
 class MatchContext {
  public:
   virtual ~MatchContext() = default;
@@ -131,19 +129,6 @@ class MatchContext {
   /// concatenated + slice bounds.
   std::vector<PredicateId> fulfilled;
   std::vector<std::uint32_t> offsets;
-
-  /// Release scratch growth slack (engine compact_storage forwards here).
-  virtual void compact() {
-    fulfilled.shrink_to_fit();
-    offsets.shrink_to_fit();
-  }
-
-  /// Report scratch footprint under "scratch/..." labels (engine memory()
-  /// forwards its default context here).
-  virtual void add_memory(MemoryBreakdown& mem) const {
-    mem.add("scratch/phase1_batch",
-            vector_bytes(fulfilled) + vector_bytes(offsets));
-  }
 };
 
 class FilterEngine {
@@ -183,13 +168,13 @@ class FilterEngine {
     return std::make_unique<MatchContext>();
   }
 
-  /// Phase 2, streaming form, concurrent-safe: report subscriptions
+  /// Phase 2, concurrent-safe: report subscriptions
   /// satisfied when exactly the given predicates are fulfilled, emitting
   /// each match (once, in unspecified order) to `sink` with the event
   /// context. Const — every write lands in `ctx`, so any number of threads
   /// may call this on one engine as long as each brings its own context
   /// and no thread concurrently mutates the engine (the broker's
-  /// shared-mutex reader path enforces exactly that). ctx.stats
+  /// epoch-pinned EngineView enforces exactly that). ctx.stats
   /// accumulates; the caller resets or folds it on its own schedule.
   void match_predicates(std::span<const PredicateId> fulfilled,
                         std::size_t event_index, const Event& event,
@@ -205,33 +190,6 @@ class FilterEngine {
   /// unit of work a (shard × event-chunk) match task executes.
   void match_range(std::span<const Event> events, std::size_t first,
                    std::size_t last, MatchSink& sink, MatchContext& ctx) const;
-
-  /// Phase 2, legacy single-threaded form: dispatches through the engine's
-  /// own default context, with per-call stats semantics — last_stats()
-  /// covers exactly this call, cumulative_stats() grows by it.
-  void match_predicates(std::span<const PredicateId> fulfilled,
-                        std::size_t event_index, const Event& event,
-                        MatchSink& sink) {
-    MatchContext& ctx = default_context();
-    ctx.stats.reset();
-    match_predicates(fulfilled, event_index, event, sink, ctx);
-    stats_ = ctx.stats;
-    cumulative_stats_.accumulate(stats_);
-  }
-
-  /// Legacy phase-2 entry: appends matching ids to `out`. Non-virtual
-  /// adapter over the MatchSink overload (with an empty event context) —
-  /// engines implement the streaming form only.
-  void match_predicates(std::span<const PredicateId> fulfilled,
-                        std::vector<SubscriptionId>& out);
-
-  /// Full pipeline: phase 1 through this engine's index, then phase 2.
-  void match(const Event& event, std::vector<SubscriptionId>& out);
-
-  /// Batched full pipeline: phase 1 once over the whole batch (one index
-  /// traversal, shared fulfilled-set buffers), then phase 2 per event with
-  /// results streamed into `sink`. Single-threaded (default-context) form.
-  virtual void match_batch(std::span<const Event> events, MatchSink& sink);
 
   /// Enter bulk-load mode: until finish_bulk_load(), predicates newly
   /// acquired by add() are NOT registered with the phase-1 index one by one;
@@ -256,32 +214,8 @@ class FilterEngine {
   /// Release allocator growth slack so memory() reflects the steady-state
   /// footprint (what a long-running broker converges to, and what the
   /// memory benchmarks measure). Matching behaviour is unchanged.
-  virtual void compact_storage() {
-    use_count_.shrink_to_fit();
-    if (default_context_) default_context_->compact();
-  }
+  virtual void compact_storage() { use_count_.shrink_to_fit(); }
 
-  /// Work counters for the most recent match_predicates call only.
-  ///
-  /// Migration note (PR 8, updated PR 10): last_stats() used to be the only
-  /// stats surface, and engines reset it at the top of their own match
-  /// bodies — fine for the single-threaded figure benchmarks it was built
-  /// for, but racy and meaningless under ShardedBroker, where N shards
-  /// overwrite their engines' stats on every publish and a reader can never
-  /// sample all N between two batches. It remains per-call (same semantics,
-  /// now reset by the base-class wrapper instead of each engine) for the
-  /// benchmarks, and is apply-side state: only the legacy non-const entry
-  /// points grow it, never the epoch-pinned EngineView path the sharded
-  /// broker matches through. Anything observability-shaped should use
-  /// cumulative_stats(), which only grows and is sampled per shard (under
-  /// the shard mutex, which still excludes mutation from sampling) by
-  /// ShardedBroker::metrics() into ncps_match_* counters.
-  [[nodiscard]] const MatchStats& last_stats() const { return stats_; }
-
-  /// Totals over every match_predicates call since construction.
-  [[nodiscard]] const MatchStats& cumulative_stats() const {
-    return cumulative_stats_;
-  }
   [[nodiscard]] PredicateTable& predicate_table() { return *table_; }
   [[nodiscard]] const PredicateIndex& predicate_index() const { return index_; }
 
@@ -363,19 +297,6 @@ class FilterEngine {
   /// domain (NonCanonicalEngine points its forest's quarantine at it).
   virtual void on_epoch_domain_changed(EpochDomain* domain) { (void)domain; }
 
-  /// The engine-owned context backing the legacy single-threaded entry
-  /// points (match, match_batch, non-const match_predicates). Lazily built
-  /// via make_context() — it cannot exist before the derived class does.
-  [[nodiscard]] MatchContext& default_context() {
-    if (!default_context_) default_context_ = make_context();
-    return *default_context_;
-  }
-
-  /// The default context if one was ever built (memory accounting only).
-  [[nodiscard]] const MatchContext* default_context_if_any() const {
-    return default_context_.get();
-  }
-
   /// Take an engine-owned reference to a live predicate; the first
   /// engine-local use registers it with the phase-1 index. Index membership
   /// is driven by the engine's own use count, NOT the table's global
@@ -423,11 +344,9 @@ class FilterEngine {
 
   PredicateTable* table_;
   PredicateIndex index_;
-  MatchStats stats_;
   std::vector<std::uint32_t> use_count_;  // engine-local uses per predicate id
 
  private:
-  MatchStats cumulative_stats_;
   EpochDomain* epoch_domain_ = nullptr;
 
   // Bulk-load state: predicates whose first engine-local use happened while
@@ -435,8 +354,6 @@ class FilterEngine {
   bool bulk_loading_ = false;
   std::vector<PredicateId> pending_ids_;
   std::vector<std::uint8_t> pending_index_add_;  // dense by predicate id
-
-  std::unique_ptr<MatchContext> default_context_;
 };
 
 /// An epoch-pinned read-side view of one engine — the formal shape of a
@@ -446,23 +363,17 @@ class FilterEngine {
 /// structure the const match path traverses is guaranteed stable: appliers
 /// wait out the pin before mutating, and memory unlinked before the pin was
 /// taken is retired — not freed — until the pin drops. Only the const,
-/// context-taking entry points are exposed; the legacy mutable-stats
-/// overloads stay off the concurrent path by construction.
-///
-/// With no domain (standalone engines, the seed broker) the view is a
-/// zero-cost pass-through — same call shape, no pin.
+/// context-taking match_range is exposed.
 class EngineView {
  public:
   /// `slot` identifies the reader (one live view per slot at a time); the
-  /// broker uses the pool worker id.
-  EngineView(const FilterEngine& engine, EpochDomain* domain,
+  /// broker uses the worker id.
+  EngineView(const FilterEngine& engine, EpochDomain& domain,
              std::size_t slot)
-      : engine_(&engine), domain_(domain), slot_(slot) {
-    if (domain_ != nullptr) domain_->reader_enter(slot_);
+      : engine_(&engine), domain_(&domain), slot_(slot) {
+    domain_->reader_enter(slot_);
   }
-  ~EngineView() {
-    if (domain_ != nullptr) domain_->reader_exit(slot_);
-  }
+  ~EngineView() { domain_->reader_exit(slot_); }
   EngineView(const EngineView&) = delete;
   EngineView& operator=(const EngineView&) = delete;
 
@@ -471,14 +382,6 @@ class EngineView {
                    MatchContext& ctx) const {
     engine_->match_range(events, first, last, sink, ctx);
   }
-
-  void match_predicates(std::span<const PredicateId> fulfilled,
-                        std::size_t event_index, const Event& event,
-                        MatchSink& sink, MatchContext& ctx) const {
-    engine_->match_predicates(fulfilled, event_index, event, sink, ctx);
-  }
-
-  [[nodiscard]] const FilterEngine& engine() const { return *engine_; }
 
  private:
   const FilterEngine* engine_;

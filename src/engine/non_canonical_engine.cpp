@@ -308,9 +308,8 @@ std::unique_ptr<MatchContext> NonCanonicalEngine::make_context() const {
   return std::make_unique<ForestContext>();
 }
 
-void NonCanonicalEngine::force_scratch_epoch_wrap() {
-  static_cast<ForestContext&>(default_context())
-      .touched.jump_epoch_for_test(~0u);
+void NonCanonicalEngine::force_scratch_epoch_wrap(MatchContext& ctx) {
+  static_cast<ForestContext&>(ctx).touched.jump_epoch_for_test(~0u);
 }
 
 void NonCanonicalEngine::match_predicates_impl(
@@ -756,12 +755,6 @@ MemoryBreakdown NonCanonicalEngine::memory() const {
     partial += vector_bytes(entry.second);
   }
   mem.add("partial_sharing", partial);
-  // Match scratch is context-owned now; the engine accounts only for its
-  // own (legacy-path) default context. Per-worker contexts belong to the
-  // broker layer.
-  if (const MatchContext* ctx = default_context_if_any()) {
-    ctx->add_memory(mem);
-  }
   mem.add("scratch/free_ids", vector_bytes(free_ids_));
   mem.add_nested("index/", index_.memory());
   return mem;

@@ -140,10 +140,10 @@ class NonCanonicalEngine final : public FilterEngine {
   /// the subsumption fast path report that root's stored form instead.
   [[nodiscard]] ast::NodePtr subscription_ast(SubscriptionId id) const;
 
-  /// Test hook: jump the per-event scratch epoch to its maximum so the next
-  /// match (through the legacy default-context entry points) wraps the epoch
-  /// counter (regression surface for stale-truth leaks across the wrap).
-  void force_scratch_epoch_wrap();
+  /// Test hook: jump `ctx`'s per-event scratch epoch to its maximum so the
+  /// next match on it wraps the epoch counter (regression surface for
+  /// stale-truth leaks across the wrap). `ctx` must come from make_context().
+  static void force_scratch_epoch_wrap(MatchContext& ctx);
 
  protected:
   /// Route the forest's quarantine through the broker's epoch domain: node
@@ -169,23 +169,6 @@ class NonCanonicalEngine final : public FilterEngine {
     // so this beats sorting (rank, node) keys per event).
     std::vector<std::vector<NodeId>> rank_buckets;
     std::uint32_t max_rank_touched = 0;
-
-    void compact() override {
-      MatchContext::compact();
-      touched.shrink_to_fit();
-      value.shrink_to_fit();
-      frontier.shrink_to_fit();
-      for (auto& bucket : rank_buckets) bucket.shrink_to_fit();
-      rank_buckets.shrink_to_fit();
-    }
-
-    void add_memory(MemoryBreakdown& mem) const override {
-      MatchContext::add_memory(mem);
-      mem.add("scratch/touched_set", touched.memory_bytes());
-      mem.add("scratch/node_values", vector_bytes(value));
-      mem.add("scratch/frontier",
-              vector_bytes(frontier) + nested_vector_bytes(rank_buckets));
-    }
   };
 
   struct SubRecord {

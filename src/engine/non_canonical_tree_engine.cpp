@@ -307,10 +307,6 @@ MemoryBreakdown NonCanonicalTreeEngine::memory() const {
     record_bytes += r.unique_predicates.capacity() * sizeof(PredicateId);
   }
   mem.add("unsub_support/subscription_predicates", record_bytes);
-  // Match scratch is context-owned; report the legacy-path default context.
-  if (const MatchContext* ctx = default_context_if_any()) {
-    ctx->add_memory(mem);
-  }
   mem.add("scratch/free_ids", vector_bytes(free_ids_));
   mem.add_nested("index/", index_.memory());
   return mem;

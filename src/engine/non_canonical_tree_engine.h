@@ -110,18 +110,6 @@ class NonCanonicalTreeEngine final : public FilterEngine {
   struct TreeContext final : MatchContext {
     EpochSet truth;      // fulfilled predicates
     EpochSet seen_subs;  // candidate de-duplication
-
-    void compact() override {
-      MatchContext::compact();
-      truth.shrink_to_fit();
-      seen_subs.shrink_to_fit();
-    }
-
-    void add_memory(MemoryBreakdown& mem) const override {
-      MatchContext::add_memory(mem);
-      mem.add("scratch/truth_set", truth.memory_bytes());
-      mem.add("scratch/candidate_set", seen_subs.memory_bytes());
-    }
   };
 
   /// The one phase-2 matching loop, emitting into the sink adapter.

@@ -91,9 +91,10 @@ struct BrokerMetrics {
   Counter& unsubscribe_ops;
   Counter& register_ops;
   Counter& unregister_ops;
-  /// Queued control op enqueue tick → fence advance past it (the window in
-  /// which a caller blocked in wait_applied would sit). Inline-applied ops
-  /// are not recorded — their apply latency is the call itself.
+  /// Control op issue tick → applied: queued ops at the fence advance past
+  /// them (the window a caller blocked in wait_applied would sit), inline
+  /// ops before the control call returns. Every op is recorded, so the
+  /// percentiles do not jump between populations as contention varies.
   Histogram& control_apply_latency;
 
   Counter& journal_commits;

@@ -45,16 +45,15 @@
 // within one control command a released NodeId is never re-interned as a
 // different subtree. How the quarantine empties depends on
 // set_reclaim_domain():
-//   - with an epoch domain attached (the sharded broker's concurrent-reader
-//     regime), reclaim_quarantine() *retires* the batch to the domain, and
+//   - with an epoch domain attached (every broker shard),
+//     reclaim_quarantine() *retires* the batch to the domain, and
 //     the slots reach the free list only once no reader pins an epoch from
 //     before the release — the grace period. Slot reuse is thereby ordered
 //     after every read-side section that could have held the node, by the
 //     domain itself rather than by command ordering;
-//   - without one (standalone engines, the seed broker), slots move to the
-//     free list immediately — the legacy quarantine-until-next-add
-//     behaviour, correct because matching and mutation are then strictly
-//     serialised.
+//   - without one (standalone engines), slots move to the free list
+//     immediately — the legacy quarantine-until-next-add behaviour, correct
+//     because matching and mutation are then strictly serialised.
 // The broker-level quarantine of retired global ids (sharded_broker.h)
 // additionally fences match records that outlive the removal.
 //

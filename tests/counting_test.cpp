@@ -110,15 +110,14 @@ TEST_F(CountingTest, CountingStatsScanWholeTable) {
   const auto pid = table_.find(
       Predicate{attrs_.find("x0"), Operator::Eq, Value(1), {}});
   ASSERT_TRUE(pid.has_value());
-  std::vector<SubscriptionId> out;
-  counting.match_predicates(std::vector{*pid}, out);
-  EXPECT_EQ(counting.last_stats().counter_comparisons, 40u);  // full scan
-  EXPECT_EQ(counting.last_stats().hit_increments, 2u);  // x0==1 in 2 disjuncts
+  MatchStats stats;
+  (void)testing::match_predicates(counting, {*pid}, &stats);
+  EXPECT_EQ(stats.counter_comparisons, 40u);  // full scan
+  EXPECT_EQ(stats.hit_increments, 2u);  // x0==1 in 2 disjuncts
 
-  out.clear();
-  variant.match_predicates(std::vector{*pid}, out);
-  EXPECT_EQ(variant.last_stats().counter_comparisons, 2u);  // candidates only
-  EXPECT_EQ(variant.last_stats().hit_increments, 2u);
+  (void)testing::match_predicates(variant, {*pid}, &stats);
+  EXPECT_EQ(stats.counter_comparisons, 2u);  // candidates only
+  EXPECT_EQ(stats.hit_increments, 2u);
 }
 
 TEST_F(CountingTest, HitVectorResetBetweenEvents) {

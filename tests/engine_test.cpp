@@ -186,8 +186,10 @@ TEST_P(EngineTest, UnknownPredicateIdsInFulfilledSetAreIgnored) {
 TEST_P(EngineTest, StatsReportWork) {
   subscribe("a == 1 and b == 2");
   subscribe("a == 1 or c == 3");
-  (void)publish(EventBuilder(attrs_).set("a", 1).set("b", 2).build());
-  const MatchStats& stats = engine_->last_stats();
+  const auto ctx = engine_->make_context();
+  (void)testing::match_event(
+      *engine_, EventBuilder(attrs_).set("a", 1).set("b", 2).build(), *ctx);
+  const MatchStats& stats = ctx->stats;
   EXPECT_EQ(stats.matches, 2u);
   EXPECT_GT(stats.candidates, 0u);
 }
@@ -269,10 +271,11 @@ TEST_F(NonCanonicalTest, DuplicateSubscriptionsShareOneRoot) {
   EXPECT_EQ(engine_.distinct_roots(), 1u);
 
   const Event hit = EventBuilder(attrs_).set("a", 1).set("c", 3).build();
-  EXPECT_EQ(testing::match_event(engine_, hit),
+  const auto ctx = engine_.make_context();
+  EXPECT_EQ(testing::match_event(engine_, hit, *ctx),
             testing::sorted(std::vector{s1, s2, s3}));
   // The shared tree is evaluated once per event, not once per subscription.
-  EXPECT_EQ(engine_.last_stats().node_evaluations, 3u);  // 2 ORs + 1 AND
+  EXPECT_EQ(ctx->stats.node_evaluations, 3u);  // 2 ORs + 1 AND
 
   EXPECT_TRUE(engine_.remove(s2));
   EXPECT_EQ(testing::match_event(engine_, hit),
@@ -330,10 +333,11 @@ TEST_F(NonCanonicalTest, FrontierEvaluationCountsStaySubLinear) {
     subscribe("(a == 1 or b == 2) and (c == 3 or d == 4)");
   }
   const Event e = EventBuilder(attrs_).set("a", 1).set("c", 3).build();
-  const auto matched = testing::match_event(engine_, e);
+  const auto ctx = engine_.make_context();
+  const auto matched = testing::match_event(engine_, e, *ctx);
   EXPECT_EQ(matched.size(), 40u);
-  EXPECT_EQ(engine_.last_stats().node_evaluations, 3u);
-  EXPECT_EQ(engine_.last_stats().matches, 40u);
+  EXPECT_EQ(ctx->stats.node_evaluations, 3u);
+  EXPECT_EQ(ctx->stats.matches, 40u);
 }
 
 TEST_F(NonCanonicalTest, NodeSlotsAreReclaimedPromptlyOnRemove) {
@@ -392,10 +396,12 @@ TEST_F(NonCanonicalTreeTest, SelectivityReorderingReducesTruthLookups) {
       EventBuilder(attrs_).set("common", 0).set("rare", 1).build();
 
   // Warm up the statistics: 'common' fulfils often, 'rare' almost never.
+  const auto ctx = engine_.make_context();
   std::uint64_t lookups_before = 0;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(testing::match_event(engine_, common_event), std::vector{s});
-    lookups_before += engine_.last_stats().truth_lookups;
+    ASSERT_EQ(testing::match_event(engine_, common_event, *ctx),
+              std::vector{s});
+    lookups_before += ctx->stats.truth_lookups;
   }
   EXPECT_EQ(engine_.observed_events(), 50u);
 
@@ -403,8 +409,9 @@ TEST_F(NonCanonicalTreeTest, SelectivityReorderingReducesTruthLookups) {
 
   std::uint64_t lookups_after = 0;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(testing::match_event(engine_, common_event), std::vector{s});
-    lookups_after += engine_.last_stats().truth_lookups;
+    ASSERT_EQ(testing::match_event(engine_, common_event, *ctx),
+              std::vector{s});
+    lookups_after += ctx->stats.truth_lookups;
   }
   // Before: rare probed (miss) then common (hit) = 2 lookups per event.
   // After: common first = 1 lookup per event.
@@ -583,10 +590,11 @@ TEST_F(NonCanonicalOptionsTest, PartialSharingGatesBorrowerOnDonorTruth) {
   // the borrower is skipped before its own (deferred) evaluation — no
   // candidate scan, no node evaluation for it.
   const Event gated = EventBuilder(attrs_).set("c", 3).build();
-  EXPECT_TRUE(testing::match_event(*engine_, gated).empty());
-  EXPECT_GE(engine_->last_stats().covering_skips, 1u);
-  EXPECT_EQ(engine_->last_stats().node_evaluations, 0u);
-  EXPECT_EQ(engine_->last_stats().candidates, 0u);
+  const auto ctx = engine_->make_context();
+  EXPECT_TRUE(testing::match_event(*engine_, gated, *ctx).empty());
+  EXPECT_GE(ctx->stats.covering_skips, 1u);
+  EXPECT_EQ(ctx->stats.node_evaluations, 0u);
+  EXPECT_EQ(ctx->stats.candidates, 0u);
 }
 
 TEST_F(NonCanonicalOptionsTest, BorrowerNeverOutlivesItsDonorNode) {
@@ -604,8 +612,9 @@ TEST_F(NonCanonicalOptionsTest, BorrowerNeverOutlivesItsDonorNode) {
                          .build();
   EXPECT_EQ(testing::match_event(*engine_, both), std::vector{borrower});
   const Event gated = EventBuilder(attrs_).set("c", 3).build();
-  EXPECT_TRUE(testing::match_event(*engine_, gated).empty());
-  EXPECT_GE(engine_->last_stats().covering_skips, 1u);
+  const auto ctx = engine_->make_context();
+  EXPECT_TRUE(testing::match_event(*engine_, gated, *ctx).empty());
+  EXPECT_GE(ctx->stats.covering_skips, 1u);
 
   // The borrower's removal releases the donated reference; everything
   // drains.
@@ -715,12 +724,13 @@ TEST_F(NonCanonicalOptionsTest, EpochWrapClearsStaleTruth) {
   const Event rich =
       EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3).build();
   const Event sparse = EventBuilder(attrs_).set("b", 2).build();
-  EXPECT_EQ(testing::match_event(*engine_, rich),
+  const auto ctx = engine_->make_context();
+  EXPECT_EQ(testing::match_event(*engine_, rich, *ctx),
             testing::match_event(reference, rich));
-  engine_->force_scratch_epoch_wrap();  // next match wraps the epoch
-  EXPECT_EQ(testing::match_event(*engine_, sparse),
+  engine_->force_scratch_epoch_wrap(*ctx);  // next match wraps the epoch
+  EXPECT_EQ(testing::match_event(*engine_, sparse, *ctx),
             testing::match_event(reference, sparse));
-  EXPECT_EQ(testing::match_event(*engine_, rich),
+  EXPECT_EQ(testing::match_event(*engine_, rich, *ctx),
             testing::match_event(reference, rich));
 }
 

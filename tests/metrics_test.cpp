@@ -1,9 +1,10 @@
 // Telemetry-plane tests: bucket math and quantiles (pure functions, exact
 // expectations), exposition formats, registry identity, broker-level
 // accounting (notifications_total == callbacks observed, differentially
-// across engines × shards × delivery modes), cumulative MatchStats
-// semantics, the runtime metrics=false gate, and a snapshot-while-publishing
-// race the TSan CI job hammers.
+// across engines × shards × delivery modes), per-shard MatchStats
+// accumulation, metrics() from inside a delivery callback, the runtime
+// metrics=false gate, and a snapshot-while-publishing race the TSan CI job
+// hammers.
 //
 // The snapshot/exposition side compiles in both NCPS_METRICS settings, so
 // most tests run everywhere; tests that need live hot cells skip themselves
@@ -317,25 +318,35 @@ TEST(BrokerMetricsTest, RuntimeGateDropsHotCellsButKeepsSampledRows) {
 }
 
 TEST(BrokerMetricsTest, MatchStatsAccumulateAcrossPublishes) {
-  // Cumulative per-shard stats work in every build mode: they are plain
-  // integers sampled under the shard mutex, not registry cells.
-  AttributeRegistry attrs;
-  Broker broker(attrs);
-  const SubscriberId alice =
-      broker.register_subscriber([](const Notification&) {});
-  broker.subscribe(alice, "x > 10");
-  const Event hit = EventBuilder(attrs).set("x", 50).build();
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(broker.publish(hit), 1u);
+  // Per-shard match stats work in every build mode: they are relaxed
+  // atomics the match tasks fold into, not registry cells. The seed broker
+  // (one shard, no pool) runs the same match tasks as a sharded one. And
+  // metrics() takes no shard mutex, so an inline callback — running inside
+  // publish_batch — may scrape the broker that is delivering to it.
+  for (const std::size_t shard_count : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shard_count));
+    AttributeRegistry attrs;
+    const auto broker = ShardedBroker::create(
+        attrs, ShardedBrokerConfig{.shard_count = shard_count});
+    std::vector<double> scraped_subscriptions;
+    const SubscriberId alice =
+        broker->register_subscriber([&](const Notification&) {
+          scraped_subscriptions.push_back(
+              broker->metrics().gauge_value("ncps_subscriptions").value_or(-1));
+        });
+    broker->subscribe(alice, "x > 10");
+    const std::vector<Event> hits(3, EventBuilder(attrs).set("x", 50).build());
+    EXPECT_EQ(broker->publish_batch(hits), 3u);
+    EXPECT_EQ(scraped_subscriptions, (std::vector<double>{1, 1, 1}));
 
-  // last_stats() keeps the seed's per-call semantics...
-  EXPECT_EQ(broker.engine().last_stats().events, 1u);
-  EXPECT_EQ(broker.engine().last_stats().matches, 1u);
-  // ...while cumulative_stats() folds every call since construction.
-  EXPECT_EQ(broker.engine().cumulative_stats().events, 3u);
-  EXPECT_EQ(broker.engine().cumulative_stats().matches, 3u);
-  const MetricsSnapshot snap = broker.metrics();
-  EXPECT_EQ(snap.counter_total("ncps_match_events_total"), 3u);
-  EXPECT_EQ(snap.counter_total("ncps_match_matches_total"), 3u);
+    const MetricsSnapshot snap = broker->metrics();
+    // Every event visits every shard; the one match lives on one shard.
+    EXPECT_EQ(snap.counter_total("ncps_match_events_total"), 3 * shard_count);
+    EXPECT_EQ(snap.counter_total("ncps_match_matches_total"), 3u);
+    if (obs::kMetricsEnabled) {
+      EXPECT_GT(snap.counter_total("ncps_match_tasks_total"), 0u);
+    }
+  }
 }
 
 // Differential check across engines × shard counts × delivery modes: the

@@ -16,6 +16,7 @@
 #include "engine/posting_store.h"
 #include "predicate/predicate_table.h"
 #include "subscription/parser.h"
+#include "test_util.h"
 
 namespace ncps {
 namespace {
@@ -169,14 +170,12 @@ TEST_P(EngineReuseTest, StalePostingsDoNotSurvivePredicateIdReuse) {
   }
   ASSERT_EQ(table.id_bound(), 1u) << "B's predicate must recycle A's id";
 
-  std::vector<SubscriptionId> matches;
-  engine->match(EventBuilder(attrs).set("x", 50).set("y", 50).build(),
-                matches);
-  EXPECT_TRUE(matches.empty())
+  const Event dead_only = EventBuilder(attrs).set("x", 50).set("y", 50).build();
+  EXPECT_TRUE(testing::match_event(*engine, dead_only).empty())
       << "event satisfying only the dead predicate matched";
-  engine->match(EventBuilder(attrs).set("x", 50).set("y", 1).build(),
-                matches);
-  EXPECT_EQ(matches, std::vector<SubscriptionId>{b});
+  EXPECT_EQ(testing::match_event(
+                *engine, EventBuilder(attrs).set("x", 50).set("y", 1).build()),
+            std::vector<SubscriptionId>{b});
 }
 
 TEST_P(EngineReuseTest, AddRemoveCyclesKeepAllFreeListsBounded) {
@@ -209,20 +208,20 @@ TEST_P(EngineReuseTest, AddRemoveCyclesKeepAllFreeListsBounded) {
     }
     // Events hit the fresh predicates; matching exercises the reused
     // association lists before the round unwinds.
-    std::vector<SubscriptionId> matches;
-    engine->match(
-        EventBuilder(attrs).set("a", 1'000'000).set("b", -1).build(),
-        matches);
-    EXPECT_EQ(matches.size(), static_cast<std::size_t>(kSubs));
+    EXPECT_EQ(testing::match_event(
+                  *engine,
+                  EventBuilder(attrs).set("a", 1'000'000).set("b", -1).build())
+                  .size(),
+              static_cast<std::size_t>(kSubs));
 
     for (const SubscriptionId id : ids) EXPECT_TRUE(engine->remove(id));
     EXPECT_EQ(engine->subscription_count(), 0u);
     EXPECT_EQ(table.size(), 0u) << "leaked predicate refs on round " << round;
   }
-  std::vector<SubscriptionId> matches;
-  engine->match(EventBuilder(attrs).set("a", 1'000'000).set("b", -1).build(),
-                matches);
-  EXPECT_TRUE(matches.empty());
+  EXPECT_TRUE(testing::match_event(
+                  *engine,
+                  EventBuilder(attrs).set("a", 1'000'000).set("b", -1).build())
+                  .empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineReuseTest,

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,19 +35,35 @@ std::vector<T> sorted_values(std::vector<T> values) {
   return values;
 }
 
-/// Run an engine's full pipeline and return the sorted match set.
-inline std::vector<SubscriptionId> match_event(FilterEngine& engine,
-                                               const Event& event) {
+/// Full pipeline for one event on a caller-owned context: match_range over a
+/// one-event span. ctx.stats is reset first, so afterwards it covers exactly
+/// this call. Returns the sorted match set.
+inline std::vector<SubscriptionId> match_event(const FilterEngine& engine,
+                                               const Event& event,
+                                               MatchContext& ctx) {
   std::vector<SubscriptionId> out;
-  engine.match(event, out);
+  VectorSink sink(out);
+  ctx.stats.reset();
+  engine.match_range(std::span<const Event>(&event, 1), 0, 1, sink, ctx);
   return sorted(std::move(out));
 }
 
-/// Run phase 2 only and return the sorted match set.
+/// Full pipeline for one event on a fresh context.
+inline std::vector<SubscriptionId> match_event(const FilterEngine& engine,
+                                               const Event& event) {
+  return match_event(engine, event, *engine.make_context());
+}
+
+/// Phase 2 only, on a fresh context; `stats` (optional) receives the call's
+/// work counters. Returns the sorted match set.
 inline std::vector<SubscriptionId> match_predicates(
-    FilterEngine& engine, const std::vector<PredicateId>& fulfilled) {
+    const FilterEngine& engine, const std::vector<PredicateId>& fulfilled,
+    MatchStats* stats = nullptr) {
   std::vector<SubscriptionId> out;
-  engine.match_predicates(fulfilled, out);
+  VectorSink sink(out);
+  const std::unique_ptr<MatchContext> ctx = engine.make_context();
+  engine.match_predicates(fulfilled, 0, Event{}, sink, *ctx);
+  if (stats != nullptr) *stats = ctx->stats;
   return sorted(std::move(out));
 }
 

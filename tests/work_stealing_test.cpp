@@ -5,15 +5,17 @@
 // imbalance actually produces steals. (2) Scheduler-equivalence property
 // tests: the same subscription/event script must yield byte-identical
 // notification *sequences* on the seed Broker and on ShardedBrokers across
-// every scheduler axis — worker count, chunk size (adaptive, forced tiny),
-// kPerShard vs kWorkStealing, spread vs subscriber-affine placement —
-// because the deterministic merge promises order independent of steal
+// every scheduler axis — worker count, chunk size (batch sizes chosen so
+// adaptive chunking yields 1-, 3- and whole-batch chunks), one task per
+// shard (a single worker), spread vs subscriber-affine placement — because
+// the deterministic merge promises order independent of steal
 // interleaving. A churn variant interleaves control ops with batches.
-// (3) A TSan-targeted concurrent-reader test: several workers match one
-// shard's engine as epoch-pinned lock-free readers while a control thread
-// churns subscriptions concurrently; run under the sanitizer CI job this
-// certifies the const match path plus the epoch write gate
-// (epoch_churn_test covers the churn-during-match races in depth).
+// (3) A TSan-targeted concurrent-reader test: workers (or, on the seed
+// shape, the publishing thread) match one shard's engine as epoch-pinned
+// lock-free readers while a control thread churns subscriptions
+// concurrently; run under the sanitizer CI job this certifies the const
+// match path plus the epoch write gate (epoch_churn_test covers the
+// churn-during-match races in depth).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,16 +143,11 @@ struct Harness {
 struct SchedulerConfig {
   std::size_t shards;
   std::size_t workers;
-  MatchScheduler scheduler = MatchScheduler::kWorkStealing;
-  std::size_t chunk = 0;  // 0 = adaptive
   ShardPlacement placement = ShardPlacement::kSpread;
 
   [[nodiscard]] std::string label() const {
     return "shards=" + std::to_string(shards) +
            "/workers=" + std::to_string(workers) +
-           (scheduler == MatchScheduler::kPerShard ? "/per-shard"
-                                                   : "/stealing") +
-           "/chunk=" + std::to_string(chunk) +
            (placement == ShardPlacement::kSubscriberAffine ? "/affine" : "");
   }
 
@@ -158,21 +155,23 @@ struct SchedulerConfig {
     return ShardedBrokerConfig{.shard_count = shards,
                                .engine = kind,
                                .worker_threads = workers,
-                               .placement = placement,
-                               .scheduler = scheduler,
-                               .match_chunk_events = chunk};
+                               .placement = placement};
   }
 };
 
 // Every scheduler axis: many workers per shard (concurrent readers), more
-// shards than workers, forced single-event chunks (maximal interleaving
-// freedom), the per-shard baseline, and affine placement (skewed shards).
+// shards than workers, one task per shard (a single worker over eight
+// shards — the pre-work-stealing shape), and affine placement (skewed
+// shards). Adaptive chunking gives ceil(batch / 16) events per chunk on
+// {2 shards, 4 workers} and ceil(batch / 4) on {4 shards, 2 workers}, so
+// the 12-event batch below runs single-event chunks (maximal interleaving
+// freedom) on the first and 3-event chunks on the second.
 const SchedulerConfig kSchedulerConfigs[] = {
     {.shards = 1, .workers = 4},
-    {.shards = 2, .workers = 4, .chunk = 1},
-    {.shards = 4, .workers = 2, .chunk = 3},
+    {.shards = 2, .workers = 4},
+    {.shards = 4, .workers = 2},
     {.shards = 4, .workers = 4},
-    {.shards = 4, .workers = 4, .scheduler = MatchScheduler::kPerShard},
+    {.shards = 8, .workers = 1},
     {.shards = 4,
      .workers = 4,
      .placement = ShardPlacement::kSubscriberAffine},
@@ -260,6 +259,7 @@ TEST_P(SchedulerEquivalenceTest, BatchSequencesMatchSeedBroker) {
   subscribe_some(48);
   publish_batch_round(37);  // odd size: last chunk is a partial one
   publish_batch_round(1);   // single-event batch: chunk_count == 1
+  publish_batch_round(12);  // 1-event and 3-event chunks (see above)
   publish_batch_round(64);
 
   // Churn a third of the population, then publish again (id reuse and
@@ -315,11 +315,13 @@ TEST(WorkStealingChurnTest, BatchedChurnStaysInLockstep) {
     config.seed = seed;
     ChurnWorkload workload(config, attrs);
 
+    // Batches hold at most 8 events, so {4 shards, 4 workers} — eight
+    // tasks per shard — matches single-event chunks.
     const SchedulerConfig configs[] = {
-        {.shards = 1, .workers = 1},  // seed path, no pool
+        {.shards = 1, .workers = 1},  // seed broker, no pool
         {.shards = 1, .workers = 4},
-        {.shards = 4, .workers = 4, .chunk = 1},
-        {.shards = 4, .workers = 4, .scheduler = MatchScheduler::kPerShard},
+        {.shards = 4, .workers = 4},
+        {.shards = 8, .workers = 1},  // one task per shard
         {.shards = 4,
          .workers = 3,
          .placement = ShardPlacement::kSubscriberAffine},
@@ -402,20 +404,12 @@ TEST(WorkStealingChurnTest, BatchedChurnStaysInLockstep) {
 
 // ---- Concurrent shard readers (TSan target) ----------------------------
 
-// Four workers match ONE shard's engine concurrently (epoch-pinned
-// readers, per-worker contexts) while a control thread churns
-// subscriptions — commands apply concurrently with matching, excluded
-// from the pinned readers only by the epoch write gate, so under TSan
-// this test certifies the whole read-mostly match path. The
-// post-quiesce probe then checks the broker is still observationally
-// correct against a sequentially built reference.
-TEST(WorkStealingConcurrencyTest, ConcurrentReadersWithControlChurn) {
+void run_concurrent_readers_with_control_churn(std::size_t workers) {
   AttributeRegistry attrs;
   ShardedBroker broker(attrs,
                        ShardedBrokerConfig{.shard_count = 1,
                                            .engine = EngineKind::NonCanonical,
-                                           .worker_threads = 4,
-                                           .match_chunk_events = 2});
+                                           .worker_threads = workers});
 
   std::atomic<std::size_t> concurrent_notifications{0};
   std::vector<std::pair<std::uint32_t, std::uint32_t>> probe_log;
@@ -443,7 +437,7 @@ TEST(WorkStealingConcurrencyTest, ConcurrentReadersWithControlChurn) {
 
   std::vector<Event> batch;
   Pcg32 rng(0xc0ffee, 3);
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < 40; ++i) {
     batch.push_back(EventBuilder(attrs)
                         .set("x", static_cast<std::int64_t>(rng.bounded(40)))
                         .set("y", static_cast<std::int64_t>(rng.bounded(40)))
@@ -510,6 +504,22 @@ TEST(WorkStealingConcurrencyTest, ConcurrentReadersWithControlChurn) {
           return out;
         };
     ASSERT_EQ(ranks(probe_log, live_rank), ranks(reference_log, ref_rank));
+  }
+}
+
+// Workers match ONE shard's engine concurrently (epoch-pinned readers,
+// per-worker contexts) while a control thread churns subscriptions —
+// commands apply concurrently with matching, excluded from the pinned
+// readers only by the epoch write gate, so under TSan this test certifies
+// the whole read-mostly match path. Two shapes: four pool workers
+// (adaptive chunking cuts the 40-event batch into 2-event chunks), and the
+// seed broker, whose publishing thread matches as the only reader without
+// holding the shard mutex. The post-quiesce probe then checks the broker is
+// still observationally correct against a sequentially built reference.
+TEST(WorkStealingConcurrencyTest, ConcurrentReadersWithControlChurn) {
+  for (const std::size_t workers : {std::size_t{4}, std::size_t{1}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    run_concurrent_readers_with_control_churn(workers);
   }
 }
 
