@@ -1,6 +1,7 @@
 #include "broker/sharded_broker.h"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
@@ -90,6 +91,7 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
   for (std::size_t w = 0; w < workers; ++w) {
     worker_contexts_.push_back(shards_[0]->engine->make_context());
   }
+  merge_scratch_.resize(workers);
   // One epoch domain per shard, one reader slot per worker: match tasks pin
   // their worker's slot, mutators close the write gate. The engines route
   // their internal deferred frees (forest quarantine, posting-block
@@ -731,40 +733,54 @@ void ShardedBroker::merge_all(std::span<const Event> events) {
   // (cheap — an increment per match), prefix-summed into event_offsets_.
   // Each event then has a fixed destination slice in merged_, so the
   // per-event-range merge tasks write disjoint ranges with no
-  // coordination.
+  // coordination. The same pass finds the largest global id, which sizes
+  // the merge workers' bitmaps.
   const std::size_t event_count = events.size();
   event_offsets_.assign(event_count + 1, 0);
+  std::uint32_t max_id = 0;
   const std::size_t task_count = shards_.size() * chunk_count_;
   for (std::size_t t = 0; t < task_count; ++t) {
     for (const ShardMatch& match : match_buffers_[t]) {
       ++event_offsets_[match.event_index + 1];
+      max_id = std::max(max_id, match.subscription.value());
     }
   }
   for (std::size_t e = 0; e < event_count; ++e) {
     event_offsets_[e + 1] += event_offsets_[e];
   }
   merged_.resize(event_offsets_[event_count]);
+  const std::size_t id_words = std::size_t{max_id} / 64 + 1;
+  for (MergeScratch& scratch : merge_scratch_) {
+    if (scratch.bits.size() >= id_words) continue;
+    scratch.bits.resize(id_words);
+    scratch.rank.resize(id_words);
+    scratch.words.resize((id_words + 63) / 64);
+  }
 
   if (pool_ == nullptr || event_count == 1) {
-    merge_event_range(0, event_count);
+    // The pool's workers are parked, so worker 0's scratch is free.
+    merge_event_range(0, event_count, merge_scratch_[0]);
     return;
   }
   const std::size_t merge_tasks =
       std::min(event_count, pool_->thread_count() * kMergeTasksPerWorker);
   const std::size_t range = (event_count + merge_tasks - 1) / merge_tasks;
-  pool_->run_tasks(merge_tasks, [&](std::size_t task, std::size_t) {
+  pool_->run_tasks(merge_tasks, [&](std::size_t task, std::size_t worker) {
     const std::size_t first = std::min(task * range, event_count);
-    merge_event_range(first, std::min(first + range, event_count));
+    merge_event_range(first, std::min(first + range, event_count),
+                      merge_scratch_[worker]);
   });
 }
 
-void ShardedBroker::merge_event_range(std::size_t first, std::size_t last) {
+void ShardedBroker::merge_event_range(std::size_t first, std::size_t last,
+                                      MergeScratch& scratch) {
   if (first >= last) return;
   const std::size_t shard_count = shards_.size();
+  auto& [bits, words, rank, cursor] = scratch;
+  cursor.resize(shard_count);
   // Each task buffer is ordered by event index (a chunk's events are
   // processed in order), so within one chunk a cursor per shard walks the
   // range; the cursors start at lower_bound(first event of the overlap).
-  std::vector<std::size_t> cursor(shard_count);
   for (std::size_t c = first / chunk_events_;
        c < chunk_count_ && c * chunk_events_ < last; ++c) {
     const std::size_t chunk_begin = c * chunk_events_;
@@ -779,23 +795,46 @@ void ShardedBroker::merge_event_range(std::size_t first, std::size_t last) {
                            }) -
           buffer.begin());
     }
+    // Ascending global id, so the merged order is independent of shard
+    // count, chunking and steal interleaving. A match's rank is the count
+    // of the event's ids below its own, read off the bitmap: set one bit
+    // per match, prefix-popcount the touched words, scatter. Ids are unique
+    // per event (a freed global id is quarantined until every batch that
+    // could carry its old subscription has delivered), so no bit is shared.
     for (std::size_t e = e0; e < e1; ++e) {
-      std::size_t pos = event_offsets_[e];
       for (std::size_t s = 0; s < shard_count; ++s) {
         const auto& buffer = match_buffers_[s * chunk_count_ + c];
-        std::size_t& cur = cursor[s];
-        while (cur < buffer.size() && buffer[cur].event_index == e) {
-          merged_[pos++] = buffer[cur++];
+        for (std::size_t i = cursor[s];
+             i < buffer.size() && buffer[i].event_index == e; ++i) {
+          const std::uint32_t id = buffer[i].subscription.value();
+          NCPS_DASSERT((bits[id / 64] >> (id % 64) & 1) == 0);
+          bits[id / 64] |= std::uint64_t{1} << (id % 64);
+          words[id / 4096] |= std::uint64_t{1} << (id / 64 % 64);
         }
       }
-      // Ascending global id: the merged order is independent of shard
-      // count, chunking and steal interleaving (ids are unique per event).
-      std::sort(
-          merged_.begin() + static_cast<std::ptrdiff_t>(event_offsets_[e]),
-          merged_.begin() + static_cast<std::ptrdiff_t>(pos),
-          [](const ShardMatch& a, const ShardMatch& b) {
-            return a.subscription < b.subscription;
-          });
+      std::uint32_t below = 0;
+      for (std::size_t sw = 0; sw < words.size(); ++sw) {
+        for (std::uint64_t m = words[sw]; m != 0; m &= m - 1) {
+          const std::size_t w = sw * 64 + std::countr_zero(m);
+          rank[w] = below;
+          below += static_cast<std::uint32_t>(std::popcount(bits[w]));
+        }
+      }
+      for (std::size_t s = 0; s < shard_count; ++s) {
+        const auto& buffer = match_buffers_[s * chunk_count_ + c];
+        for (std::size_t& i = cursor[s];
+             i < buffer.size() && buffer[i].event_index == e; ++i) {
+          const std::uint32_t id = buffer[i].subscription.value();
+          const std::uint64_t lower = (std::uint64_t{1} << (id % 64)) - 1;
+          merged_[event_offsets_[e] + rank[id / 64] +
+                  std::popcount(bits[id / 64] & lower)] = buffer[i];
+        }
+      }
+      for (std::size_t sw = 0; sw < words.size(); ++sw) {
+        for (; words[sw] != 0; words[sw] &= words[sw] - 1) {
+          bits[sw * 64 + std::countr_zero(words[sw])] = 0;
+        }
+      }
     }
   }
 }
@@ -866,7 +905,9 @@ std::size_t ShardedBroker::publish_batch(std::span<const Event> events) {
   publishing_thread_.store(std::this_thread::get_id(),
                            std::memory_order_relaxed);
   run_match_tasks(events);
+  const std::uint64_t matched_tick = cells_ == nullptr ? 0 : obs::now_ticks();
   merge_all(events);
+  const std::uint64_t merged_tick = cells_ == nullptr ? 0 : obs::now_ticks();
   std::size_t delivered;
   if (delivery_ != nullptr) {
     delivered = merge_and_enqueue(events, publish_tick);
@@ -875,6 +916,11 @@ std::size_t ShardedBroker::publish_batch(std::span<const Event> events) {
     // matching is deliverable, one unregistered is skipped.
     const std::shared_ptr<const CallbackMap> callbacks = callbacks_.load();
     delivered = merge_and_deliver(events, *callbacks, publish_tick);
+  }
+  if (cells_ != nullptr) {
+    cells_->stage_match.add(matched_tick - publish_tick);
+    cells_->stage_merge.add(merged_tick - matched_tick);
+    cells_->stage_deliver.add(obs::now_ticks() - merged_tick);
   }
   // Delivery (inline) or hand-off (async) done: stale match records from
   // this batch are dead, so quarantined global ids gated on this epoch move

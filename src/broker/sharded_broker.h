@@ -359,6 +359,18 @@ class ShardedBroker {
     SubscriberId owner;
   };
 
+  /// One merge worker's ranking scratch, all-zero between events: `bits`
+  /// holds one bit per global subscription id, `words` one bit per
+  /// non-zero `bits` word (so touched words are found in ascending order
+  /// without scanning the id range), `rank` each touched word's first rank
+  /// within the event, `cursor` the next unmerged match per shard.
+  struct MergeScratch {
+    std::vector<std::uint64_t> bits;
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint32_t> rank;
+    std::vector<std::size_t> cursor;
+  };
+
   /// One subscription of a bulk registration bound for one shard.
   struct BulkSubscribeItem {
     SubscriptionId global;
@@ -589,8 +601,10 @@ class ShardedBroker {
   /// its precomputed slice of merged_).
   void merge_all(std::span<const Event> events);
   /// Events [first, last): gather each event's matches from the buffers of
-  /// the chunks covering it and sort them into merged_'s slice.
-  void merge_event_range(std::size_t first, std::size_t last);
+  /// the chunks covering it and rank them into merged_'s slice by global id
+  /// on the calling worker's bitmap — O(matches + touched words) per event.
+  void merge_event_range(std::size_t first, std::size_t last,
+                         MergeScratch& scratch);
   std::size_t merge_and_deliver(std::span<const Event> events,
                                 const CallbackMap& callbacks,
                                 std::uint64_t publish_tick);
@@ -696,6 +710,9 @@ class ShardedBroker {
   /// is event e's matches, ascending global subscription id.
   std::vector<ShardMatch> merged_;
   std::vector<std::size_t> event_offsets_;
+  /// Merge ranking scratch, one per worker (index = worker id), sized by
+  /// merge_all to the batch's largest matched global id.
+  std::vector<MergeScratch> merge_scratch_;
 
   /// Telemetry plane. The registry owns every hot cell; cells_ bundles
   /// stable references for the instrumentation sites and doubles as the

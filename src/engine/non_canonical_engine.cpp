@@ -68,8 +68,7 @@ SubscriptionId NonCanonicalEngine::add(const ast::Node& expression) {
   if (root != interned.id) perm_scratch_.clear();
 
   const SubscriptionId id = allocate_id();
-  const bool new_result_root = root_head_.find(root) == root_head_.end();
-  attach(id, root, signature);
+  const bool new_result_root = attach(id, root, signature);
   subs_[id.value()].perm = std::move(perm_scratch_);
   perm_scratch_ = {};
   if (new_result_root && options_.partial_sharing && !pred_scratch_.empty()) {
@@ -89,10 +88,14 @@ SubscriptionId NonCanonicalEngine::add(const ast::Node& expression) {
   return id;
 }
 
+std::size_t NonCanonicalEngine::distinct_roots() const {
+  return chain_head_.size() - static_cast<std::size_t>(std::count(
+                                  chain_head_.begin(), chain_head_.end(),
+                                  kNoSub));
+}
+
 ast::NodePtr NonCanonicalEngine::subscription_ast(SubscriptionId id) const {
-  if (!id.valid() || id.value() >= subs_.size() || !subs_[id.value()].live) {
-    return nullptr;
-  }
+  if (!owns_subscription(id)) return nullptr;
   const SubRecord& record = subs_[id.value()];
   return forest_.to_ast(record.root, record.perm);
 }
@@ -212,26 +215,23 @@ void NonCanonicalEngine::try_adopt_donor(NodeId root,
   }
 }
 
-void NonCanonicalEngine::attach(SubscriptionId id, NodeId root,
+bool NonCanonicalEngine::attach(SubscriptionId id, NodeId root,
                                 std::uint64_t signature) {
+  if (chain_head_.size() <= root) chain_head_.resize(root + 1, kNoSub);
   SubRecord& record = subs_[id.value()];
   record.root = root;
   record.prev = kNoSub;
-  record.live = true;
-
-  const auto [it, first_sub] = root_head_.try_emplace(root, id.value());
-  if (!first_sub) {
-    record.next = it->second;
-    subs_[it->second].prev = id.value();
-    it->second = id.value();
-    return;
+  record.next = chain_head_[root];
+  record.chain_length = 1;
+  chain_head_[root] = id.value();
+  if (record.next != kNoSub) {
+    subs_[record.next].prev = id.value();
+    record.chain_length += subs_[record.next].chain_length;
+    return false;
   }
-  record.next = kNoSub;
-  if (is_root_.size() <= root) is_root_.resize(root + 1, 0);
-  is_root_[root] = 1;
-  root_sig_.emplace(root, signature);
   roots_by_sig_[signature].push_back(root);
   if (forest_.static_truth(root)) always_roots_.push_back(root);
+  return true;
 }
 
 void NonCanonicalEngine::detach(SubscriptionId id) {
@@ -240,35 +240,30 @@ void NonCanonicalEngine::detach(SubscriptionId id) {
   if (record.prev != kNoSub) {
     subs_[record.prev].next = record.next;
     if (record.next != kNoSub) subs_[record.next].prev = record.prev;
+    --subs_[chain_head_[root]].chain_length;
   } else {
-    const auto head = root_head_.find(root);
-    NCPS_DASSERT(head != root_head_.end() && head->second == id.value());
+    NCPS_DASSERT(chain_head_[root] == id.value());
+    chain_head_[root] = record.next;
     if (record.next != kNoSub) {
-      head->second = record.next;
       subs_[record.next].prev = kNoSub;
+      subs_[record.next].chain_length = record.chain_length - 1;
     } else {
       // Last subscription on this root: it stops being a result root.
-      root_head_.erase(head);
-      is_root_[root] = 0;
-      const auto sig = root_sig_.find(root);
-      NCPS_DASSERT(sig != root_sig_.end());
-      auto& ring = roots_by_sig_[sig->second];
-      ring.erase(std::find(ring.begin(), ring.end(), root));
-      if (ring.empty()) roots_by_sig_.erase(sig->second);
-      root_sig_.erase(sig);
+      // root_signature() recomputes the add-time signature and leaves the
+      // root's sorted unique predicates in pred_scratch_.
+      const auto ring = roots_by_sig_.find(root_signature(root));
+      NCPS_DASSERT(ring != roots_by_sig_.end());
+      auto& roots = ring->second;
+      roots.erase(std::find(roots.begin(), roots.end(), root));
+      if (roots.empty()) roots_by_sig_.erase(ring);
       if (forest_.static_truth(root)) {
         auto& always = always_roots_;
         always.erase(std::find(always.begin(), always.end(), root));
       }
       if (options_.partial_sharing) {
         // Drop out of the donor candidate index (mirrors the add()-time
-        // registration under the root's smallest predicate id; the walk
-        // reproduces the same unique predicate set).
-        pred_scratch_.clear();
-        collect_root_predicates(root, pred_scratch_);
-        const PredicateId min_pred =
-            *std::min_element(pred_scratch_.begin(), pred_scratch_.end());
-        const auto index = roots_by_pred_.find(min_pred.value());
+        // registration under the root's smallest predicate id).
+        const auto index = roots_by_pred_.find(pred_scratch_.front().value());
         NCPS_DASSERT(index != roots_by_pred_.end());
         auto& list = index->second;
         list.erase(std::find(list.begin(), list.end(), root));
@@ -289,9 +284,7 @@ void NonCanonicalEngine::detach(SubscriptionId id) {
 }
 
 bool NonCanonicalEngine::remove(SubscriptionId id) {
-  if (!id.valid() || id.value() >= subs_.size() || !subs_[id.value()].live) {
-    return false;
-  }
+  if (!owns_subscription(id)) return false;
   detach(id);
   subs_[id.value()] = SubRecord{};
   free_ids_.push_back(id);
@@ -424,12 +417,11 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
 
   // Emit: every touched result root whose memoized value is true notifies
   // all subscriptions chained on it...
-  const auto emit_root = [&](NodeId root) {
-    for (std::uint32_t s = root_head_.find(root)->second; s != kNoSub;
-         s = subs_[s].next) {
-      ++ctx.stats.candidates;
+  const auto emit_chain = [&](std::uint32_t head) {
+    ctx.stats.candidates += subs_[head].chain_length;
+    ctx.stats.matches += subs_[head].chain_length;
+    for (std::uint32_t s = head; s != kNoSub; s = subs_[s].next) {
       emit(SubscriptionId(s));
-      ++ctx.stats.matches;
     }
   };
   // Donor truth for a borrower root. kDeferred can only appear here if a
@@ -446,14 +438,13 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
     if (!donor_true) ++ctx.stats.covering_skips;
     return donor_true;
   };
-  // is_root_ is sized by attach(): nodes above the highest root id (fresh
-  // interior nodes) simply are not roots. Read, never resize — the match
-  // path must not mutate engine state.
-  const auto is_result_root = [&](NodeId n) {
-    return n < is_root_.size() && is_root_[n] != 0;
-  };
+  // chain_head_ is sized by attach(): nodes above the highest root id
+  // (fresh interior nodes) simply are not roots. Read, never resize — the
+  // match path must not mutate engine state.
   for (const NodeId n : ctx.frontier) {
-    if (!is_result_root(n)) continue;
+    const std::uint32_t head =
+        n < chain_head_.size() ? chain_head_[n] : kNoSub;
+    if (head == kNoSub) continue;
     if (!donor_allows(n)) {
       // The covering donor refuted the event: the borrower cannot match,
       // so its subscription chain is never even scanned as candidates.
@@ -465,13 +456,10 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
       ctx.value[n] = eval_node(n) ? 1 : 0;
     }
     if (ctx.value[n] != 0) {
-      emit_root(n);
+      emit_chain(head);
     } else {
-      // Candidates examined but refuted.
-      for (std::uint32_t s = root_head_.find(n)->second; s != kNoSub;
-           s = subs_[s].next) {
-        ++ctx.stats.candidates;
-      }
+      // Candidates examined but refuted: the chain is counted, not walked.
+      ctx.stats.candidates += subs_[head].chain_length;
     }
   }
   // ...plus the always-candidate roots the frontier never reached: with no
@@ -479,7 +467,7 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
   for (const NodeId root : always_roots_) {
     if (ctx.touched.contains(root)) continue;  // evaluated above
     if (!donor_allows(root)) continue;  // donor refuted: cannot match
-    emit_root(root);
+    emit_chain(chain_head_[root]);
   }
 }
 
@@ -548,7 +536,7 @@ void NonCanonicalEngine::save_state(storage::Writer& w) const {
   w.varint(live_count_);
   for (std::uint32_t id = 0; id < subs_.size(); ++id) {
     const SubRecord& record = subs_[id];
-    if (!record.live) continue;
+    if (!record.live()) continue;
     w.varint(id);
     w.varint(record.root);
     w.varint(record.perm.size());
@@ -608,7 +596,7 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
   for (std::uint64_t n = 0; n < live; ++n) {
     const std::uint64_t id =
         r.varint_max(sub_bound - 1, "subscription id");
-    if (subs_[id].live) throw StorageError("duplicate subscription id");
+    if (subs_[id].live()) throw StorageError("duplicate subscription id");
     const std::uint64_t root =
         r.varint_max(node_bound - 1, "subscription root");
     if (!forest_.is_live(static_cast<NodeId>(root))) {
@@ -639,7 +627,7 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
     ++live_count_;
   }
   for (std::uint32_t id = static_cast<std::uint32_t>(sub_bound); id-- > 0;) {
-    if (!subs_[id].live) free_ids_.push_back(SubscriptionId(id));
+    if (!subs_[id].live()) free_ids_.push_back(SubscriptionId(id));
   }
 
   // Partial-sharing borrower -> donor pairs.
@@ -653,7 +641,7 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
       throw StorageError("donor records but partial sharing is disabled");
     }
     if (!forest_.is_live(static_cast<NodeId>(donor)) ||
-        root_head_.find(static_cast<NodeId>(root)) == root_head_.end()) {
+        root >= chain_head_.size() || chain_head_[root] == kNoSub) {
       throw StorageError("borrower/donor pair references a dead node");
     }
     if (donor_of_[root] != SharedForest::kNoNode) {
@@ -679,11 +667,8 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
   // under its smallest predicate id (mirrors add()/detach()). Ascending
   // node id keeps recovered probe order deterministic.
   if (options_.partial_sharing) {
-    std::vector<NodeId> roots;
-    roots.reserve(root_head_.size());
-    for (const auto& [root, head] : root_head_) roots.push_back(root);
-    std::sort(roots.begin(), roots.end());
-    for (const NodeId root : roots) {
+    for (NodeId root = 0; root < chain_head_.size(); ++root) {
+      if (chain_head_[root] == kNoSub) continue;
       pred_scratch_.clear();
       collect_root_predicates(root, pred_scratch_);
       const PredicateId min_pred =
@@ -704,7 +689,7 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
     for (const NodeId child : forest_.children(id)) ++expected[child];
   }
   for (const SubRecord& record : subs_) {
-    if (record.live) ++expected[record.root];
+    if (record.live()) ++expected[record.root];
   }
   for (const NodeId donor : donor_of_) {
     if (donor != SharedForest::kNoNode) ++expected[donor];
@@ -722,7 +707,7 @@ void NonCanonicalEngine::compact_storage() {
   for (auto& record : subs_) record.perm.shrink_to_fit();
   subs_.shrink_to_fit();
   free_ids_.shrink_to_fit();
-  is_root_.shrink_to_fit();
+  chain_head_.shrink_to_fit();
   always_roots_.shrink_to_fit();
   donor_of_.shrink_to_fit();
   for (auto& entry : roots_by_pred_) entry.second.shrink_to_fit();
@@ -740,11 +725,9 @@ MemoryBreakdown NonCanonicalEngine::memory() const {
   std::size_t records = vector_bytes(subs_);
   for (const auto& record : subs_) records += vector_bytes(record.perm);
   mem.add("unsub_support/subscription_records", records);
-  std::size_t attachment = unordered_map_bytes(root_head_) +
-                           unordered_map_bytes(root_sig_) +
+  std::size_t attachment = vector_bytes(chain_head_) +
                            unordered_map_bytes(roots_by_sig_) +
-                           vector_bytes(always_roots_) +
-                           vector_bytes(is_root_);
+                           vector_bytes(always_roots_);
   for (const auto& entry : roots_by_sig_) {
     attachment += vector_bytes(entry.second);
   }

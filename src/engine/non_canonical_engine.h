@@ -118,15 +118,15 @@ class NonCanonicalEngine final : public FilterEngine {
   void load_state(storage::Reader& r, std::span<const AttributeId> attr_remap,
                   ThreadPool* pool) override;
   [[nodiscard]] bool owns_subscription(SubscriptionId id) const override {
-    return id.valid() && id.value() < subs_.size() && subs_[id.value()].live;
+    return id.valid() && id.value() < subs_.size() &&
+           subs_[id.value()].live();
   }
 
   /// The underlying DAG, for inspection (tests, benches).
   [[nodiscard]] const SharedForest& forest() const { return forest_; }
-  /// Distinct result roots currently attached to subscriptions.
-  [[nodiscard]] std::size_t distinct_roots() const {
-    return root_head_.size();
-  }
+  /// Distinct result roots currently attached to subscriptions (a scan of
+  /// the chain-head table).
+  [[nodiscard]] std::size_t distinct_roots() const;
   /// Subscriptions that aliased onto an equivalent (non-identical) root via
   /// the covering fast path.
   [[nodiscard]] std::uint64_t subsumption_hits() const {
@@ -172,18 +172,24 @@ class NonCanonicalEngine final : public FilterEngine {
   };
 
   struct SubRecord {
-    NodeId root = SharedForest::kNoNode;
+    NodeId root = SharedForest::kNoNode;  ///< kNoNode = free id
     std::uint32_t next = kNoSub;  ///< intrusive chain of same-root subs
     std::uint32_t prev = kNoSub;
-    bool live = false;
+    /// Subscriptions chained on `root`; maintained on the chain's head
+    /// record only (stale elsewhere), so a refuted root adds its whole
+    /// chain to MatchStats::candidates without walking it.
+    std::uint32_t chain_length = 0;
     /// Evaluation permutation mapping the written child order onto the
     /// root's stored (sorted) order; empty = identity (Normalisation::None,
     /// or a subsumption-aliased root whose written form is not this node).
     std::vector<std::uint32_t> perm;
+
+    [[nodiscard]] bool live() const { return root != SharedForest::kNoNode; }
   };
 
   SubscriptionId allocate_id();
-  void attach(SubscriptionId id, NodeId root, std::uint64_t signature);
+  /// Chains `id` onto `root`; true when `root` thereby becomes a result root.
+  bool attach(SubscriptionId id, NodeId root, std::uint64_t signature);
   void detach(SubscriptionId id);
   [[nodiscard]] NodeId try_alias_equivalent(const ast::Node& expression,
                                             NodeId fresh_root,
@@ -210,13 +216,13 @@ class NonCanonicalEngine final : public FilterEngine {
   std::vector<SubscriptionId> free_ids_;
   std::size_t live_count_ = 0;
 
-  // Root attachment: root node -> head of its subscription chain, plus the
-  // signature index driving the subsumption fast path and the
-  // always-candidate roots (static truth = true).
-  std::unordered_map<NodeId, std::uint32_t> root_head_;
-  std::unordered_map<NodeId, std::uint64_t> root_sig_;
+  // Root attachment: the head of each result root's subscription chain,
+  // dense by node id (kNoSub = not a result root; ids past the end are
+  // fresh interior nodes), plus the signature index driving the
+  // subsumption fast path and the always-candidate roots (static truth =
+  // true).
+  std::vector<std::uint32_t> chain_head_;
   std::unordered_map<std::uint64_t, std::vector<NodeId>> roots_by_sig_;
-  std::vector<std::uint8_t> is_root_;  // dense by node id
   std::vector<NodeId> always_roots_;
   std::uint64_t subsumption_hits_ = 0;
 

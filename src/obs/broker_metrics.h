@@ -58,6 +58,12 @@ struct BrokerMetrics {
             registry.counter("ncps_notifications_total", {{"path", "inline"}})),
         inline_latency(registry.histogram(
             "ncps_publish_notify_latency_seconds", {{"path", "inline"}})),
+        stage_match(registry.counter("ncps_publish_stage_seconds_total",
+                                     {{"stage", "match"}})),
+        stage_merge(registry.counter("ncps_publish_stage_seconds_total",
+                                     {{"stage", "merge"}})),
+        stage_deliver(registry.counter("ncps_publish_stage_seconds_total",
+                                       {{"stage", "deliver"}})),
         match_tasks(registry.counter("ncps_match_tasks_total")),
         steals(registry.counter("ncps_steals_total")),
         subscribe_ops(
@@ -83,6 +89,12 @@ struct BrokerMetrics {
   Counter& publish_events;
   Counter& inline_notifications;  ///< callbacks run on the publishing thread
   Histogram& inline_latency;      ///< publish tick → inline callback emit
+  /// publish_batch wall time by stage, fed once per batch: match = shard
+  /// drains + (shard × chunk) match tasks, merge = per-event ranking into
+  /// global-id order, deliver = inline callbacks or the outbox hand-off.
+  Counter& stage_match;
+  Counter& stage_merge;
+  Counter& stage_deliver;
 
   Counter& match_tasks;  ///< (shard × chunk) match tasks executed
   Counter& steals;       ///< match tasks taken from another worker's deque

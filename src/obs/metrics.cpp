@@ -68,6 +68,13 @@ void append_json_labels(std::string& out, const Labels& labels) {
   out += '}';
 }
 
+/// Counters render as integers, except `*_seconds_total` ones: like
+/// histograms, they accumulate nanoseconds and expose seconds.
+std::string counter_text(const MetricsSnapshot::CounterRow& row) {
+  if (!row.name.ends_with("_seconds_total")) return std::to_string(row.value);
+  return format_double(static_cast<double>(row.value) / 1e9);
+}
+
 /// Families must carry one TYPE comment each; rows arrive grouped by
 /// insertion order, so emit the comment whenever the name changes.
 void maybe_type_comment(std::string& out, std::string& last,
@@ -195,7 +202,7 @@ std::string MetricsSnapshot::to_prometheus() const {
     out += row.name;
     out += render_labels(row.labels);
     out += ' ';
-    out += std::to_string(row.value);
+    out += counter_text(row);
     out += '\n';
   }
   last_family.clear();
@@ -262,7 +269,7 @@ std::string MetricsSnapshot::to_json() const {
     out += "\",";
     append_json_labels(out, row.labels);
     out += ",\"value\":";
-    out += std::to_string(row.value);
+    out += counter_text(row);
     out += '}';
   }
   out += "],\"gauges\":[";

@@ -23,9 +23,11 @@
 // Histograms are log-bucketed (4 linear sub-buckets per power of two,
 // indices 0..251 covering the full uint64 range) and record *nanoseconds*;
 // exposition divides by 1e9, which is why every histogram metric is named
-// `*_seconds`. Quantiles interpolate linearly inside a bucket, so p99 is
-// exact to ~25% of the value — the right trade for a cell that is written
-// millions of times and read once a scrape.
+// `*_seconds`. Counters named `*_seconds_total` accumulate nanoseconds too
+// and are exposed in seconds the same way (counter_value() stays in ns).
+// Quantiles interpolate linearly inside a bucket, so p99 is exact to ~25%
+// of the value — the right trade for a cell that is written millions of
+// times and read once a scrape.
 //
 // Compile-time removal: configuring with -DNCPS_METRICS=OFF defines
 // NCPS_METRICS_DISABLED, which swaps the hot-side cells for empty inline

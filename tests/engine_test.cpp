@@ -1,8 +1,13 @@
 // Per-engine behavioural tests, parameterized over all three algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "engine/engine_factory.h"
+#include "storage/serializer.h"
 #include "subscription/parser.h"
 #include "test_util.h"
 
@@ -338,6 +343,72 @@ TEST_F(NonCanonicalTest, FrontierEvaluationCountsStaySubLinear) {
   EXPECT_EQ(matched.size(), 40u);
   EXPECT_EQ(ctx->stats.node_evaluations, 3u);
   EXPECT_EQ(ctx->stats.matches, 40u);
+}
+
+TEST_F(NonCanonicalTest, ChainLengthCountsCandidatesThroughRemovalAndReload) {
+  // One root carrying a chain of five subscriptions (the newest heads the
+  // chain), plus a second root so distinct_roots() counts more than one.
+  const char* text = "a == 1 and b == 2";
+  std::vector<SubscriptionId> chain;
+  for (int i = 0; i < 5; ++i) chain.push_back(subscribe(text));
+  const SubscriptionId other = subscribe("c == 3");
+  const Event refuted = EventBuilder(attrs_).set("a", 1).build();
+  const Event hit = EventBuilder(attrs_).set("a", 1).set("b", 2).build();
+
+  // A refuted root adds exactly its chain length to candidates; a true one
+  // adds it to candidates and matches alike.
+  const auto expect_chain = [&](const FilterEngine& engine,
+                                const std::vector<SubscriptionId>& live) {
+    const auto ctx = engine.make_context();
+    EXPECT_TRUE(testing::match_event(engine, refuted, *ctx).empty());
+    EXPECT_EQ(ctx->stats.candidates, live.size());
+    EXPECT_EQ(ctx->stats.matches, 0u);
+    EXPECT_EQ(testing::match_event(engine, hit, *ctx), testing::sorted(live));
+    EXPECT_EQ(ctx->stats.candidates, live.size());
+    EXPECT_EQ(ctx->stats.matches, live.size());
+  };
+  std::vector<SubscriptionId> live = chain;
+  expect_chain(engine_, live);
+  EXPECT_EQ(engine_.distinct_roots(), 2u);
+  // Head (newest), middle, then tail (oldest).
+  for (const std::size_t victim : {std::size_t{4}, std::size_t{2},
+                                   std::size_t{0}}) {
+    SCOPED_TRACE("removed chain[" + std::to_string(victim) + "]");
+    ASSERT_TRUE(engine_.remove(chain[victim]));
+    live.erase(std::find(live.begin(), live.end(), chain[victim]));
+    expect_chain(engine_, live);
+    EXPECT_EQ(engine_.distinct_roots(), 2u);
+  }
+
+  // A snapshot round trip derives the head table and chain lengths again
+  // through attach(), and re-saves to the same bytes.
+  engine_.prepare_snapshot();
+  storage::Writer saved;
+  engine_.save_state(saved);
+  std::vector<AttributeId> attr_remap;
+  for (std::uint32_t a = 0; a < attrs_.size(); ++a) {
+    attr_remap.push_back(AttributeId(a));
+  }
+  PredicateTable restored_table;
+  NonCanonicalEngine restored(restored_table);
+  storage::Reader reader(saved.bytes());
+  restored.load_state(reader, attr_remap, nullptr);
+  expect_chain(restored, live);
+  EXPECT_EQ(restored.distinct_roots(), 2u);
+  EXPECT_EQ(testing::match_event(restored,
+                                 EventBuilder(attrs_).set("c", 3).build()),
+            std::vector{other});
+  restored.prepare_snapshot();
+  storage::Writer resaved;
+  restored.save_state(resaved);
+  EXPECT_EQ(resaved.bytes(), saved.bytes());
+
+  // Emptying the chain retires the root.
+  for (const SubscriptionId id : live) ASSERT_TRUE(restored.remove(id));
+  EXPECT_EQ(restored.distinct_roots(), 1u);
+  const auto ctx = restored.make_context();
+  EXPECT_TRUE(testing::match_event(restored, hit, *ctx).empty());
+  EXPECT_EQ(ctx->stats.candidates, 0u);
 }
 
 TEST_F(NonCanonicalTest, NodeSlotsAreReclaimedPromptlyOnRemove) {

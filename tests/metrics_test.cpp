@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -172,6 +174,21 @@ TEST(SnapshotTest, PrometheusExposition) {
   EXPECT_NE(text.find("ncps_lat_seconds_sum 6e-09\n"), std::string::npos);
 }
 
+TEST(SnapshotTest, SecondsCountersExposeNanosecondsAsSeconds) {
+  MetricsSnapshot snap;
+  snap.add_counter("ncps_busy_seconds_total", {{"stage", "match"}},
+                   1'500'000'000);
+  snap.add_counter("ncps_events_total", {}, 7);
+  EXPECT_NE(snap.to_prometheus().find(
+                "ncps_busy_seconds_total{stage=\"match\"} 1.5\n"),
+            std::string::npos);
+  EXPECT_NE(snap.to_json().find("\"value\":1.5}"), std::string::npos);
+  EXPECT_NE(snap.to_prometheus().find("ncps_events_total 7\n"),
+            std::string::npos);
+  // Lookups stay in the recorded unit.
+  EXPECT_EQ(snap.counter_total("ncps_busy_seconds_total"), 1'500'000'000u);
+}
+
 TEST(SnapshotTest, JsonExposition) {
   MetricsSnapshot snap;
   snap.add_counter("c", {{"k", "v\"q"}}, 1);
@@ -294,6 +311,41 @@ TEST(BrokerMetricsTest, CountersMatchObservedTraffic) {
   EXPECT_EQ(snap.gauge_value("ncps_shards"), std::optional<double>(1));
   EXPECT_EQ(snap.gauge_value("ncps_subscriptions"), std::optional<double>(2));
   EXPECT_EQ(snap.gauge_value("ncps_subscribers"), std::optional<double>(1));
+}
+
+TEST(BrokerMetricsTest, PublishStageSecondsSplitTheBatchWallTime) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "NCPS_METRICS=OFF";
+  for (const std::size_t shard_count : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shard_count));
+    AttributeRegistry attrs;
+    const auto broker = ShardedBroker::create(
+        attrs, ShardedBrokerConfig{.shard_count = shard_count});
+    const SubscriberId alice =
+        broker->register_subscriber([](const Notification&) {});
+    for (int i = 0; i < 32; ++i) {
+      broker->subscribe(alice, "x > " + std::to_string(i));
+    }
+    std::vector<Event> batch;
+    for (int i = 0; i < 64; ++i) {
+      batch.push_back(EventBuilder(attrs).set("x", i).build());
+    }
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_GT(broker->publish_batch(batch), 0u);
+    const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - start);
+
+    // Counters hold nanoseconds; the expositions render them as seconds.
+    const MetricsSnapshot snap = broker->metrics();
+    std::uint64_t staged = 0;
+    for (const char* stage : {"match", "merge", "deliver"}) {
+      const std::optional<std::uint64_t> ns = snap.counter_value(
+          "ncps_publish_stage_seconds_total", {{"stage", stage}});
+      ASSERT_TRUE(ns.has_value()) << stage;
+      EXPECT_GT(*ns, 0u) << stage;
+      staged += *ns;
+    }
+    EXPECT_LE(staged, static_cast<std::uint64_t>(wall.count()));
+  }
 }
 
 TEST(BrokerMetricsTest, RuntimeGateDropsHotCellsButKeepsSampledRows) {

@@ -14,10 +14,12 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "broker/broker.h"
 #include "broker/sharded_broker.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "subscription/printer.h"
 #include "test_util.h"
@@ -203,6 +205,108 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ShardEquivalenceTest,
                            }
                            return name;
                          });
+
+// Merge order. Live global ids are made sparse and out of allocation order
+// (every third one freed and handed back LIFO), and they span several
+// 64-id bitmap words as well as the 4096-id boundary of the merge bitmap's
+// summary level. Each batch must then give exactly the seed broker's
+// notification sequence, and within each event the subscription ids must
+// ascend. The batches mix zero-match and matching events; one has a single
+// event, and one runs past the 512-event chunk cap, so the merge ranges
+// straddle chunks.
+TEST(MergeOrderTest, SparseStraddlingIdsGiveSeedSequences) {
+  AttributeRegistry attrs;
+  Broker reference(attrs);
+  Harness ref(reference);
+  struct Config {
+    std::size_t shards;
+    std::size_t workers;
+  };
+  const Config configs[] = {{1, 4}, {4, 4}, {8, 1}};
+  std::vector<std::unique_ptr<ShardedBroker>> brokers;
+  std::vector<std::unique_ptr<Harness>> harnesses;
+  for (const Config& c : configs) {
+    brokers.push_back(std::make_unique<ShardedBroker>(
+        attrs, ShardedBrokerConfig{.shard_count = c.shards,
+                                   .worker_threads = c.workers}));
+    harnesses.push_back(std::make_unique<Harness>(*brokers.back()));
+  }
+  std::vector<SubscriberId> sessions;
+  for (int i = 0; i < 3; ++i) {
+    sessions.push_back(ref.session());
+    for (auto& h : harnesses) ASSERT_EQ(h->session(), sessions.back());
+  }
+  const auto subscribe = [&](std::size_t i, const std::string& text) {
+    const SubscriberId owner = sessions[i % sessions.size()];
+    const SubscriptionId id = reference.subscribe(owner, text);
+    for (auto& h : harnesses) EXPECT_EQ(h->broker->subscribe(owner, text), id);
+    return id;
+  };
+  const auto unsubscribe = [&](SubscriptionId id) {
+    ASSERT_TRUE(reference.unsubscribe(id));
+    for (auto& h : harnesses) ASSERT_TRUE(h->broker->unsubscribe(id));
+  };
+  // Matching subscriptions: ids 0..299, then (past never-matching filler)
+  // 4300..4399. Many share a text, so roots carry chains of several ids.
+  std::vector<SubscriptionId> matching;
+  for (std::size_t i = 0; i < 300; ++i) {
+    matching.push_back(subscribe(i, "x >= " + std::to_string(i % 40)));
+  }
+  for (std::size_t i = 0; i < 4000; ++i) subscribe(i, "z == -1");
+  for (std::size_t i = 0; i < 100; ++i) {
+    matching.push_back(subscribe(i, "x < " + std::to_string(i % 30)));
+  }
+  ASSERT_EQ(matching.back(), SubscriptionId(4399));
+  for (std::size_t i = 0; i < matching.size(); i += 3) unsubscribe(matching[i]);
+  std::vector<SubscriptionId> reused;
+  for (std::size_t i = 0; i < 67; i += 2) {
+    reused.push_back(subscribe(i, "x > " + std::to_string(i % 45)));
+  }
+  // LIFO reuse hands the freed ids back in descending order.
+  EXPECT_GT(reused.front(), reused.back());
+  EXPECT_EQ(reused.front(), matching[matching.size() - 1]);
+
+  Pcg32 rng(0x3e76e, 5);
+  std::size_t notifications = 0;
+  const auto publish = [&](std::size_t size) {
+    std::vector<Event> batch;
+    for (std::size_t i = 0; i < size; ++i) {
+      // Every fourth event carries no `x`: nothing matches it.
+      batch.push_back(rng.bounded(4) == 0
+                          ? EventBuilder(attrs).set("y", 1).build()
+                          : EventBuilder(attrs)
+                                .set("x", static_cast<std::int64_t>(
+                                              rng.bounded(50)))
+                                .build());
+    }
+    ref.log.clear();
+    ref.batch_base = batch.data();
+    const std::size_t expected = reference.publish_batch(batch);
+    ref.batch_base = nullptr;
+    notifications += expected;
+    for (std::size_t i = 1; i < ref.log.size(); ++i) {
+      // (event ordinal, subscription id) ascends strictly.
+      const auto key = [&](std::size_t n) {
+        return std::pair(std::get<2>(ref.log[n]), std::get<1>(ref.log[n]));
+      };
+      ASSERT_LT(key(i - 1), key(i)) << "notification " << i;
+    }
+    for (std::size_t h = 0; h < harnesses.size(); ++h) {
+      Harness& shd = *harnesses[h];
+      shd.log.clear();
+      shd.batch_base = batch.data();
+      EXPECT_EQ(shd.broker->publish_batch(batch), expected);
+      shd.batch_base = nullptr;
+      EXPECT_EQ(shd.log, ref.log) << "shards=" << configs[h].shards
+                                  << " workers=" << configs[h].workers
+                                  << " batch=" << size;
+    }
+  };
+  publish(37);
+  publish(1);
+  publish(700);
+  EXPECT_GT(notifications, 0u);
+}
 
 TEST(ShardedBrokerTest, CreateReturnsWorkingHeapBroker) {
   AttributeRegistry attrs;
