@@ -68,6 +68,12 @@ if [ -s "$sharing_json" ] && ! grep -q '"normalisation"' "$sharing_json"; then
   echo "error: BENCH_sharing.json lacks the \"normalisation\" column" >&2
   status=1
 fi
+# ...and the forest-vs-tree phase-2 time ratio, the trajectory of the
+# default engine's gap to the paper's encoded-tree prototype.
+if [ -s "$sharing_json" ] && ! grep -q '"phase2_vs_tree"' "$sharing_json"; then
+  echo "error: BENCH_sharing.json lacks the \"phase2_vs_tree\" column" >&2
+  status=1
+fi
 
 # Schema guard: bench_phase1 rows must carry the naive-vs-indexed speedup and
 # the posting-compression ratio — the two columns the phase-1 overhaul's

@@ -1104,6 +1104,12 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
     snap.add_counter("ncps_match_covering_skips_total", labels,
                      stats.covering_skips);
     snap.add_counter("ncps_match_matches_total", labels, stats.matches);
+    snap.add_counter("ncps_match_phase_seconds_total",
+                     {{"shard", std::to_string(s)}, {"phase", "1"}},
+                     stats.phase1_ns);
+    snap.add_counter("ncps_match_phase_seconds_total",
+                     {{"shard", std::to_string(s)}, {"phase", "2"}},
+                     stats.phase2_ns);
     // Control-plane health: how far this shard's applied generation trails
     // the broker's issue generation (saturating — the issue counter read
     // may predate a concurrent advance), and commands still queued.

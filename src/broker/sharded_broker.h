@@ -522,6 +522,8 @@ class ShardedBroker {
     std::atomic<std::uint64_t> counter_comparisons{0};
     std::atomic<std::uint64_t> covering_skips{0};
     std::atomic<std::uint64_t> matches{0};
+    std::atomic<std::uint64_t> phase1_ns{0};
+    std::atomic<std::uint64_t> phase2_ns{0};
 
     void add(const MatchStats& s) {
       events.fetch_add(s.events, std::memory_order_relaxed);
@@ -538,6 +540,8 @@ class ShardedBroker {
                                     std::memory_order_relaxed);
       covering_skips.fetch_add(s.covering_skips, std::memory_order_relaxed);
       matches.fetch_add(s.matches, std::memory_order_relaxed);
+      phase1_ns.fetch_add(s.phase1_ns, std::memory_order_relaxed);
+      phase2_ns.fetch_add(s.phase2_ns, std::memory_order_relaxed);
     }
 
     [[nodiscard]] MatchStats load() const {
@@ -554,6 +558,8 @@ class ShardedBroker {
           counter_comparisons.load(std::memory_order_relaxed);
       s.covering_skips = covering_skips.load(std::memory_order_relaxed);
       s.matches = matches.load(std::memory_order_relaxed);
+      s.phase1_ns = phase1_ns.load(std::memory_order_relaxed);
+      s.phase2_ns = phase2_ns.load(std::memory_order_relaxed);
       return s;
     }
   };

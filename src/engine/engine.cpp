@@ -1,5 +1,7 @@
 #include "engine/engine.h"
 
+#include <chrono>
+
 namespace ncps {
 
 void FilterEngine::finish_bulk_load(ThreadPool* pool) {
@@ -25,9 +27,11 @@ void FilterEngine::match_range(std::span<const Event> events,
   NCPS_EXPECTS(first <= last && last <= events.size());
   if (first == last) return;
   const std::span<const Event> range = events.subspan(first, last - first);
+  const auto start = std::chrono::steady_clock::now();
   ctx.fulfilled.clear();
   ctx.offsets.clear();
   index_.match_batch(range, *table_, ctx.fulfilled, ctx.offsets);
+  const auto phase1_end = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < range.size(); ++i) {
     const std::span<const PredicateId> fulfilled(
         ctx.fulfilled.data() + ctx.offsets[i],
@@ -36,6 +40,11 @@ void FilterEngine::match_range(std::span<const Event> events,
     // different workers all address the same per-event merge buffers.
     match_predicates(fulfilled, first + i, range[i], sink, ctx);
   }
+  const auto end = std::chrono::steady_clock::now();
+  ctx.stats.phase1_ns += static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(phase1_end - start).count());
+  ctx.stats.phase2_ns += static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(end - phase1_end).count());
 }
 
 }  // namespace ncps

@@ -80,6 +80,10 @@ struct MatchStats {
   std::uint64_t counter_comparisons = 0;  ///< hits-vs-required comparisons
   std::uint64_t covering_skips = 0;       ///< borrower roots skipped via donor truth
   std::uint64_t matches = 0;              ///< subscriptions reported
+  /// Wall time in match_range, split at the phase boundary (three clock
+  /// reads per call, none per event; match_predicates adds nothing).
+  std::uint64_t phase1_ns = 0;
+  std::uint64_t phase2_ns = 0;
 
   void reset() { *this = MatchStats{}; }
 };

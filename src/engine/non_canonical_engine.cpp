@@ -1,6 +1,7 @@
 #include "engine/non_canonical_engine.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/contracts.h"
 #include "common/hash.h"
@@ -319,15 +320,25 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
                                     ForestContext& ctx, Emit&& emit) const {
   const std::size_t bound = forest_.node_bound();
   if (ctx.touched.capacity() < bound) ctx.touched.resize(bound);
-  if (ctx.value.size() < bound) ctx.value.resize(bound);
+  if (ctx.value.size() < bound) {
+    ctx.value.resize(bound);
+    ctx.flips.resize(bound);
+  }
+  if (ctx.leaf_bits.size() * 64 < bound) {
+    ctx.leaf_bits.resize((bound + 63) / 64);
+    ctx.leaf_words.resize((ctx.leaf_bits.size() + 63) / 64);
+  }
   ctx.touched.clear();
   ctx.frontier.clear();
   ctx.max_rank_touched = 0;
 #ifndef NDEBUG
   // Scratch-reset invariant: the previous event must have drained every
   // rank bucket it filled, whatever shape it had (a tall tree followed by
-  // a leaf-only event must not replay stale high-rank nodes).
+  // a leaf-only event must not replay stale high-rank nodes), and cleared
+  // every leaf bit it set.
   for (const auto& bucket : ctx.rank_buckets) NCPS_DASSERT(bucket.empty());
+  for (const std::uint64_t w : ctx.leaf_words) NCPS_DASSERT(w == 0);
+  for (const std::uint64_t w : ctx.leaf_bits) NCPS_DASSERT(w == 0);
 #endif
 
   // Per-event truth states in ctx.value (valid only while touched): 0/1 are
@@ -335,42 +346,59 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
   // waits on its donor's truth at emit time.
   constexpr std::uint8_t kDeferred = 2;
 
-  // Seed: fulfilled predicates stamp their leaf nodes true...
+  // A node *flips* when its truth differs from its static (all-false)
+  // truth. Only a flipped child can change a parent's value, so each parent
+  // edge counts one flip, and the first flip touches the parent. A borrower
+  // root nothing consumes from above defers: its donor's truth decides at
+  // emit time whether it is evaluated at all.
+  const auto flip = [&](NodeId n) {
+    forest_.for_each_parent(n, [&](NodeId parent) {
+      if (!ctx.touched.insert(parent)) {
+        ++ctx.flips[parent];
+        return;
+      }
+      ctx.flips[parent] = 1;
+      ctx.frontier.push_back(parent);
+      if (parent < donor_of_.size() &&
+          donor_of_[parent] != SharedForest::kNoNode &&
+          !forest_.has_parents(parent)) {
+        ctx.value[parent] = kDeferred;
+        return;
+      }
+      const std::uint32_t r = forest_.rank(parent);
+      if (r >= ctx.rank_buckets.size()) ctx.rank_buckets.resize(r + 1);
+      ctx.rank_buckets[r].push_back(parent);
+      ctx.max_rank_touched = std::max(ctx.max_rank_touched, r);
+    });
+  };
+
+  // Seed: fulfilled leaves go into the bitmap, then flip in ascending node
+  // id, so the climb through the forest's arrays streams instead of jumping.
   for (const PredicateId pid : fulfilled) {
     const NodeId leaf = forest_.leaf_of(pid);
     if (leaf == SharedForest::kNoNode) continue;
-    if (ctx.touched.insert(leaf)) {
-      ctx.value[leaf] = 1;
-      ctx.frontier.push_back(leaf);
+    ctx.leaf_bits[leaf / 64] |= std::uint64_t{1} << (leaf % 64);
+    ctx.leaf_words[leaf / 4096] |= std::uint64_t{1} << (leaf / 64 % 64);
+  }
+  for (std::size_t sw = 0; sw < ctx.leaf_words.size(); ++sw) {
+    for (; ctx.leaf_words[sw] != 0;
+         ctx.leaf_words[sw] &= ctx.leaf_words[sw] - 1) {
+      const std::size_t w = sw * 64 + std::countr_zero(ctx.leaf_words[sw]);
+      for (std::uint64_t& bits = ctx.leaf_bits[w]; bits != 0;
+           bits &= bits - 1) {
+        const auto leaf = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
+        ctx.touched.insert(leaf);
+        ctx.value[leaf] = 1;
+        ctx.frontier.push_back(leaf);
+        flip(leaf);
+      }
     }
   }
-  // ...and flood upward along parent edges: the candidate-reachable
-  // frontier is every DAG ancestor of a fulfilled leaf, each visited once
-  // however many subscriptions share it. A borrower root nothing consumes
-  // from above defers: its donor's truth decides at emit time whether it
-  // is evaluated at all.
-  for (std::size_t i = 0; i < ctx.frontier.size(); ++i) {
-    forest_.for_each_parent(ctx.frontier[i], [&](NodeId parent) {
-      if (ctx.touched.insert(parent)) {
-        ctx.frontier.push_back(parent);
-        if (parent < donor_of_.size() &&
-            donor_of_[parent] != SharedForest::kNoNode &&
-            !forest_.has_parents(parent)) {
-          ctx.value[parent] = kDeferred;
-          return;
-        }
-        const std::uint32_t r = forest_.rank(parent);
-        if (r >= ctx.rank_buckets.size()) ctx.rank_buckets.resize(r + 1);
-        ctx.rank_buckets[r].push_back(parent);
-        ctx.max_rank_touched = std::max(ctx.max_rank_touched, r);
-      }
-    });
-  }
 
-  // Evaluate the frontier's interior nodes bottom-up (rank order is a
-  // topological order: children rank strictly below parents). A child
-  // outside the frontier contains no fulfilled predicate, so its value is
-  // its precomputed all-false truth.
+  // Evaluate the touched interior nodes bottom-up (rank order is a
+  // topological order: children rank strictly below parents, so a node's
+  // flip count is final before its bucket runs). An untouched child still
+  // has its static truth: none of its children flipped.
   const auto value_of = [&](NodeId n) {
     ++ctx.stats.truth_lookups;
     if (!ctx.touched.contains(n)) return forest_.static_truth(n);
@@ -380,37 +408,29 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
   };
   const auto eval_node = [&](NodeId n) {
     ++ctx.stats.node_evaluations;
-    const std::span<const NodeId> kids = forest_.children(n);
-    bool v = false;
-    switch (forest_.kind(n)) {
-      case ast::NodeKind::And:
-        v = true;
-        for (const NodeId c : kids) {
-          if (!value_of(c)) {
-            v = false;
-            break;
-          }
-        }
-        break;
-      case ast::NodeKind::Or:
-        for (const NodeId c : kids) {
-          if (value_of(c)) {
-            v = true;
-            break;
-          }
-        }
-        break;
-      case ast::NodeKind::Not:
-        v = !value_of(kids.front());
-        break;
-      case ast::NodeKind::Leaf:
-        NCPS_ASSERT(false && "leaves are seeded, never evaluated");
+    const ast::NodeKind kind = forest_.kind(n);
+    NCPS_DASSERT(kind != ast::NodeKind::Leaf);
+    // A touched NOT's only child flipped, so the NOT flips too.
+    if (kind == ast::NodeKind::Not) return !forest_.static_truth(n);
+    // Every child is false unless it flipped: decided by the count alone.
+    if (forest_.decided_by_flips(n)) {
+      return kind == ast::NodeKind::Or ||
+             ctx.flips[n] == forest_.child_count(n);
     }
-    return v;
+    // A statically-true child (NOT-bearing structure): scan the children.
+    const std::span<const NodeId> kids = forest_.children(n);
+    if (kind == ast::NodeKind::And) {
+      return std::all_of(kids.begin(), kids.end(), value_of);
+    }
+    return std::any_of(kids.begin(), kids.end(), value_of);
   };
   for (std::uint32_t r = 1; r <= ctx.max_rank_touched; ++r) {
-    for (const NodeId n : ctx.rank_buckets[r]) {
-      ctx.value[n] = eval_node(n) ? 1 : 0;
+    // Indexed: flip() may grow rank_buckets (higher ranks) mid-loop.
+    for (std::size_t i = 0; i < ctx.rank_buckets[r].size(); ++i) {
+      const NodeId n = ctx.rank_buckets[r][i];
+      const bool v = eval_node(n);
+      ctx.value[n] = v ? 1 : 0;
+      if (v != forest_.static_truth(n)) flip(n);
     }
     ctx.rank_buckets[r].clear();
   }
@@ -462,8 +482,8 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
       ctx.stats.candidates += subs_[head].chain_length;
     }
   }
-  // ...plus the always-candidate roots the frontier never reached: with no
-  // fulfilled predicate below them their static truth (true) stands.
+  // ...plus the always-candidate roots nothing touched: with no flipped
+  // child their static truth (true) stands.
   for (const NodeId root : always_roots_) {
     if (ctx.touched.contains(root)) continue;  // evaluated above
     if (!donor_allows(root)) continue;  // donor refuted: cannot match

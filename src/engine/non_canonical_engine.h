@@ -9,16 +9,20 @@
 //   - each subscription is one root reference into the forest; structurally
 //     identical subscriptions (and identical subtrees of different
 //     subscriptions) are stored once, refcounted;
-//   - phase 2 walks *upward* from the fulfilled predicates' leaf nodes along
-//     the DAG's parent edges, collecting the candidate-reachable frontier,
-//     and evaluates the frontier's interior nodes exactly once each, in
-//     topological (rank) order, memoizing node truth in an epoch-stamped
-//     array. A subtree shared by 10k subscriptions costs one evaluation per
-//     event instead of 10k. Nodes outside the frontier contain no fulfilled
-//     predicate, so their value is their precomputed all-false truth;
+//   - phase 2 is flip-driven (DESIGN.md §1c): fulfilled leaves are walked
+//     in ascending node id, and a node is touched only when one of its
+//     children *flips* — takes a value other than its static (all-false)
+//     truth. Each parent edge of a flipped node bumps the parent's flip
+//     count; touched nodes are evaluated exactly once each, in topological
+//     (rank) order, memoized in an epoch-stamped array. An AND/OR with no
+//     statically-true child is decided from its flip count alone (OR: any,
+//     AND: all); only NOT-bearing nodes scan their children. An untouched
+//     node keeps its static truth, so the climb stops at the first node
+//     whose value does not move. A subtree shared by 10k subscriptions
+//     costs one evaluation per event instead of 10k;
 //   - roots whose expression is satisfiable with zero fulfilled predicates
 //     (static truth = true, e.g. `not a == 1`) live on an always-candidate
-//     list and match whenever the frontier does not reach (and refute) them;
+//     list and match whenever nothing touches (and refutes) them;
 //   - an opt-in normalisation ladder (Options::normalisation): at
 //     SortedChildren the forest interns AND/OR children in canonical order,
 //     so commuted forms (`a AND b` vs `b AND a`) hash-cons to one node by
@@ -161,10 +165,17 @@ class NonCanonicalEngine final : public FilterEngine {
   /// allocation-free once warm). One per matching thread; the const match
   /// path touches nothing outside its context.
   struct ForestContext final : MatchContext {
-    EpochSet touched;                 // frontier membership, by node id
-    std::vector<std::uint8_t> value;  // node truth, valid iff touched
-    std::vector<NodeId> frontier;     // touched nodes, discovery order
-    // Topological order by counting sort: interior frontier nodes bucketed
+    // Touched = a fulfilled leaf, or a node with a flipped child this event.
+    EpochSet touched;                  // by node id
+    std::vector<std::uint8_t> value;   // node truth, valid iff touched
+    std::vector<std::uint16_t> flips;  // flipped child edges, iff touched
+    std::vector<NodeId> frontier;      // touched nodes, discovery order
+    // Fulfilled leaves as a two-level bitmap (one bit per node id, one
+    // summary bit per non-zero word), walked in ascending id and left
+    // clean for the next event.
+    std::vector<std::uint64_t> leaf_bits;
+    std::vector<std::uint64_t> leaf_words;
+    // Topological order by counting sort: touched interior nodes bucketed
     // by rank (ranks are tree heights — single digits on real workloads,
     // so this beats sorting (rank, node) keys per event).
     std::vector<std::vector<NodeId>> rank_buckets;

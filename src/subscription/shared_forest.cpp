@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/epoch_domain.h"
 #include "common/hash.h"
@@ -25,6 +26,27 @@ void check_limits(const ast::Node& node, std::size_t depth) {
                            "-child limit");
   }
   for (const auto& c : node.children) check_limits(*c, depth + 1);
+}
+
+/// An interior node's static truth and decided_by_flips flag, from its
+/// kind and its children's static truths (`truth(child)`).
+template <typename Truth>
+std::pair<bool, bool> interior_truth(ast::NodeKind kind,
+                                     std::span<const SharedForest::NodeId> kids,
+                                     Truth&& truth) {
+  const bool any_true = std::any_of(kids.begin(), kids.end(), truth);
+  switch (kind) {
+    case ast::NodeKind::And:
+      return {std::all_of(kids.begin(), kids.end(), truth), !any_true};
+    case ast::NodeKind::Or:
+      return {any_true, !any_true};
+    case ast::NodeKind::Not:
+      NCPS_DASSERT(kids.size() == 1);
+      return {!any_true, false};
+    case ast::NodeKind::Leaf:
+      break;
+  }
+  NCPS_ASSERT(false && "unreachable");
 }
 
 }  // namespace
@@ -241,29 +263,15 @@ SharedForest::NodeId SharedForest::intern_node(
   // Create: the new node adopts the temporary child references.
   std::uint32_t max_rank = 0;
   for (const NodeId k : kids) max_rank = std::max(max_rank, rank(k));
-  bool stat = false;
-  switch (node.kind) {
-    case ast::NodeKind::And:
-      stat = std::all_of(kids.begin(), kids.end(),
-                         [&](NodeId k) { return static_truth(k); });
-      break;
-    case ast::NodeKind::Or:
-      stat = std::any_of(kids.begin(), kids.end(),
-                         [&](NodeId k) { return static_truth(k); });
-      break;
-    case ast::NodeKind::Not:
-      NCPS_DASSERT(kids.size() == 1);
-      stat = !static_truth(kids.front());
-      break;
-    case ast::NodeKind::Leaf:
-      NCPS_ASSERT(false && "unreachable");
-  }
+  const auto [stat, by_flips] = interior_truth(
+      node.kind, kids, [&](NodeId k) { return static_truth(k); });
 
   const std::uint32_t offset = alloc_children(kids.size());
   std::copy(kids.begin(), kids.end(), child_arena_.begin() + offset);
   const NodeId id = new_node();
   metas_[id] = Meta{offset, 1, kNoNode,
-                    pack(kids.size(), max_rank + 1, node.kind, stat)};
+                    pack(kids.size(), max_rank + 1, node.kind, stat,
+                         by_flips)};
   for (const NodeId k : kids) add_parent(k, id);
   ++live_count_;
   bucket_insert(id, hash);
@@ -544,9 +552,9 @@ void SharedForest::load_state(storage::Reader& r,
     }
   }
 
-  // Pass 3: build. NodeIds are the dump's ids verbatim; static truth, parent
-  // edges, the leaf index and the intern table are all recomputed. Leaf
-  // hooks deliberately do not fire.
+  // Pass 3: build. NodeIds are the dump's ids verbatim; static truth, the
+  // decided_by_flips flag, parent edges, the leaf index and the intern
+  // table are all recomputed. Leaf hooks deliberately do not fire.
   metas_.assign(bound, Meta{});
   next_.assign(bound, kNoNode);
   child_arena_.reserve(staged_children.size());
@@ -575,28 +583,15 @@ void SharedForest::load_state(storage::Reader& r,
                         pack(0, 0, ast::NodeKind::Leaf, /*static=*/false)};
       continue;
     }
-    bool stat = false;
-    const NodeId* kids = staged_children.data() + s.data;
-    switch (s.kind) {
-      case ast::NodeKind::And:
-        stat = std::all_of(kids, kids + s.child_count,
-                           [&](NodeId k) { return truth[k] != 0; });
-        break;
-      case ast::NodeKind::Or:
-        stat = std::any_of(kids, kids + s.child_count,
-                           [&](NodeId k) { return truth[k] != 0; });
-        break;
-      case ast::NodeKind::Not:
-        stat = truth[kids[0]] == 0;
-        break;
-      case ast::NodeKind::Leaf:
-        NCPS_ASSERT(false && "unreachable");
-    }
+    const std::span<const NodeId> kids(staged_children.data() + s.data,
+                                       s.child_count);
+    const auto [stat, by_flips] = interior_truth(
+        s.kind, kids, [&](NodeId k) { return truth[k] != 0; });
     truth[id] = stat ? 1 : 0;
     const std::uint32_t offset = alloc_children(s.child_count);
-    std::copy(kids, kids + s.child_count, child_arena_.begin() + offset);
+    std::copy(kids.begin(), kids.end(), child_arena_.begin() + offset);
     metas_[id] = Meta{offset, s.refs, kNoNode,
-                      pack(s.child_count, ranks[id], s.kind, stat)};
+                      pack(s.child_count, ranks[id], s.kind, stat, by_flips)};
   }
   // Parent edges after all metas are final (add_parent touches child metas).
   for (const NodeId id : order) {

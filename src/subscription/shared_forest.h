@@ -189,10 +189,18 @@ class SharedForest {
     return metas_[id].packed & 0x7fffu;
   }
   /// The node's truth value when *no* predicate is fulfilled — the value of
-  /// every subtree the matching frontier never reaches (it contains no
-  /// fulfilled leaf, so all its leaves are false).
+  /// every node phase 2 never touches (none of its children flipped away
+  /// from its own static truth, so neither did the node).
   [[nodiscard]] bool static_truth(NodeId id) const {
     return (metas_[id].packed >> 29) & 0x1u;
+  }
+  /// True for an AND/OR none of whose children is statically true. With
+  /// every child false at rest, the node's truth follows from how many of
+  /// its child edges flipped this event: an OR with any flipped child is
+  /// true, an AND is true iff all of them flipped (NonCanonicalEngine's
+  /// flip-driven phase 2). Derived, never stored in snapshots.
+  [[nodiscard]] bool decided_by_flips(NodeId id) const {
+    return (metas_[id].packed >> 31) != 0;
   }
   /// Height of the node (leaves are 0); children always have strictly
   /// smaller rank, so sorting a frontier by rank is a topological order.
@@ -272,10 +280,10 @@ class SharedForest {
   [[nodiscard]] MemoryBreakdown memory() const;
 
   /// Serialise every live node: (id, refcount, kind, predicate | stored
-  /// children). Ranks, static truth, parent edges, the intern table and the
-  /// leaf index are all derivable and are NOT stored — load_state()
-  /// recomputes them, so a corrupted snapshot cannot smuggle in an
-  /// inconsistent derived structure. Call compact_storage() first (the
+  /// children). Ranks, static truth, the decided_by_flips flag, parent
+  /// edges, the intern table and the leaf index are all derivable and are
+  /// NOT stored — load_state() recomputes them, so a corrupted snapshot
+  /// cannot smuggle in an inconsistent derived structure. Call compact_storage() first (the
   /// engines' prepare_snapshot() does) so the quarantine and free lists are
   /// empty and need no encoding.
   void save_state(storage::Writer& w) const;
@@ -291,7 +299,8 @@ class SharedForest {
   void load_state(storage::Reader& r, std::size_t predicate_bound);
 
  private:
-  // packed: child_count:15 | rank:12 | kind:2 | static_truth:1 | extra:1
+  // packed: child_count:15 | rank:12 | kind:2 | static_truth:1 | extra:1 |
+  //         decided_by_flips:1 (AND/OR with no statically-true child)
   struct Meta {
     std::uint32_t data = 0;       // leaf: predicate id; interior: child offset
     std::uint32_t refs = 0;
@@ -301,10 +310,12 @@ class SharedForest {
   static_assert(sizeof(Meta) == 16);
 
   static std::uint32_t pack(std::size_t child_count, std::uint32_t rank,
-                            ast::NodeKind kind, bool static_truth) {
+                            ast::NodeKind kind, bool static_truth,
+                            bool decided_by_flips = false) {
     return static_cast<std::uint32_t>(child_count) |
            (rank << 15) | (static_cast<std::uint32_t>(kind) << 27) |
-           (static_cast<std::uint32_t>(static_truth) << 29);
+           (static_cast<std::uint32_t>(static_truth) << 29) |
+           (static_cast<std::uint32_t>(decided_by_flips) << 31);
   }
 
   NodeId intern_node(const ast::Node& node,

@@ -9,7 +9,9 @@
 #include "engine/engine_factory.h"
 #include "storage/serializer.h"
 #include "subscription/parser.h"
+#include "subscription/printer.h"
 #include "test_util.h"
+#include "workload/random_workload.h"
 
 namespace ncps {
 namespace {
@@ -439,6 +441,196 @@ TEST_F(NonCanonicalTest, OversizedExpressionsAreRejectedBeforeMutation) {
   EXPECT_THROW(engine_.validate(*wide, scratch), ForestLimitError);
   EXPECT_EQ(engine_.forest().live_nodes(), 0u);
   EXPECT_EQ(engine_.subscription_count(), 0u);
+}
+
+// ---- Flip-driven phase 2 ------------------------------------------------
+// A node is evaluated only when a child flips away from its static truth;
+// AND/OR nodes with no statically-true child are decided from the count of
+// flipped child edges, everything else (NOT-bearing structure) by a scan.
+
+class FlipSemanticsTest : public NonCanonicalTest {
+ protected:
+  /// Registers every text, then checks each event against the oracle.
+  void expect_oracle(const std::vector<std::string>& texts,
+                     const std::vector<Event>& events) {
+    std::vector<ast::Expr> exprs;
+    std::vector<std::pair<SubscriptionId, const ast::Node*>> subs;
+    for (const std::string& text : texts) {
+      exprs.push_back(parse_subscription(text, attrs_, table_));
+    }
+    for (const ast::Expr& expr : exprs) {
+      subs.emplace_back(engine_.add(expr.root()), &expr.root());
+    }
+    const auto ctx = engine_.make_context();
+    for (const Event& event : events) {
+      EXPECT_EQ(testing::match_event(engine_, event, *ctx),
+                testing::oracle_match(subs, table_, event))
+          << event.to_display_string(attrs_);
+    }
+  }
+
+  /// Every assignment of a, b, c to {match, mismatch, absent}.
+  std::vector<Event> abc_assignments() {
+    std::vector<Event> events;
+    for (int code = 0; code < 27; ++code) {
+      EventBuilder builder(attrs_);
+      builder.set("zz", 0);  // never empty, even with a, b, c all absent
+      int rest = code;
+      for (const auto& [name, value] :
+           {std::pair{"a", 1}, std::pair{"b", 2}, std::pair{"c", 3}}) {
+        if (rest % 3 == 0) builder.set(name, value);
+        if (rest % 3 == 1) builder.set(name, value + 10);
+        rest /= 3;
+      }
+      events.push_back(builder.build());
+    }
+    return events;
+  }
+};
+
+TEST_F(FlipSemanticsTest, RepeatedChildCountsEveryEdge) {
+  // Normalisation::None keeps both occurrences: the AND has two edges to
+  // one child, so one flip counts twice and decides it true.
+  expect_oracle({"a == 1 and a == 1",
+                 "(a == 1 or b == 2) and (a == 1 or b == 2)"},
+                abc_assignments());
+  const SharedForest& forest = engine_.forest();
+  for (SharedForest::NodeId n = 0; n < forest.node_bound(); ++n) {
+    if (forest.is_live(n) && forest.kind(n) == ast::NodeKind::And) {
+      EXPECT_EQ(forest.child_count(n), 2u);
+      EXPECT_EQ(forest.children(n)[0], forest.children(n)[1]);
+    }
+  }
+}
+
+TEST_F(FlipSemanticsTest, MixedStaticTruthMatchesOracle) {
+  expect_oracle({"not a == 1 and b == 2",
+                 "not a == 1 or b == 2",
+                 "not (a == 1 and b == 2)",
+                 "(not a == 1 and b == 2) or c == 3",
+                 "((not b == 2 and c == 3) or a == 1) and not c == 3",
+                 "a == 1 and b == 2 and c == 3"},
+                abc_assignments());
+}
+
+TEST_F(FlipSemanticsTest, RefutedInnerAndStopsTheClimb) {
+  // Only `a` is fulfilled: the inner AND sees one of two children flip,
+  // stays false (its static truth), and nothing above it is touched.
+  const SubscriptionId s =
+      subscribe("((a == 1 and b == 2) or c == 3) and d == 4");
+  const auto ctx = engine_.make_context();
+  EXPECT_TRUE(testing::match_event(
+                  engine_, EventBuilder(attrs_).set("a", 1).build(), *ctx)
+                  .empty());
+  EXPECT_EQ(ctx->stats.node_evaluations, 1u);
+  EXPECT_EQ(ctx->stats.candidates, 0u);
+  EXPECT_EQ(ctx->stats.truth_lookups, 0u);  // NOT-free: counts decide
+  EXPECT_EQ(testing::match_event(
+                engine_,
+                EventBuilder(attrs_).set("a", 1).set("b", 2).set("d", 4)
+                    .build(),
+                *ctx),
+            std::vector{s});
+  EXPECT_EQ(ctx->stats.node_evaluations, 3u);
+  EXPECT_EQ(ctx->stats.candidates, 1u);
+}
+
+TEST_F(FlipSemanticsTest, OneLeafPastTheFirstSummaryWord) {
+  // More than 4096 nodes, so the leaf bitmap needs a second summary word;
+  // one fulfilled predicate at each end of the id range, on one context
+  // (a stale bit from the previous event would resurface as a match).
+  std::vector<SubscriptionId> pairs;
+  for (int i = 0; i < 1500; ++i) {
+    pairs.push_back(subscribe("k == " + std::to_string(i) + " and m == " +
+                              std::to_string(i)));
+  }
+  const SubscriptionId last = subscribe("z == 1");
+  // `z == 1` is the newest node: a leaf past the first 4096 ids.
+  const SharedForest::NodeId z_leaf =
+      static_cast<SharedForest::NodeId>(engine_.forest().node_bound() - 1);
+  ASSERT_GE(z_leaf, 4096u);
+  ASSERT_EQ(engine_.forest().kind(z_leaf), ast::NodeKind::Leaf);
+  const auto ctx = engine_.make_context();
+  const Event high = EventBuilder(attrs_).set("z", 1).build();
+  const Event low = EventBuilder(attrs_).set("k", 0).set("m", 0).build();
+  const Event none = EventBuilder(attrs_).set("k", 1499).build();
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(testing::match_event(engine_, high, *ctx), std::vector{last});
+    EXPECT_EQ(ctx->stats.fulfilled_predicates, 1u);
+    EXPECT_EQ(testing::match_event(engine_, low, *ctx),
+              std::vector{pairs.front()});
+    EXPECT_TRUE(testing::match_event(engine_, none, *ctx).empty());
+  }
+}
+
+TEST_F(FlipSemanticsTest, NotBearingSnapshotRoundTripKeepsMatchesAndStats) {
+  RandomWorkloadConfig config;
+  config.not_probability = 0.4;
+  config.seed = 0xf11b;
+  // Generated into a table of its own and re-parsed as text, so that at
+  // snapshot time the engine's leaves own every live predicate.
+  PredicateTable workload_table;
+  RandomWorkload workload(config, attrs_, workload_table);
+  std::vector<SubscriptionId> ids;
+  for (int i = 0; i < 300; ++i) {
+    const ast::Expr expr = workload.next_subscription();
+    ids.push_back(subscribe(
+        print_expression(expr.root(), workload_table, attrs_)));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 5) engine_.remove(ids[i]);
+
+  engine_.prepare_snapshot();
+  storage::Writer saved;
+  engine_.save_state(saved);
+  std::vector<AttributeId> attr_remap;
+  for (std::uint32_t a = 0; a < attrs_.size(); ++a) {
+    attr_remap.push_back(AttributeId(a));
+  }
+  PredicateTable restored_table;
+  NonCanonicalEngine restored(restored_table);
+  storage::Reader reader(saved.bytes());
+  restored.load_state(reader, attr_remap, nullptr);
+
+  // The derived per-node flag comes back exactly as intern() set it.
+  const SharedForest& forest = engine_.forest();
+  ASSERT_EQ(restored.forest().node_bound(), forest.node_bound());
+  std::size_t scanned = 0;
+  for (SharedForest::NodeId n = 0; n < forest.node_bound(); ++n) {
+    if (!forest.is_live(n)) continue;
+    EXPECT_EQ(restored.forest().decided_by_flips(n),
+              forest.decided_by_flips(n));
+    const ast::NodeKind kind = forest.kind(n);
+    if ((kind == ast::NodeKind::And || kind == ast::NodeKind::Or) &&
+        !forest.decided_by_flips(n)) {
+      ++scanned;
+    }
+  }
+  EXPECT_GT(scanned, 0u);  // the population really has NOT-bearing nodes
+
+  const auto work = [](const MatchStats& s) {
+    return std::vector<std::uint64_t>{
+        s.events,         s.fulfilled_predicates, s.candidates,
+        s.node_evaluations, s.truth_lookups,      s.covering_skips,
+        s.matches};
+  };
+  const auto original_ctx = engine_.make_context();
+  const auto restored_ctx = restored.make_context();
+  std::uint64_t lookups = 0;
+  for (int i = 0; i < 200; ++i) {
+    const Event event = workload.next_event();
+    EXPECT_EQ(testing::match_event(restored, event, *restored_ctx),
+              testing::match_event(engine_, event, *original_ctx))
+        << "event " << i;
+    EXPECT_EQ(work(restored_ctx->stats), work(original_ctx->stats))
+        << "event " << i;
+    lookups += original_ctx->stats.truth_lookups;
+  }
+  EXPECT_GT(lookups, 0u);
+
+  restored.prepare_snapshot();
+  storage::Writer resaved;
+  restored.save_state(resaved);
+  EXPECT_EQ(resaved.bytes(), saved.bytes());
 }
 
 // Encoded-tree-specific behaviour (the paper's §3.3 prototype, kept as the

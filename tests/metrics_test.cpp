@@ -348,6 +348,56 @@ TEST(BrokerMetricsTest, PublishStageSecondsSplitTheBatchWallTime) {
   }
 }
 
+TEST(BrokerMetricsTest, MatchPhaseSecondsAdvancePerShard) {
+  // Sampled rows fed once per match task, so they advance in every build
+  // mode. The population is paper-shaped (ANDs of two-way ORs, no NOT), so
+  // phase 2 decides every node from flip counts and probes no child truth.
+  for (const std::size_t shard_count : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shard_count));
+    AttributeRegistry attrs;
+    const auto broker = ShardedBroker::create(
+        attrs, ShardedBrokerConfig{.shard_count = shard_count});
+    const SubscriberId alice =
+        broker->register_subscriber([](const Notification&) {});
+    for (int i = 0; i < 256; ++i) {
+      const std::string n = std::to_string(i);
+      broker->subscribe(alice, "(a > " + n + " or b == " + n + ") and (c < " +
+                                   n + " or d == " + n + ") and (e >= " + n +
+                                   " or f == " + n + ")");
+    }
+    std::vector<Event> batch;
+    for (int i = 0; i < 64; ++i) {
+      batch.push_back(EventBuilder(attrs)
+                          .set("a", i * 4).set("b", i).set("c", 255 - i * 4)
+                          .set("d", i).set("e", i * 3).set("f", i)
+                          .build());
+    }
+    EXPECT_GT(broker->publish_batch(batch), 0u);
+
+    const MetricsSnapshot snap = broker->metrics();
+    std::uint64_t phases = 0;
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      for (const char* phase : {"1", "2"}) {
+        const std::optional<std::uint64_t> ns =
+            snap.counter_value("ncps_match_phase_seconds_total",
+                               {{"shard", std::to_string(s)},
+                                {"phase", phase}});
+        ASSERT_TRUE(ns.has_value()) << "shard " << s << " phase " << phase;
+        EXPECT_GT(*ns, 0u) << "shard " << s << " phase " << phase;
+        phases += *ns;
+      }
+    }
+    EXPECT_EQ(snap.counter_total("ncps_match_truth_lookups_total"), 0u);
+    EXPECT_GT(snap.counter_total("ncps_match_node_evaluations_total"), 0u);
+    // The seed broker matches inline, so its phases fit in the match stage.
+    if (obs::kMetricsEnabled && shard_count == 1) {
+      EXPECT_LE(phases, snap.counter_value("ncps_publish_stage_seconds_total",
+                                           {{"stage", "match"}})
+                            .value_or(0));
+    }
+  }
+}
+
 TEST(BrokerMetricsTest, RuntimeGateDropsHotCellsButKeepsSampledRows) {
   AttributeRegistry attrs;
   BrokerOptions options;

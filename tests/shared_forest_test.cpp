@@ -134,6 +134,29 @@ TEST_F(SharedForestTest, StaticTruthUnderAllFalseLeaves) {
   EXPECT_TRUE(forest_.static_truth(forest_.intern(mixed.root()).id));
 }
 
+TEST_F(SharedForestTest, DecidedByFlipsMarksAndOrWithoutStaticTrueChild) {
+  const ast::Expr conj = parse("a == 1 and b == 2");
+  const ast::Expr disj = parse("a == 1 or b == 2");
+  const ast::Expr negated = parse("not a == 1");
+  const ast::Expr mixed_or = parse("not a == 1 or b == 2");
+  const ast::Expr mixed_and = parse("not a == 1 and b == 2");
+  const ast::Expr refuted_not = parse("(not (a == 1 or b == 2)) or c == 3");
+  const NodeId c = forest_.intern(conj.root()).id;
+  EXPECT_TRUE(forest_.decided_by_flips(c));
+  EXPECT_TRUE(forest_.decided_by_flips(forest_.intern(disj.root()).id));
+  EXPECT_FALSE(forest_.decided_by_flips(forest_.intern(negated.root()).id));
+  EXPECT_FALSE(forest_.decided_by_flips(forest_.intern(mixed_or.root()).id));
+  EXPECT_FALSE(forest_.decided_by_flips(forest_.intern(mixed_and.root()).id));
+  // NOT of a flip-decided OR is statically true, so the outer OR scans.
+  const NodeId outer = forest_.intern(refuted_not.root()).id;
+  EXPECT_FALSE(forest_.decided_by_flips(outer));
+  const NodeId inner_not = forest_.children(outer).front();
+  ASSERT_EQ(forest_.kind(inner_not), ast::NodeKind::Not);
+  EXPECT_TRUE(forest_.decided_by_flips(forest_.children(inner_not).front()));
+  // Leaves never carry the flag.
+  EXPECT_FALSE(forest_.decided_by_flips(forest_.children(c).front()));
+}
+
 TEST_F(SharedForestTest, RankIsStrictlyAboveChildren) {
   const ast::Expr e = parse("((a == 1 or b == 2) and c == 3) or d == 4");
   const NodeId root = forest_.intern(e.root()).id;
