@@ -23,7 +23,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
+#include "common/work_stealing_pool.h"
 #include "index/predicate_index.h"
 
 namespace {
@@ -410,7 +410,7 @@ void bench_bulk_load(Scale scale) {
         index.bulk_load(entries, nullptr);
       },
       3);
-  ThreadPool pool(kThreads);
+  WorkStealingPool pool(kThreads);
   const double parallel_s = time_seconds(
       [&] {
         PredicateIndex index;

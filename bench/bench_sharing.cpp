@@ -1,6 +1,6 @@
 // Shared-subexpression sweep: how much memory and phase-2 work does the
-// forest-backed non-canonical engine save as structural overlap grows —
-// and how much of that survives when the duplicates are *commuted*?
+// forest-backed non-canonical engine save as structural overlap grows, when
+// every duplicate is *commuted*?
 //
 // Workload: a fixed population of paper-shaped subscriptions where an
 // `overlap` fraction of registrations are Zipf-skewed duplicates of a small
@@ -10,33 +10,18 @@
 // semantically the same interest, structurally a different spelling, which
 // is how independent subscribers actually write overlapping queries. The
 // unshared baseline is the paper's §3.3 prototype (NonCanonicalTreeEngine,
-// one encoded byte tree per subscription); the shared engine runs at three
-// configurations spanning the normalisation ladder:
+// one encoded byte tree per subscription); the forest interns AND/OR
+// children in canonical order, so commuted duplicates collapse to one node.
 //
-//   - none            : order-preserving interning, covering-based root
-//                       aliasing on (the default engine) — commuted
-//                       duplicates collapse, but each one pays a DNF-
-//                       budgeted equivalence probe at add time;
-//   - none-unaliased  : order-preserving interning with the covering
-//                       probes off — shares nothing across commuted pairs
-//                       (leaf/subtree sharing only);
-//   - sorted          : Normalisation::SortedChildren — commuted
-//                       duplicates collapse by *identity* at interning
-//                       cost, no covering probes involved.
+// Per (overlap × engine) cell one JSON row reports storage bytes, phase-2
+// throughput and per-event evaluation counts (paper methodology: phase 2
+// over sampled fulfilled sets), the phase-2 time relative to the unshared
+// trees at the same overlap (phase2_vs_tree), plus wall-clock add time.
 //
-// Per (overlap × configuration) cell one JSON row reports storage bytes,
-// phase-2 throughput and per-event evaluation counts (paper methodology:
-// phase 2 over sampled fulfilled sets), the phase-2 time relative to the
-// unshared trees at the same overlap (phase2_vs_tree), plus wall-clock add
-// time — where the sorted forest's identity-based sharing beats
-// probe-based aliasing.
-//
-// Verified claims (exit status, like bench_memory), all at 95% overlap:
-//   1. the default forest's storage is at most 0.3x the unshared encoded
-//      trees, and its per-event node evaluations undercut the baseline's
-//      tree evaluations;
-//   2. the sorted forest's bytes are at most 0.5x the none-unaliased
-//      forest (which shares nothing across commuted pairs).
+// Verified claim (exit status, like bench_memory), at 95% overlap: the
+// forest's storage is at most 0.3x the unshared encoded trees, and its
+// per-event node evaluations undercut the baseline's tree evaluations.
+// Both fail if commuted duplicates stop collapsing.
 //
 // REPRO_SCALE=paper registers the full 500k-subscription population.
 #include <cstdio>
@@ -61,7 +46,6 @@ struct Cell {
   double seconds_per_event = 0.0;
   double evals_per_event = 0.0;    // node (forest) / tree (baseline) evals
   std::size_t live_nodes = 0;
-  std::uint64_t subsumption_hits = 0;
 };
 
 std::size_t sum_components(const FilterEngine& engine, bool forest_only) {
@@ -87,38 +71,28 @@ std::size_t phase2_bytes(const FilterEngine& engine) {
   return sum;
 }
 
-/// One engine configuration under the sweep.
+/// One engine under the sweep.
 struct Config {
   const char* label;
-  const char* normalisation;  // JSON column (run_benches.sh asserts it)
-  bool forest;                // storage = forest/ components vs encoded trees
-  bool aliasing;              // covering-based root subsumption
-  Normalisation level;
+  bool forest;  // storage = forest/ components vs encoded trees
 };
 
 constexpr Config kConfigs[] = {
-    {"non-canonical-tree", "none", false, false, Normalisation::None},
-    {"non-canonical", "none", true, true, Normalisation::None},
-    {"non-canonical-unaliased", "none", true, false, Normalisation::None},
-    {"non-canonical-sorted", "sorted", true, false,
-     Normalisation::SortedChildren},
+    {"non-canonical-tree", false},
+    {"non-canonical", true},
 };
 
 std::unique_ptr<FilterEngine> make_config_engine(const Config& config,
                                                  PredicateTable& table) {
   if (!config.forest) return std::make_unique<NonCanonicalTreeEngine>(table);
-  NonCanonicalEngineOptions options;
-  options.normalisation = config.level;
-  options.root_subsumption = config.aliasing;
-  options.partial_sharing = config.aliasing;
-  return std::make_unique<NonCanonicalEngine>(table, options);
+  return std::make_unique<NonCanonicalEngine>(table);
 }
 
 }  // namespace
 
 int main() {
   std::printf(
-      "# Shared-subexpression sweep: overlap fraction x normalisation\n"
+      "# Shared-subexpression sweep: overlap fraction x engine\n"
       "# duplicates are commuted (AND/OR children shuffled); storage =\n"
       "# forest components (shared) / encoded trees (baseline)\n");
 
@@ -132,9 +106,7 @@ int main() {
 
   bool tree_ratio_claim = false;
   bool evals_claim = false;
-  bool sorted_ratio_claim = false;
   double tree_ratio_at_95 = -1.0;
-  double sorted_ratio_at_95 = -1.0;
 
   for (const int overlap_pct : {0, 25, 75, 95}) {
     const double overlap = overlap_pct / 100.0;
@@ -218,7 +190,6 @@ int main() {
         const auto& forest_engine =
             static_cast<const NonCanonicalEngine&>(*engine);
         cell.live_nodes = forest_engine.forest().live_nodes();
-        cell.subsumption_hits = forest_engine.subsumption_hits();
       }
       results.push_back(Result{&engine_config, cell});
     }
@@ -233,30 +204,21 @@ int main() {
       std::abort();
     };
     const Cell& tree_cell = cell_of("non-canonical-tree");
-    const Cell& default_cell = cell_of("non-canonical");
-    const Cell& unaliased_cell = cell_of("non-canonical-unaliased");
-    const Cell& sorted_cell = cell_of("non-canonical-sorted");
+    const Cell& forest_cell = cell_of("non-canonical");
 
     const double tree_ratio =
-        static_cast<double>(default_cell.storage_bytes) /
+        static_cast<double>(forest_cell.storage_bytes) /
         static_cast<double>(tree_cell.storage_bytes);
-    const double sorted_ratio =
-        static_cast<double>(sorted_cell.storage_bytes) /
-        static_cast<double>(unaliased_cell.storage_bytes);
     if (overlap_pct == 95) {
       tree_ratio_at_95 = tree_ratio;
       tree_ratio_claim = tree_ratio <= 0.3;
-      evals_claim =
-          default_cell.evals_per_event < tree_cell.evals_per_event;
-      sorted_ratio_at_95 = sorted_ratio;
-      sorted_ratio_claim = sorted_ratio <= 0.5;
+      evals_claim = forest_cell.evals_per_event < tree_cell.evals_per_event;
     }
 
     for (const Result& result : results) {
       JsonRow("sharing")
           .field("overlap_pct", static_cast<std::size_t>(overlap_pct))
           .field("engine", result.config->label)
-          .field("normalisation", result.config->normalisation)
           .field("subscriptions", result.cell.subscriptions)
           .field("distinct_subscriptions", result.cell.distinct)
           .field("storage_kind",
@@ -264,8 +226,6 @@ int main() {
           .field("storage_bytes", result.cell.storage_bytes)
           .field("phase2_bytes", result.cell.phase2_bytes)
           .field("live_forest_nodes", result.cell.live_nodes)
-          .field("subsumption_hits",
-                 static_cast<std::size_t>(result.cell.subsumption_hits))
           .field("add_s_total", result.cell.add_seconds)
           .field("phase2_s_per_event", result.cell.seconds_per_event)
           .field("phase2_vs_tree", result.cell.seconds_per_event /
@@ -274,35 +234,25 @@ int main() {
           .emit();
     }
     std::printf(
-        "overlap=%d%%: distinct=%zu trees=%zuB forest none=%zuB "
-        "unaliased=%zuB sorted=%zuB (vs trees %.3f, sorted vs unaliased "
-        "%.3f) adds none=%.2fs sorted=%.2fs\n",
+        "overlap=%d%%: distinct=%zu trees=%zuB forest=%zuB (vs trees %.3f) "
+        "adds trees=%.2fs forest=%.2fs\n",
         overlap_pct, distinct, tree_cell.storage_bytes,
-        default_cell.storage_bytes, unaliased_cell.storage_bytes,
-        sorted_cell.storage_bytes, tree_ratio, sorted_ratio,
-        default_cell.add_seconds, sorted_cell.add_seconds);
+        forest_cell.storage_bytes, tree_ratio, tree_cell.add_seconds,
+        forest_cell.add_seconds);
   }
 
-  std::printf("# claim: default forest storage at 95%% overlap <= 0.3x "
+  std::printf("# claim: forest storage at 95%% overlap <= 0.3x "
               "unshared encoded trees: %s (ratio %.3f)\n",
               tree_ratio_claim ? "HOLDS" : "FAILS", tree_ratio_at_95);
   std::printf("# claim: per-event node evaluations < per-event tree "
               "evaluations at 95%% overlap: %s\n",
               evals_claim ? "HOLDS" : "FAILS");
-  std::printf("# claim: sorted forest bytes at 95%% overlap <= 0.5x the "
-              "unaliased Normalisation::None forest: %s (ratio %.3f)\n",
-              sorted_ratio_claim ? "HOLDS" : "FAILS", sorted_ratio_at_95);
-  const bool pass = tree_ratio_claim && evals_claim && sorted_ratio_claim;
+  const bool pass = tree_ratio_claim && evals_claim;
   std::printf("# verification: %s\n", pass ? "PASS" : "FAIL");
   JsonRow("sharing_claim")
       .field("claim", "forest_0.3x_storage_and_fewer_evals_at_95pct")
       .field("storage_ratio_at_95", tree_ratio_at_95)
-      .field("verdict", tree_ratio_claim && evals_claim ? "PASS" : "FAIL")
-      .emit();
-  JsonRow("sharing_claim")
-      .field("claim", "sorted_0.5x_forest_bytes_vs_none_at_95pct_commuted")
-      .field("storage_ratio_at_95", sorted_ratio_at_95)
-      .field("verdict", sorted_ratio_claim ? "PASS" : "FAIL")
+      .field("verdict", pass ? "PASS" : "FAIL")
       .emit();
   return pass ? 0 : 1;
 }

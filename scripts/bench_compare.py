@@ -3,7 +3,7 @@
 
 Each BENCH_*.json holds one JSON object per line (bench_util.h JsonRow).
 Rows are keyed by their non-numeric fields — bench name, mode, engine,
-normalisation, scale... — minus the run-stamp fields (git_sha, hw_threads),
+scale... — minus the run-stamp fields (git_sha, hw_threads),
 so the same logical cell pairs up across runs even when sweep order or row
 count changed. Numeric fields of paired rows are then compared with a
 direction heuristic on the field name: throughput-like columns

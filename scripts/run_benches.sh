@@ -60,16 +60,10 @@ if [ "$found" -eq 0 ]; then
   exit 1
 fi
 
-# Schema guard: bench_sharing rows must carry the normalisation column (the
-# sorted-child forest sweep); its silent disappearance would make the
-# normalisation trajectory unscrapable without failing any bench.
+# Schema guard: bench_sharing rows must carry the forest-vs-tree phase-2
+# time ratio, the trajectory of the default engine's gap to the paper's
+# encoded-tree prototype.
 sharing_json="$repo_root/BENCH_sharing.json"
-if [ -s "$sharing_json" ] && ! grep -q '"normalisation"' "$sharing_json"; then
-  echo "error: BENCH_sharing.json lacks the \"normalisation\" column" >&2
-  status=1
-fi
-# ...and the forest-vs-tree phase-2 time ratio, the trajectory of the
-# default engine's gap to the paper's encoded-tree prototype.
 if [ -s "$sharing_json" ] && ! grep -q '"phase2_vs_tree"' "$sharing_json"; then
   echo "error: BENCH_sharing.json lacks the \"phase2_vs_tree\" column" >&2
   status=1

@@ -27,8 +27,6 @@ namespace ncps {
 /// default is the seed's inline delivery).
 struct BrokerOptions {
   EngineKind engine = EngineKind::NonCanonical;
-  /// Forest normalisation for the non-canonical engine (shared_forest.h).
-  Normalisation normalisation = Normalisation::None;
   DeliveryOptions delivery{};
   /// Crash-recoverable subscription store (storage/snapshot.h); default off.
   storage::StorageOptions storage{};
@@ -46,8 +44,6 @@ class Broker : public ShardedBroker {
       : ShardedBroker(attrs,
                       ShardedBrokerConfig{.shard_count = 1,
                                           .engine = options.engine,
-                                          .normalisation =
-                                              options.normalisation,
                                           .delivery = options.delivery,
                                           .storage = options.storage,
                                           .metrics = options.metrics}) {}

@@ -4,7 +4,6 @@
 // Snapshot payload (inside the framed snapshot file, storage/snapshot.h):
 //
 //   u8  engine kind            — must match the recovering broker's config
-//   u8  normalisation          — likewise
 //   varint shard_count         — likewise
 //   varint covered_seq         — journal sequence the snapshot covers
 //   varint next_subscriber
@@ -115,7 +114,6 @@ void ShardedBroker::record_text_locked(SubscriptionId global,
 
 void ShardedBroker::write_snapshot_payload(storage::Writer& w) {
   w.u8(static_cast<std::uint8_t>(engine_kind_));
-  w.u8(static_cast<std::uint8_t>(normalisation_));
   w.varint(shards_.size());
   w.varint(journal_seq_);
   w.varint(next_subscriber_);
@@ -176,9 +174,6 @@ void ShardedBroker::write_snapshot_payload(storage::Writer& w) {
 void ShardedBroker::restore_snapshot_payload(storage::Reader& r) {
   if (r.u8() != static_cast<std::uint8_t>(engine_kind_)) {
     throw StorageError("snapshot engine kind does not match configuration");
-  }
-  if (r.u8() != static_cast<std::uint8_t>(normalisation_)) {
-    throw StorageError("snapshot normalisation does not match configuration");
   }
   if (r.varint_max(1u << 20, "shard count") != shards_.size()) {
     throw StorageError("snapshot shard count does not match configuration");
@@ -242,14 +237,9 @@ void ShardedBroker::restore_snapshot_payload(storage::Reader& r) {
     ++live_per_shard[shard];
   }
 
-  // Recovery-time build pool: engine state loads and bulk index builds take
-  // a generic ThreadPool (the match scheduler's work-stealing pool is not
-  // one). Constructor tail, so a temporary sized to the match pool is fine.
-  std::unique_ptr<ThreadPool> build_pool;
-  if (pool_ != nullptr) {
-    build_pool = std::make_unique<ThreadPool>(pool_->thread_count());
-  }
-
+  // Engine state loads and bulk index builds run on the match pool itself:
+  // this is the constructor tail, before the apply thread starts, so no
+  // publisher or other build can be inside run_tasks.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     const std::uint8_t tag = r.u8();
@@ -258,7 +248,7 @@ void ShardedBroker::restore_snapshot_payload(storage::Reader& r) {
         throw StorageError(
             "snapshot has engine state for an engine without snapshots");
       }
-      shard.engine->load_state(r, attr_remap, build_pool.get());
+      shard.engine->load_state(r, attr_remap, pool_.get());
       const std::uint64_t mapped =
           r.varint_max(route_bound, "shard subscription map");
       if (mapped != shard.engine->subscription_count() ||
@@ -313,7 +303,7 @@ void ShardedBroker::restore_snapshot_payload(storage::Reader& r) {
               e.what());
         }
       }
-      shard.engine->finish_bulk_load(build_pool.get());
+      shard.engine->finish_bulk_load(pool_.get());
     } else {
       throw StorageError("unknown shard snapshot tag");
     }

@@ -62,14 +62,12 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
     : attrs_(&attrs),
       router_(config.shard_count, config.placement),
       storage_(config.storage),
-      engine_kind_(config.engine),
-      normalisation_(config.normalisation) {
+      engine_kind_(config.engine) {
   NCPS_EXPECTS(config.shard_count >= 1);
   shards_.reserve(config.shard_count);
   for (std::size_t s = 0; s < config.shard_count; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->engine =
-        make_engine(config.engine, shard->table, config.normalisation);
+    shard->engine = make_engine(config.engine, shard->table);
     shards_.push_back(std::move(shard));
   }
   callbacks_.store(std::make_shared<const CallbackMap>());
@@ -440,15 +438,14 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
   }
 
   // One temporary pool serves every shard applied inline from this call; it
-  // exists only while large batches are being built (the broker's own pool_
-  // may be mid-parallel_for on the data plane, and ThreadPool joins are
-  // pool-global, so sharing it would entangle the two).
-  std::unique_ptr<ThreadPool> build_pool;
-  const auto build_pool_for = [&](std::size_t items) -> ThreadPool* {
+  // exists only while large batches are being built. The broker's own pool_
+  // may be mid-run_tasks on the data plane, and run_tasks is not reentrant.
+  std::unique_ptr<WorkStealingPool> build_pool;
+  const auto build_pool_for = [&](std::size_t items) -> WorkStealingPool* {
     if (items < kBulkBuildParallelThreshold) return nullptr;
     if (build_pool == nullptr) {
       const std::size_t hw = std::thread::hardware_concurrency();
-      build_pool = std::make_unique<ThreadPool>(
+      build_pool = std::make_unique<WorkStealingPool>(
           std::min<std::size_t>(hw == 0 ? 1 : hw, 8));
     }
     return build_pool.get();
@@ -482,7 +479,7 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
       // Another mutator holds the shard: one command carries the whole
       // batch; the next drain applies it with the same bulk-load window
       // (sequential build — the drainer may be the apply thread or a pool
-      // worker, and nesting pool joins deadlocks).
+      // worker inside run_tasks, which is not reentrant).
       ShardCommand command;
       command.kind = ShardCommand::Kind::BulkSubscribe;
       command.bulk = std::move(per_shard[s]);

@@ -107,7 +107,6 @@
 #include "common/generation_fence.h"
 #include "common/ids.h"
 #include "common/mpsc_queue.h"
-#include "common/thread_pool.h"
 #include "common/work_stealing_pool.h"
 #include "engine/engine.h"
 #include "delivery/delivery_plane.h"
@@ -130,9 +129,6 @@ struct ShardedBrokerConfig {
   /// Independent engine shards. 1 reproduces the seed single-engine broker.
   std::size_t shard_count = 1;
   EngineKind engine = EngineKind::NonCanonical;
-  /// Forest normalisation for EngineKind::NonCanonical shards
-  /// (shared_forest.h); ignored by the other engine kinds.
-  Normalisation normalisation = Normalisation::None;
   /// Worker threads matching published batches. 0 picks
   /// min(shard_count, hardware_concurrency). A pool is spawned when the
   /// resolved count exceeds 1 *or* shard_count exceeds 1; a single-shard
@@ -641,7 +637,6 @@ class ShardedBroker {
   /// recovery); maintained under control_mutex_.
   std::vector<std::string> texts_;
   EngineKind engine_kind_;
-  Normalisation normalisation_;
 
   /// Serialises publish_batch (and quiesce) — data-plane only; control
   /// operations never take it.

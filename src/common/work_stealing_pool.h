@@ -1,15 +1,16 @@
-// Work-stealing task pool for the broker's match scheduler.
+// Work-stealing task pool: the broker's match scheduler, and the one pool
+// every parallel bulk build (PredicateIndex::bulk_load, engine load_state)
+// runs on.
 //
-// The central-queue ThreadPool (thread_pool.h) is fine for coarse fan-out —
-// one task per shard — but it makes the hottest shard the critical path: a
-// skew-loaded shard's whole batch is one task, and idle workers have nothing
-// to take from it. This pool runs *index ranges* instead: run_tasks(count,
-// fn) splits [0, count) into per-worker deques of task indices, each worker
-// pops its own deque LIFO (the most recently queued index is the one whose
-// data is hottest in cache), and a worker whose deque is empty steals from a
-// victim's deque FIFO — the oldest index, i.e. the head of the largest
-// remaining contiguous run, so a steal grabs the biggest coherent piece of
-// work and steal frequency stays low.
+// A central queue with one task per shard makes the hottest shard the
+// critical path: a skew-loaded shard's whole batch is one task, and idle
+// workers have nothing to take from it. This pool runs *index ranges*
+// instead: run_tasks(count, fn) splits [0, count) into per-worker deques
+// of task indices, each worker pops its own deque LIFO (the most recently
+// queued index is the one whose data is hottest in cache), and a worker
+// whose deque is empty steals from a victim's deque FIFO — the oldest
+// index, i.e. the head of the largest remaining contiguous run, so a steal
+// grabs the biggest coherent piece of work and steal frequency stays low.
 //
 // Tasks are identified by index only; the caller's `fn(task, worker)` maps
 // the index to work (the sharded broker maps it to a (shard, event-chunk)
@@ -19,9 +20,11 @@
 //
 // One run_tasks() executes at a time (the broker's publish path is already
 // serialised by its publish mutex; a second concurrent caller would be a
-// bug, and is asserted against). The calling thread only coordinates — the
-// pool sizes itself to the hardware, and having the caller compete for
-// tasks would add a third scheduling regime for no measured benefit.
+// bug, and is asserted against — which is why a bulk build that may run
+// beside publishing brings a pool of its own). The calling thread only
+// coordinates — the pool sizes itself to the hardware, and having the
+// caller compete for tasks would add a third scheduling regime for no
+// measured benefit.
 // Exceptions thrown by tasks are captured and rethrown on the joining
 // thread (first one wins); remaining tasks still run, and the pool stays
 // usable afterwards.

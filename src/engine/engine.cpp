@@ -4,7 +4,7 @@
 
 namespace ncps {
 
-void FilterEngine::finish_bulk_load(ThreadPool* pool) {
+void FilterEngine::finish_bulk_load(WorkStealingPool* pool) {
   NCPS_EXPECTS(bulk_loading_);
   bulk_loading_ = false;
   std::vector<PredicateIndex::BulkEntry> entries;

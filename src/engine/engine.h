@@ -209,7 +209,7 @@ class FilterEngine {
   /// Leave bulk-load mode, building the phase-1 index for every predicate
   /// still in use (pool may be null for a sequential build). After this the
   /// engine matches exactly as if every add() had run outside bulk mode.
-  void finish_bulk_load(ThreadPool* pool);
+  void finish_bulk_load(WorkStealingPool* pool);
 
   [[nodiscard]] virtual std::size_t subscription_count() const = 0;
   [[nodiscard]] virtual MemoryBreakdown memory() const = 0;
@@ -250,7 +250,7 @@ class FilterEngine {
   /// build. Throws StorageError on structural violations.
   virtual void load_state(storage::Reader& r,
                           std::span<const AttributeId> attr_remap,
-                          ThreadPool* pool) {
+                          WorkStealingPool* pool) {
     (void)r;
     (void)attr_remap;
     (void)pool;

@@ -37,21 +37,15 @@ inline constexpr EngineKind kAllEngineKinds[] = {
   return "?";
 }
 
-/// Construct an engine. `normalisation` is the forest normalisation ladder
-/// knob: it selects the shared forest's interning identity for
-/// EngineKind::NonCanonical and is a no-op for every other kind (the tree
-/// engine stores subscriptions as written; the counting engines
-/// canonicalise to DNF regardless) — so a broker config can carry one
-/// normalisation setting across its engine choice.
+/// Construct an engine of `kind` over `table`. Every kind takes its
+/// defaults: the forest always interns commuted spellings as one node, the
+/// tree engine stores subscriptions as written, and the counting engines
+/// canonicalise to DNF.
 [[nodiscard]] inline std::unique_ptr<FilterEngine> make_engine(
-    EngineKind kind, PredicateTable& table,
-    Normalisation normalisation = Normalisation::None) {
+    EngineKind kind, PredicateTable& table) {
   switch (kind) {
-    case EngineKind::NonCanonical: {
-      NonCanonicalEngineOptions options;
-      options.normalisation = normalisation;
-      return std::make_unique<NonCanonicalEngine>(table, options);
-    }
+    case EngineKind::NonCanonical:
+      return std::make_unique<NonCanonicalEngine>(table);
     case EngineKind::NonCanonicalTree:
       return std::make_unique<NonCanonicalTreeEngine>(table);
     case EngineKind::Counting:

@@ -4,18 +4,32 @@
 #include <bit>
 
 #include "common/contracts.h"
-#include "common/hash.h"
 #include "storage/serializer.h"
 #include "subscription/covering.h"
 
 namespace ncps {
 
-NonCanonicalEngine::NonCanonicalEngine(PredicateTable& table, Options options)
+namespace {
+
+/// Donor candidates *examined* per add (skips included, so an add never
+/// walks an unbounded index list); only candidates that survive the cheap
+/// filters pay a covering proof.
+constexpr std::size_t kMaxPartialProbes = 4;
+
+bool contains_not(const ast::Node& node) {
+  if (node.kind == ast::NodeKind::Not) return true;
+  for (const auto& child : node.children) {
+    if (contains_not(*child)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+NonCanonicalEngine::NonCanonicalEngine(PredicateTable& table)
     : FilterEngine(table),
-      options_(options),
       forest_([this](PredicateId p) { acquire_predicate(p); },
-              [this](PredicateId p) { release_predicate(p); },
-              options.normalisation) {}
+              [this](PredicateId p) { release_predicate(p); }) {}
 
 SubscriptionId NonCanonicalEngine::allocate_id() {
   if (!free_ids_.empty()) {
@@ -26,21 +40,6 @@ SubscriptionId NonCanonicalEngine::allocate_id() {
   const SubscriptionId id(static_cast<std::uint32_t>(subs_.size()));
   subs_.emplace_back();
   return id;
-}
-
-std::uint64_t NonCanonicalEngine::expression_signature(
-    const ast::Node& expression) {
-  pred_scratch_.clear();
-  ast::collect_predicates(expression, pred_scratch_);
-  std::sort(pred_scratch_.begin(), pred_scratch_.end());
-  pred_scratch_.erase(
-      std::unique(pred_scratch_.begin(), pred_scratch_.end()),
-      pred_scratch_.end());
-  std::uint64_t sig = hash_mix(0x51d5ull, pred_scratch_.size());
-  for (const PredicateId pid : pred_scratch_) {
-    sig = hash_mix(sig, pid.value());
-  }
-  return sig;
 }
 
 void NonCanonicalEngine::validate(const ast::Node& expression,
@@ -55,33 +54,25 @@ SubscriptionId NonCanonicalEngine::add(const ast::Node& expression) {
   forest_.reclaim_quarantine();
 
   // intern() checks limits before any mutation, so an oversized
-  // expression throws here with no state change.
-  const SharedForest::InternResult interned =
-      forest_.intern(expression, &perm_scratch_);
-  NodeId root = interned.id;
-  const std::uint64_t signature = expression_signature(expression);
-  if (interned.created && options_.root_subsumption) {
-    root = try_alias_equivalent(expression, root, signature);
-  }
-  // An aliased subscription lives on a root whose stored form is not the
-  // written expression; its permutation (recorded against the structural
-  // root) would replay onto the wrong node.
-  if (root != interned.id) perm_scratch_.clear();
-
+  // expression throws here with no state change. Commuted spellings of an
+  // existing root land on it here, by identity.
+  const NodeId root = forest_.intern(expression).id;
   const SubscriptionId id = allocate_id();
-  const bool new_result_root = attach(id, root, signature);
-  subs_[id.value()].perm = std::move(perm_scratch_);
-  perm_scratch_ = {};
-  if (new_result_root && options_.partial_sharing && !pred_scratch_.empty()) {
-    // Probe for a donor first (the candidate index must not yet contain
-    // this root), then index the newcomer so it can donate in turn.
-    // pred_scratch_ still holds the expression's sorted unique predicates
-    // from expression_signature(). Each root is indexed under its
-    // *smallest* predicate id only — one entry per root instead of one per
-    // (root, predicate). That reaches every refinement-shaped donor (a
-    // conjunctive donor's predicates all recur in its borrowers); a
-    // disjunctive donor whose smallest predicate the borrower lacks is
-    // conservatively missed (see try_adopt_donor).
+  if (attach(id, root)) {
+    // A new result root. Probe for a donor first (the candidate index must
+    // not yet contain this root), then index the newcomer so it can donate
+    // in turn. Each root is indexed under its *smallest* predicate id only
+    // — one entry per root instead of one per (root, predicate). That
+    // reaches every refinement-shaped donor (a conjunctive donor's
+    // predicates all recur in its borrowers); a disjunctive donor whose
+    // smallest predicate the borrower lacks is conservatively missed (see
+    // try_adopt_donor).
+    pred_scratch_.clear();
+    ast::collect_predicates(expression, pred_scratch_);
+    std::sort(pred_scratch_.begin(), pred_scratch_.end());
+    pred_scratch_.erase(
+        std::unique(pred_scratch_.begin(), pred_scratch_.end()),
+        pred_scratch_.end());
     try_adopt_donor(root, expression);
     roots_by_pred_[pred_scratch_.front().value()].push_back(root);
   }
@@ -95,36 +86,6 @@ std::size_t NonCanonicalEngine::distinct_roots() const {
                                   kNoSub));
 }
 
-ast::NodePtr NonCanonicalEngine::subscription_ast(SubscriptionId id) const {
-  if (!owns_subscription(id)) return nullptr;
-  const SubRecord& record = subs_[id.value()];
-  return forest_.to_ast(record.root, record.perm);
-}
-
-NonCanonicalEngine::NodeId NonCanonicalEngine::try_alias_equivalent(
-    const ast::Node& expression, NodeId fresh_root, std::uint64_t signature) {
-  const auto it = roots_by_sig_.find(signature);
-  if (it == roots_by_sig_.end()) return fresh_root;
-  std::size_t probes = 0;
-  for (const NodeId candidate : it->second) {
-    if (candidate == fresh_root) continue;
-    if (++probes > options_.max_subsumption_probes) break;
-    const ast::NodePtr candidate_ast = forest_.to_ast(candidate);
-    // Mutual covering proves semantic equivalence, which is what sharing a
-    // *result* node requires; one-directional covering would be unsound.
-    if (covers(*candidate_ast, expression, *table_,
-               options_.subsumption_budget) &&
-        covers(expression, *candidate_ast, *table_,
-               options_.subsumption_budget)) {
-      forest_.add_ref(candidate);
-      forest_.release(fresh_root);
-      ++subsumption_hits_;
-      return candidate;
-    }
-  }
-  return fresh_root;
-}
-
 void NonCanonicalEngine::collect_root_predicates(
     NodeId root, std::vector<PredicateId>& out) const {
   if (forest_.kind(root) == ast::NodeKind::Leaf) {
@@ -136,17 +97,11 @@ void NonCanonicalEngine::collect_root_predicates(
   }
 }
 
-namespace {
-
-bool contains_not(const ast::Node& node) {
-  if (node.kind == ast::NodeKind::Not) return true;
-  for (const auto& child : node.children) {
-    if (contains_not(*child)) return true;
-  }
-  return false;
+PredicateId NonCanonicalEngine::min_root_predicate(NodeId root) {
+  pred_scratch_.clear();
+  collect_root_predicates(root, pred_scratch_);
+  return *std::min_element(pred_scratch_.begin(), pred_scratch_.end());
 }
-
-}  // namespace
 
 bool NonCanonicalEngine::root_contains_not(NodeId root) const {
   if (forest_.kind(root) == ast::NodeKind::Not) return true;
@@ -184,7 +139,7 @@ void NonCanonicalEngine::try_adopt_donor(NodeId root,
     if (it == roots_by_pred_.end()) continue;
     for (const NodeId donor : it->second) {
       if (donor == root) continue;
-      if (++examined > options_.max_partial_probes) return;
+      if (++examined > kMaxPartialProbes) return;
       // Never chain borrowers: a borrower's own truth may be skipped
       // entirely (deferred evaluation), so it cannot gate anyone else.
       if (donor < donor_of_.size() &&
@@ -197,8 +152,7 @@ void NonCanonicalEngine::try_adopt_donor(NodeId root,
       probed.push_back(donor);
       if (root_contains_not(donor)) continue;
       const ast::NodePtr donor_ast = forest_.to_ast(donor);
-      if (!covers(*donor_ast, expression, *table_,
-                  options_.subsumption_budget,
+      if (!covers(*donor_ast, expression, *table_, DnfOptions{},
                   ImplicationMode::Propositional)) {
         continue;
       }
@@ -216,8 +170,7 @@ void NonCanonicalEngine::try_adopt_donor(NodeId root,
   }
 }
 
-bool NonCanonicalEngine::attach(SubscriptionId id, NodeId root,
-                                std::uint64_t signature) {
+bool NonCanonicalEngine::attach(SubscriptionId id, NodeId root) {
   if (chain_head_.size() <= root) chain_head_.resize(root + 1, kNoSub);
   SubRecord& record = subs_[id.value()];
   record.root = root;
@@ -230,7 +183,6 @@ bool NonCanonicalEngine::attach(SubscriptionId id, NodeId root,
     record.chain_length += subs_[record.next].chain_length;
     return false;
   }
-  roots_by_sig_[signature].push_back(root);
   if (forest_.static_truth(root)) always_roots_.push_back(root);
   return true;
 }
@@ -250,34 +202,24 @@ void NonCanonicalEngine::detach(SubscriptionId id) {
       subs_[record.next].chain_length = record.chain_length - 1;
     } else {
       // Last subscription on this root: it stops being a result root.
-      // root_signature() recomputes the add-time signature and leaves the
-      // root's sorted unique predicates in pred_scratch_.
-      const auto ring = roots_by_sig_.find(root_signature(root));
-      NCPS_DASSERT(ring != roots_by_sig_.end());
-      auto& roots = ring->second;
-      roots.erase(std::find(roots.begin(), roots.end(), root));
-      if (roots.empty()) roots_by_sig_.erase(ring);
       if (forest_.static_truth(root)) {
         auto& always = always_roots_;
         always.erase(std::find(always.begin(), always.end(), root));
       }
-      if (options_.partial_sharing) {
-        // Drop out of the donor candidate index (mirrors the add()-time
-        // registration under the root's smallest predicate id).
-        const auto index = roots_by_pred_.find(pred_scratch_.front().value());
-        NCPS_DASSERT(index != roots_by_pred_.end());
-        auto& list = index->second;
-        list.erase(std::find(list.begin(), list.end(), root));
-        if (list.empty()) roots_by_pred_.erase(index);
-        // A borrower releases its donor reference with its last
-        // subscription; the donor's node may cascade away here if nothing
-        // else holds it.
-        if (root < donor_of_.size() &&
-            donor_of_[root] != SharedForest::kNoNode) {
-          forest_.release(donor_of_[root]);
-          donor_of_[root] = SharedForest::kNoNode;
-          --live_borrowers_;
-        }
+      // Drop out of the donor candidate index (mirrors the add()-time
+      // registration under the root's smallest predicate id).
+      const auto index = roots_by_pred_.find(min_root_predicate(root).value());
+      NCPS_DASSERT(index != roots_by_pred_.end());
+      auto& list = index->second;
+      list.erase(std::find(list.begin(), list.end(), root));
+      if (list.empty()) roots_by_pred_.erase(index);
+      // A borrower releases its donor reference with its last subscription;
+      // the donor's node may cascade away here if nothing else holds it.
+      if (root < donor_of_.size() &&
+          donor_of_[root] != SharedForest::kNoNode) {
+        forest_.release(donor_of_[root]);
+        donor_of_[root] = SharedForest::kNoNode;
+        --live_borrowers_;
       }
     }
   }
@@ -491,59 +433,6 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
   }
 }
 
-std::uint64_t NonCanonicalEngine::root_signature(NodeId root) {
-  // Mirror of expression_signature over the stored root: the stored form
-  // has exactly the written expression's predicate set (normalisation only
-  // reorders; subsumption aliases only onto same-signature roots).
-  pred_scratch_.clear();
-  collect_root_predicates(root, pred_scratch_);
-  std::sort(pred_scratch_.begin(), pred_scratch_.end());
-  pred_scratch_.erase(std::unique(pred_scratch_.begin(), pred_scratch_.end()),
-                      pred_scratch_.end());
-  std::uint64_t sig = hash_mix(0x51d5ull, pred_scratch_.size());
-  for (const PredicateId pid : pred_scratch_) sig = hash_mix(sig, pid.value());
-  return sig;
-}
-
-bool NonCanonicalEngine::permutation_valid(
-    NodeId root, std::span<const std::uint32_t> perm,
-    std::size_t& cursor) const {
-  // Replays exactly the traversal to_ast(root, perm) performs, but returns
-  // false instead of tripping its asserts — snapshot input is untrusted.
-  switch (forest_.kind(root)) {
-    case ast::NodeKind::Leaf:
-      return true;
-    case ast::NodeKind::Not:
-      return permutation_valid(forest_.children(root).front(), perm, cursor);
-    case ast::NodeKind::And:
-    case ast::NodeKind::Or:
-      break;
-  }
-  const std::span<const NodeId> stored = forest_.children(root);
-  if (cursor + stored.size() > perm.size()) return false;
-  const std::span<const std::uint32_t> p = perm.subspan(cursor, stored.size());
-  cursor += stored.size();
-  std::uint64_t seen = 0;
-  for (std::size_t written = 0; written < stored.size(); ++written) {
-    if (p[written] >= stored.size()) return false;
-    if (stored.size() <= 64) {
-      // Fast duplicate check for the overwhelmingly common small fan-out.
-      const std::uint64_t bit = 1ull << p[written];
-      if (seen & bit) return false;
-      seen |= bit;
-    }
-    if (!permutation_valid(stored[p[written]], perm, cursor)) return false;
-  }
-  if (stored.size() > 64) {
-    std::vector<std::uint32_t> sorted(p.begin(), p.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (std::uint32_t i = 0; i < sorted.size(); ++i) {
-      if (sorted[i] != i) return false;
-    }
-  }
-  return true;
-}
-
 void NonCanonicalEngine::prepare_snapshot() {
   forest_.compact_storage();
 }
@@ -559,8 +448,6 @@ void NonCanonicalEngine::save_state(storage::Writer& w) const {
     if (!record.live()) continue;
     w.varint(id);
     w.varint(record.root);
-    w.varint(record.perm.size());
-    for (const std::uint32_t entry : record.perm) w.varint(entry);
   }
 
   std::uint64_t borrowers = 0;
@@ -579,7 +466,7 @@ void NonCanonicalEngine::save_state(storage::Writer& w) const {
 
 void NonCanonicalEngine::load_state(storage::Reader& r,
                                     std::span<const AttributeId> attr_remap,
-                                    ThreadPool* pool) {
+                                    WorkStealingPool* pool) {
   NCPS_EXPECTS(subs_.empty() && live_count_ == 0 &&
                forest_.live_nodes() == 0 && table_->size() == 0);
 
@@ -606,8 +493,7 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
   }
   index_.bulk_load(entries, pool);
 
-  // Subscription records: each live subscription holds one root reference
-  // and (under SortedChildren) its evaluation permutation.
+  // Subscription records: each live subscription holds one root reference.
   const std::size_t node_bound = forest_.node_bound();
   const std::uint64_t sub_bound =
       r.varint_max(1u << 30, "subscription id bound");
@@ -622,28 +508,8 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
     if (!forest_.is_live(static_cast<NodeId>(root))) {
       throw StorageError("subscription attached to a dead root");
     }
-    const std::uint64_t perm_size =
-        r.varint_max(r.remaining(), "permutation size");
-    std::vector<std::uint32_t> perm;
-    perm.reserve(perm_size);
-    for (std::uint64_t i = 0; i < perm_size; ++i) {
-      perm.push_back(static_cast<std::uint32_t>(
-          r.varint_max(SharedForest::kMaxChildren - 1, "permutation entry")));
-    }
-    if (!perm.empty()) {
-      if (options_.normalisation == Normalisation::None) {
-        throw StorageError("permutation under order-preserving identity");
-      }
-      std::size_t cursor = 0;
-      if (!permutation_valid(static_cast<NodeId>(root), perm, cursor) ||
-          cursor != perm.size()) {
-        throw StorageError("invalid evaluation permutation");
-      }
-    }
     attach(SubscriptionId(static_cast<std::uint32_t>(id)),
-           static_cast<NodeId>(root),
-           root_signature(static_cast<NodeId>(root)));
-    subs_[id].perm = std::move(perm);
+           static_cast<NodeId>(root));
     ++live_count_;
   }
   for (std::uint32_t id = static_cast<std::uint32_t>(sub_bound); id-- > 0;) {
@@ -657,9 +523,6 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
   for (std::uint64_t n = 0; n < borrowers; ++n) {
     const std::uint64_t root = r.varint_max(node_bound - 1, "borrower root");
     const std::uint64_t donor = r.varint_max(node_bound - 1, "donor node");
-    if (!options_.partial_sharing) {
-      throw StorageError("donor records but partial sharing is disabled");
-    }
     if (!forest_.is_live(static_cast<NodeId>(donor)) ||
         root >= chain_head_.size() || chain_head_[root] == kNoSub) {
       throw StorageError("borrower/donor pair references a dead node");
@@ -686,15 +549,9 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
   // Donor candidate index: exactly the current result roots, each filed
   // under its smallest predicate id (mirrors add()/detach()). Ascending
   // node id keeps recovered probe order deterministic.
-  if (options_.partial_sharing) {
-    for (NodeId root = 0; root < chain_head_.size(); ++root) {
-      if (chain_head_[root] == kNoSub) continue;
-      pred_scratch_.clear();
-      collect_root_predicates(root, pred_scratch_);
-      const PredicateId min_pred =
-          *std::min_element(pred_scratch_.begin(), pred_scratch_.end());
-      roots_by_pred_[min_pred.value()].push_back(root);
-    }
+  for (NodeId root = 0; root < chain_head_.size(); ++root) {
+    if (chain_head_[root] == kNoSub) continue;
+    roots_by_pred_[min_root_predicate(root).value()].push_back(root);
   }
 
   // Full ownership ledger: every forest reference must be accounted for by
@@ -724,40 +581,31 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
 void NonCanonicalEngine::compact_storage() {
   FilterEngine::compact_storage();
   forest_.compact_storage();
-  for (auto& record : subs_) record.perm.shrink_to_fit();
   subs_.shrink_to_fit();
   free_ids_.shrink_to_fit();
   chain_head_.shrink_to_fit();
   always_roots_.shrink_to_fit();
   donor_of_.shrink_to_fit();
   for (auto& entry : roots_by_pred_) entry.second.shrink_to_fit();
-  perm_scratch_.shrink_to_fit();
   pred_scratch_.shrink_to_fit();
-  for (auto& entry : roots_by_sig_) entry.second.shrink_to_fit();
 }
 
 MemoryBreakdown NonCanonicalEngine::memory() const {
   MemoryBreakdown mem;
   mem.add_nested("forest/", forest_.memory());
   // Unsubscription support: each subscription's root reference + chain
-  // links (the forest analogue of the paper's footnote-1 association),
-  // plus the per-root evaluation permutations (SortedChildren only).
-  std::size_t records = vector_bytes(subs_);
-  for (const auto& record : subs_) records += vector_bytes(record.perm);
-  mem.add("unsub_support/subscription_records", records);
-  std::size_t attachment = vector_bytes(chain_head_) +
-                           unordered_map_bytes(roots_by_sig_) +
-                           vector_bytes(always_roots_);
-  for (const auto& entry : roots_by_sig_) {
-    attachment += vector_bytes(entry.second);
-  }
+  // links (the forest analogue of the paper's footnote-1 association).
+  mem.add("unsub_support/subscription_records", vector_bytes(subs_));
+  const std::size_t attachment =
+      vector_bytes(chain_head_) + vector_bytes(always_roots_);
   mem.add("root_attachment", attachment);
-  std::size_t partial = vector_bytes(donor_of_) +
-                        unordered_map_bytes(roots_by_pred_);
+  // Partial sharing: the borrower -> donor table and the donor index.
+  std::size_t donors = vector_bytes(donor_of_) +
+                       unordered_map_bytes(roots_by_pred_);
   for (const auto& entry : roots_by_pred_) {
-    partial += vector_bytes(entry.second);
+    donors += vector_bytes(entry.second);
   }
-  mem.add("partial_sharing", partial);
+  mem.add("donor_index", donors);
   mem.add("scratch/free_ids", vector_bytes(free_ids_));
   mem.add_nested("index/", index_.memory());
   return mem;

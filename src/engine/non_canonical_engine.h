@@ -8,7 +8,11 @@
 //
 //   - each subscription is one root reference into the forest; structurally
 //     identical subscriptions (and identical subtrees of different
-//     subscriptions) are stored once, refcounted;
+//     subscriptions) are stored once, refcounted. AND/OR children intern in
+//     canonical order, so commuted spellings (`a AND b` vs `b AND a`) are
+//     one node by identity, with no covering proof at add time (DESIGN.md
+//     §1e). Equivalence beyond commutation is never shared: `not p` and
+//     p's complement predicate differ when p's attribute is absent;
 //   - phase 2 is flip-driven (DESIGN.md §1c): fulfilled leaves are walked
 //     in ascending node id, and a node is touched only when one of its
 //     children *flips* — takes a value other than its static (all-false)
@@ -23,23 +27,13 @@
 //   - roots whose expression is satisfiable with zero fulfilled predicates
 //     (static truth = true, e.g. `not a == 1`) live on an always-candidate
 //     list and match whenever nothing touches (and refutes) them;
-//   - an opt-in normalisation ladder (Options::normalisation): at
-//     SortedChildren the forest interns AND/OR children in canonical order,
-//     so commuted forms (`a AND b` vs `b AND a`) hash-cons to one node by
-//     identity; each subscription keeps a per-root evaluation permutation
-//     so subscription_ast() reconstructs what the subscriber wrote;
-//   - an optional root-subsumption fast path (covering.h): when a
-//     structurally *new* root arrives, existing roots over the same
-//     predicate set are probed for mutual covering — a proven-equivalent
-//     pair (e.g. `a == 1 and b == 2` vs `b == 2 and a == 1`) shares one
-//     result node outright, so the newcomer adds no forest state at all;
-//   - covering-based *partial* sharing (Options::partial_sharing): a new
-//     root propositionally covered by an existing root borrows that donor's
-//     memoized truth as a pre-filter — donor false means the borrower
-//     cannot match, so its candidate chain is never scanned, and a
-//     borrower nothing else consumes skips its own evaluation too. The
-//     borrower refcounts its donor, so a donor node outlives every
-//     borrower (quarantine rules unchanged).
+//   - covering-based *partial* sharing: a new root propositionally covered
+//     by an existing root borrows that donor's memoized truth as a
+//     pre-filter — donor false means the borrower cannot match, so its
+//     candidate chain is never scanned, and a borrower nothing else
+//     consumes skips its own evaluation too. The borrower refcounts its
+//     donor, so a donor node outlives every borrower (quarantine rules
+//     unchanged). NOT-bearing expressions never take part (DESIGN.md §1f).
 //
 // Unsubscription releases the root reference; the forest cascades refcount
 // decrements and quarantines fully released node slots until the next add()
@@ -55,45 +49,13 @@
 
 #include "common/epoch_set.h"
 #include "engine/engine.h"
-#include "subscription/dnf.h"
 #include "subscription/shared_forest.h"
 
 namespace ncps {
 
-struct NonCanonicalEngineOptions {
-  /// Forest normalisation level. SortedChildren interns AND/OR children in
-  /// canonical order so commuted forms share one node; each subscription
-  /// keeps a per-root evaluation permutation, so subscription_ast() still
-  /// returns the expression exactly as written (DESIGN.md §1e).
-  Normalisation normalisation = Normalisation::None;
-  /// Probe structurally new roots against same-signature roots for
-  /// *mutual* covering; equivalent pairs share one result node.
-  bool root_subsumption = true;
-  /// Bounds each covering probe's canonicalisation (overflow = "cannot
-  /// prove", never unsound).
-  DnfOptions subsumption_budget{};
-  /// Equivalence probes per add (only on predicate-signature collisions).
-  std::size_t max_subsumption_probes = 4;
-  /// Covering-based *partial* sharing: a structurally new root that is
-  /// propositionally covered by an existing root (the donor) gates its
-  /// candidate emission on the donor's memoized truth — donor false means
-  /// the borrower cannot match, so its candidate chain is never scanned
-  /// and, when nothing else consumes the borrower's node, its evaluation
-  /// is skipped outright. NOT-bearing expressions never participate
-  /// (complement literals diverge from NOT on absent attributes;
-  /// DESIGN.md §1f).
-  bool partial_sharing = true;
-  /// Donor candidates *examined* per add (skips included, so an add never
-  /// walks an unbounded index list); only candidates that survive the
-  /// cheap filters pay a covering proof.
-  std::size_t max_partial_probes = 4;
-};
-
 class NonCanonicalEngine final : public FilterEngine {
  public:
-  using Options = NonCanonicalEngineOptions;
-
-  explicit NonCanonicalEngine(PredicateTable& table, Options options = {});
+  explicit NonCanonicalEngine(PredicateTable& table);
 
   SubscriptionId add(const ast::Node& expression) override;
   bool remove(SubscriptionId id) override;
@@ -120,7 +82,7 @@ class NonCanonicalEngine final : public FilterEngine {
   void prepare_snapshot() override;
   void save_state(storage::Writer& w) const override;
   void load_state(storage::Reader& r, std::span<const AttributeId> attr_remap,
-                  ThreadPool* pool) override;
+                  WorkStealingPool* pool) override;
   [[nodiscard]] bool owns_subscription(SubscriptionId id) const override {
     return id.valid() && id.value() < subs_.size() &&
            subs_[id.value()].live();
@@ -131,18 +93,8 @@ class NonCanonicalEngine final : public FilterEngine {
   /// Distinct result roots currently attached to subscriptions (a scan of
   /// the chain-head table).
   [[nodiscard]] std::size_t distinct_roots() const;
-  /// Subscriptions that aliased onto an equivalent (non-identical) root via
-  /// the covering fast path.
-  [[nodiscard]] std::uint64_t subsumption_hits() const {
-    return subsumption_hits_;
-  }
   /// Roots currently borrowing a donor's truth via partial sharing.
   [[nodiscard]] std::size_t partial_shares() const { return live_borrowers_; }
-  /// The subscription's expression exactly as written (the per-root
-  /// evaluation permutation undoes SortedChildren interning). Null for
-  /// unknown/removed ids; subscriptions aliased onto an equivalent root by
-  /// the subsumption fast path report that root's stored form instead.
-  [[nodiscard]] ast::NodePtr subscription_ast(SubscriptionId id) const;
 
   /// Test hook: jump `ctx`'s per-event scratch epoch to its maximum so the
   /// next match on it wraps the epoch counter (regression surface for
@@ -190,37 +142,25 @@ class NonCanonicalEngine final : public FilterEngine {
     /// record only (stale elsewhere), so a refuted root adds its whole
     /// chain to MatchStats::candidates without walking it.
     std::uint32_t chain_length = 0;
-    /// Evaluation permutation mapping the written child order onto the
-    /// root's stored (sorted) order; empty = identity (Normalisation::None,
-    /// or a subsumption-aliased root whose written form is not this node).
-    std::vector<std::uint32_t> perm;
 
     [[nodiscard]] bool live() const { return root != SharedForest::kNoNode; }
   };
 
   SubscriptionId allocate_id();
   /// Chains `id` onto `root`; true when `root` thereby becomes a result root.
-  bool attach(SubscriptionId id, NodeId root, std::uint64_t signature);
+  bool attach(SubscriptionId id, NodeId root);
   void detach(SubscriptionId id);
-  [[nodiscard]] NodeId try_alias_equivalent(const ast::Node& expression,
-                                            NodeId fresh_root,
-                                            std::uint64_t signature);
   void try_adopt_donor(NodeId root, const ast::Node& expression);
   [[nodiscard]] bool root_contains_not(NodeId root) const;
   void collect_root_predicates(NodeId root,
                                std::vector<PredicateId>& out) const;
-  [[nodiscard]] std::uint64_t expression_signature(
-      const ast::Node& expression);
-  [[nodiscard]] std::uint64_t root_signature(NodeId root);
-  [[nodiscard]] bool permutation_valid(NodeId root,
-                                       std::span<const std::uint32_t> perm,
-                                       std::size_t& cursor) const;
+  /// The root's smallest predicate id: its key in the donor index.
+  [[nodiscard]] PredicateId min_root_predicate(NodeId root);
 
   template <typename Emit>
   void match_impl(std::span<const PredicateId> fulfilled, ForestContext& ctx,
                   Emit&& emit) const;
 
-  Options options_;
   SharedForest forest_;
 
   std::vector<SubRecord> subs_;  // dense by subscription id
@@ -229,13 +169,10 @@ class NonCanonicalEngine final : public FilterEngine {
 
   // Root attachment: the head of each result root's subscription chain,
   // dense by node id (kNoSub = not a result root; ids past the end are
-  // fresh interior nodes), plus the signature index driving the
-  // subsumption fast path and the always-candidate roots (static truth =
+  // fresh interior nodes), plus the always-candidate roots (static truth =
   // true).
   std::vector<std::uint32_t> chain_head_;
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> roots_by_sig_;
   std::vector<NodeId> always_roots_;
-  std::uint64_t subsumption_hits_ = 0;
 
   // Partial sharing: borrower root -> donor node (dense by node id,
   // kNoNode = not a borrower). A borrower holds one forest reference on its
@@ -249,7 +186,6 @@ class NonCanonicalEngine final : public FilterEngine {
 
   // Add-path scratch only — never touched by the (concurrent) match path.
   std::vector<PredicateId> pred_scratch_;
-  std::vector<std::uint32_t> perm_scratch_;
 };
 
 }  // namespace ncps

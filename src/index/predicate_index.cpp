@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/contracts.h"
-#include "common/thread_pool.h"
+#include "common/work_stealing_pool.h"
 
 namespace ncps {
 
@@ -35,7 +35,7 @@ bool PredicateIndex::remove(PredicateId id, const Predicate& p) {
 }
 
 void PredicateIndex::bulk_load(std::span<const BulkEntry> entries,
-                               ThreadPool* pool) {
+                               WorkStealingPool* pool) {
   // Partition by attribute first: NotExists entries are cross-attribute
   // bookkeeping (sequential, cheap), everything else buckets to exactly one
   // AttributeIndex.
@@ -74,7 +74,10 @@ void PredicateIndex::bulk_load(std::span<const BulkEntry> entries,
   if (pool == nullptr || work.size() <= 1) {
     for (std::size_t i = 0; i < work.size(); ++i) build(i);
   } else {
-    pool->parallel_for(work.size(), build);
+    pool->run_tasks(work.size(),
+                    [&](std::size_t task, std::size_t /*worker*/) {
+                      build(task);
+                    });
   }
 }
 

@@ -22,7 +22,7 @@
 
 namespace ncps {
 
-class ThreadPool;
+class WorkStealingPool;
 
 class PredicateIndex {
  public:
@@ -43,7 +43,7 @@ class PredicateIndex {
   /// disjoint structures, one build task per attribute touches no shared
   /// state). `pool` may be null for a sequential build. May be called on a
   /// non-empty index; entries merge with existing postings.
-  void bulk_load(std::span<const BulkEntry> entries, ThreadPool* pool);
+  void bulk_load(std::span<const BulkEntry> entries, WorkStealingPool* pool);
 
   /// Append every registered predicate matching `event` to `out`.
   void match(const Event& event, const PredicateTable& table,

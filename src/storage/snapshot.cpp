@@ -8,7 +8,10 @@ namespace ncps::storage {
 namespace {
 
 constexpr std::string_view kSnapshotMagic = "NCPSSNP1";
-constexpr std::uint32_t kSnapshotVersion = 1;
+// Version 2: forest snapshots store AND/OR children in canonical order only,
+// so the forest identity-mode byte and the per-subscription child-order maps
+// of version 1 are gone.
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 }  // namespace
 

@@ -44,8 +44,8 @@ struct Node {
 /// Deep copy with the children of every AND/OR node re-shuffled (Fisher–
 /// Yates over `rng`) — a semantically equivalent *commuted* variant of the
 /// expression. Workload generators use this to model subscribers writing
-/// the same interest in different orders, the regime sorted-child forest
-/// normalisation targets.
+/// the same interest in different orders, which the shared forest's
+/// canonical child order collapses to one node.
 [[nodiscard]] NodePtr clone_commuted(const Node& node, Pcg32& rng);
 
 /// Structural equality (same shape, kinds and predicate ids).

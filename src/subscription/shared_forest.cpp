@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <ranges>
 #include <utility>
 
 #include "common/epoch_domain.h"
@@ -59,8 +60,9 @@ std::uint64_t SharedForest::leaf_hash(PredicateId pred) const {
   return hash_mix(0x1eafull, pred.value());
 }
 
+template <typename Ids>
 std::uint64_t SharedForest::interior_hash(ast::NodeKind kind,
-                                          std::span<const NodeId> kids) const {
+                                          const Ids& kids) {
   std::uint64_t h = hash_mix(0x0ddfull, static_cast<std::uint64_t>(kind));
   for (const NodeId k : kids) h = hash_mix(h, k);
   return h;
@@ -171,111 +173,85 @@ void SharedForest::remove_parent(NodeId child, NodeId parent) {
   }
 }
 
-SharedForest::InternResult SharedForest::intern(
-    const ast::Node& expression, std::vector<std::uint32_t>* permutation) {
+SharedForest::InternResult SharedForest::intern(const ast::Node& expression) {
   validate_limits(expression);
-  if (permutation != nullptr) permutation->clear();
-  const NodeId root = intern_node(
-      expression,
-      normalisation_ == Normalisation::SortedChildren ? permutation : nullptr);
+  const NodeId root = intern_node(expression).second;
   // A pre-existing root gained a reference on top of its owners' (>= 2);
   // a freshly created root carries exactly the caller's one.
   return InternResult{root, metas_[root].refs == 1};
 }
 
-SharedForest::NodeId SharedForest::intern_node(
-    const ast::Node& node, std::vector<std::uint32_t>* permutation) {
+SharedForest::ChildKey SharedForest::intern_node(const ast::Node& node) {
   if (node.kind == ast::NodeKind::Leaf) {
+    const std::uint64_t hash = leaf_hash(node.pred);
     const std::uint32_t pid = node.pred.value();
     if (pid >= leaf_by_pred_.size()) leaf_by_pred_.resize(pid + 1, kNoNode);
     if (leaf_by_pred_[pid] != kNoNode) {
       const NodeId id = leaf_by_pred_[pid];
       ++metas_[id].refs;
-      return id;
+      return {hash, id};
     }
     const NodeId id = new_node();
     metas_[id] = Meta{pid, 1, kNoNode,
                       pack(0, 0, ast::NodeKind::Leaf, /*static=*/false)};
     leaf_by_pred_[pid] = id;
     ++live_count_;
-    bucket_insert(id, leaf_hash(node.pred));
+    bucket_insert(id, hash);
     if (on_leaf_created_) on_leaf_created_(node.pred);
-    return id;
+    return {hash, id};
   }
 
-  // Interior node: intern children first (one temporary reference each).
-  // The permutation slots for this node are reserved *before* the children
-  // recurse (pre-order layout) and filled in once the sort is known, so
-  // to_ast(id, permutation) can replay the exact same traversal top-down.
-  const bool commutative =
-      node.kind == ast::NodeKind::And || node.kind == ast::NodeKind::Or;
-  std::size_t perm_base = 0;
-  if (permutation != nullptr && commutative) {
-    perm_base = permutation->size();
-    permutation->resize(perm_base + node.children.size());
-  }
-  std::vector<NodeId> kids;
-  kids.reserve(node.children.size());
-  for (const auto& c : node.children) {
-    kids.push_back(intern_node(*c, permutation));
-  }
-
-  if (normalisation_ == Normalisation::SortedChildren && commutative) {
-    // Canonical child order: structural hash, ties broken by node id. The
-    // stable sort keeps duplicate children (same id) in written relative
-    // order, so the permutation below assigns them distinct stored slots.
-    std::vector<std::uint32_t> order(kids.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       const std::uint64_t ha = node_hash(kids[a]);
-                       const std::uint64_t hb = node_hash(kids[b]);
-                       return ha != hb ? ha < hb : kids[a] < kids[b];
-                     });
-    std::vector<NodeId> sorted;
-    sorted.reserve(kids.size());
-    for (const std::uint32_t written : order) sorted.push_back(kids[written]);
-    if (permutation != nullptr) {
-      for (std::uint32_t stored = 0; stored < order.size(); ++stored) {
-        (*permutation)[perm_base + order[stored]] = stored;
-      }
-    }
-    kids = std::move(sorted);
-  }
-
+  // Interior node: intern children first (one temporary reference each),
+  // stacking their keys above those of the enclosing nodes. Each child's
+  // own recursion pops back to where it started, so after the loop this
+  // node's keys are exactly the top of the stack.
+  const std::size_t base = intern_stack_.size();
+  for (const auto& c : node.children) intern_stack_.push_back(intern_node(*c));
+  const auto keys = std::ranges::subrange(intern_stack_.begin() + base,
+                                          intern_stack_.end());
+  // Canonical child order: structural hash, ties broken by node id. Equal
+  // keys are the same child, so repeated children keep their multiplicity.
+  if (node.kind != ast::NodeKind::Not) std::ranges::sort(keys);
+  const auto kids = keys | std::views::values;
   const std::uint64_t hash = interior_hash(node.kind, kids);
+  const std::size_t count = keys.size();
+
+  NodeId found = kNoNode;
   if (!buckets_.empty()) {
     for (NodeId id = buckets_[hash & (buckets_.size() - 1)]; id != kNoNode;
          id = next_[id]) {
-      if (kind(id) != node.kind || child_count(id) != kids.size()) continue;
-      const std::span<const NodeId> existing = children(id);
-      if (!std::equal(existing.begin(), existing.end(), kids.begin())) {
-        continue;
+      if (kind(id) == node.kind && child_count(id) == count &&
+          std::ranges::equal(children(id), kids)) {
+        found = id;
+        break;
       }
-      // Structurally identical node exists: it already owns one reference
-      // per child occurrence, so our temporaries are surplus.
-      ++metas_[id].refs;
-      for (const NodeId k : kids) release(k);
-      return id;
     }
+  }
+  if (found != kNoNode) {
+    // Structurally identical node exists: it already owns one reference
+    // per child occurrence, so our temporaries are surplus.
+    ++metas_[found].refs;
+    for (const NodeId k : kids) release(k);
+    intern_stack_.resize(base);
+    return {hash, found};
   }
 
   // Create: the new node adopts the temporary child references.
   std::uint32_t max_rank = 0;
   for (const NodeId k : kids) max_rank = std::max(max_rank, rank(k));
+  const std::uint32_t offset = alloc_children(count);
+  std::ranges::copy(kids, child_arena_.begin() + offset);
+  intern_stack_.resize(base);
+  const std::span<const NodeId> stored(child_arena_.data() + offset, count);
   const auto [stat, by_flips] = interior_truth(
-      node.kind, kids, [&](NodeId k) { return static_truth(k); });
-
-  const std::uint32_t offset = alloc_children(kids.size());
-  std::copy(kids.begin(), kids.end(), child_arena_.begin() + offset);
+      node.kind, stored, [&](NodeId k) { return static_truth(k); });
   const NodeId id = new_node();
   metas_[id] = Meta{offset, 1, kNoNode,
-                    pack(kids.size(), max_rank + 1, node.kind, stat,
-                         by_flips)};
-  for (const NodeId k : kids) add_parent(k, id);
+                    pack(count, max_rank + 1, node.kind, stat, by_flips)};
+  for (const NodeId k : stored) add_parent(k, id);
   ++live_count_;
   bucket_insert(id, hash);
-  return id;
+  return {hash, id};
 }
 
 void SharedForest::release(NodeId id) {
@@ -291,10 +267,9 @@ void SharedForest::release(NodeId id) {
   } else {
     const std::size_t count = child_count(id);
     const std::uint32_t offset = m.data;
-    // Copy the slice: the cascading releases below must not read a slice
-    // whose backing node is already being dismantled.
-    std::vector<NodeId> kids(child_arena_.begin() + offset,
-                             child_arena_.begin() + offset + count);
+    // The slice stays valid across the cascade: releasing never allocates
+    // child slices, and this one returns to the free list only below.
+    const std::span<const NodeId> kids(child_arena_.data() + offset, count);
     for (const NodeId k : kids) remove_parent(k, id);
     for (const NodeId k : kids) release(k);
     free_children(offset, count);
@@ -324,42 +299,6 @@ ast::NodePtr SharedForest::to_ast(NodeId id) const {
       break;
   }
   NCPS_ASSERT(false && "unreachable");
-}
-
-ast::NodePtr SharedForest::to_ast(
-    NodeId id, std::span<const std::uint32_t> permutation) const {
-  if (permutation.empty()) return to_ast(id);
-  std::size_t cursor = 0;
-  ast::NodePtr result = to_ast_permuted(id, permutation, cursor);
-  // The traversal consumes exactly one entry per written AND/OR child; a
-  // short or long blob means it belongs to a different root.
-  NCPS_ASSERT(cursor == permutation.size());
-  return result;
-}
-
-ast::NodePtr SharedForest::to_ast_permuted(
-    NodeId id, std::span<const std::uint32_t> permutation,
-    std::size_t& cursor) const {
-  if (kind(id) == ast::NodeKind::Leaf) {
-    return ast::leaf(leaf_predicate(id));
-  }
-  if (kind(id) == ast::NodeKind::Not) {
-    return ast::make_not(
-        to_ast_permuted(children(id).front(), permutation, cursor));
-  }
-  const std::span<const NodeId> stored = children(id);
-  NCPS_ASSERT(cursor + stored.size() <= permutation.size());
-  const std::span<const std::uint32_t> p =
-      permutation.subspan(cursor, stored.size());
-  cursor += stored.size();
-  std::vector<ast::NodePtr> kids;
-  kids.reserve(stored.size());
-  for (std::size_t written = 0; written < stored.size(); ++written) {
-    NCPS_ASSERT(p[written] < stored.size());
-    kids.push_back(to_ast_permuted(stored[p[written]], permutation, cursor));
-  }
-  return kind(id) == ast::NodeKind::And ? ast::make_and(std::move(kids))
-                                        : ast::make_or(std::move(kids));
 }
 
 void SharedForest::reclaim_quarantine() {
@@ -418,6 +357,7 @@ void SharedForest::compact_storage() {
   leaf_by_pred_.shrink_to_fit();
   free_nodes_.shrink_to_fit();
   quarantine_.shrink_to_fit();
+  intern_stack_.shrink_to_fit();
   for (auto& entry : extra_parents_) entry.second.shrink_to_fit();
 }
 
@@ -606,6 +546,22 @@ void SharedForest::load_state(storage::Reader& r,
   }
   rehash(std::max<std::size_t>(64, std::bit_ceil(live_count_ / 2 + 1)));
 
+  // Canonical order: every AND/OR slice must be sorted by (structural
+  // hash, node id), exactly as intern() stores it. A slice out of order
+  // would be a second spelling of its commutation class that intern()
+  // could never find. Each node is hashed once, children before parents.
+  std::vector<std::uint64_t> hashes(bound, 0);
+  for (const NodeId id : order) {
+    hashes[id] = node_hash(id);
+    if (kind(id) != ast::NodeKind::And && kind(id) != ast::NodeKind::Or) {
+      continue;
+    }
+    const auto key = [&](NodeId k) { return ChildKey{hashes[k], k}; };
+    if (!std::ranges::is_sorted(children(id), {}, key)) {
+      throw StorageError("forest children out of canonical order");
+    }
+  }
+
   // Hash-consing invariant: no two live nodes may be structurally
   // identical. The freshly built intern chains make this a cheap check.
   for (const NodeId id : order) {
@@ -637,6 +593,7 @@ MemoryBreakdown SharedForest::memory() const {
   mem.add("parent_overflow", parent_bytes);
   mem.add("free_lists",
           vector_bytes(free_nodes_) + vector_bytes(quarantine_));
+  mem.add("intern_scratch", vector_bytes(intern_stack_));
   return mem;
 }
 

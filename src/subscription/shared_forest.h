@@ -9,25 +9,15 @@
 // subscriptions sharing a subtree store it once and (with memoized phase-2
 // evaluation, see NonCanonicalEngine) evaluate it once per event.
 //
-// Node identity is *structural* and, by default, *order-preserving*:
-// AND(a, b) and AND(b, a) are distinct nodes (the subscription is kept
-// exactly as written; commutative normalisation is left to the engine's
-// optional covering-based root subsumption). Two subtrees intern to the
-// same NodeId iff they have the same kind, the same predicate (leaves) and
-// the same child NodeId sequence (interior nodes).
-//
-// An opt-in normalisation ladder (Normalisation, fixed at construction)
-// extends identity one rung: at SortedChildren, AND/OR children are
-// interned under a canonical order (structural hash, ties broken by node
-// id), so commuted forms — AND(a, b) vs AND(b, a) — collapse to one node.
-// Because Boolean connectives over side-effect-free predicates are
-// commutative, matching semantics are untouched; what *is* observable is
-// the as-written shape (introspection, covering probes, re-export), so
-// intern() can record a per-root *evaluation permutation* — for every
-// AND/OR node in pre-order of the written expression, the mapping from
-// written child position to stored (sorted) child index — and
-// to_ast(id, permutation) reconstructs the expression exactly as written
-// (DESIGN.md §1e).
+// Node identity is *structural* up to commutation: AND/OR children intern
+// in canonical order — structural hash, ties broken by node id — so
+// AND(a, b) and AND(b, a) are one node. Two subtrees intern to the same
+// NodeId iff they have the same kind, the same predicate (leaves) and the
+// same canonically ordered child NodeId sequence (interior nodes). Boolean
+// connectives over side-effect-free predicates commute, so this changes
+// what is shared, never what matches (DESIGN.md §1e). There is no
+// semantic rewriting: no flattening, no de-duplication of repeated
+// children, AND and OR stay distinct kinds.
 //
 // Storage is arena-backed and index-based: a dense Meta array (16 bytes per
 // node), one shared child-id arena, an intrusive hash table (bucket heads +
@@ -67,8 +57,8 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
-#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -91,26 +81,6 @@ class ForestLimitError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// How aggressively the forest canonicalises structure before interning.
-/// Fixed per forest at construction so node identity is uniform.
-enum class Normalisation : std::uint8_t {
-  /// Order-preserving identity: children intern exactly as written.
-  None,
-  /// AND/OR children intern under a canonical sort (structural hash, ties
-  /// broken by node id): commuted conjunctions/disjunctions share one node.
-  /// The written order survives in the per-root evaluation permutation
-  /// intern() hands back.
-  SortedChildren,
-};
-
-[[nodiscard]] constexpr std::string_view to_string(Normalisation n) {
-  switch (n) {
-    case Normalisation::None: return "none";
-    case Normalisation::SortedChildren: return "sorted";
-  }
-  return "?";
-}
-
 class SharedForest {
  public:
   using NodeId = std::uint32_t;
@@ -125,15 +95,9 @@ class SharedForest {
   using LeafHook = std::function<void(PredicateId)>;
 
   SharedForest() = default;
-  explicit SharedForest(Normalisation normalisation)
-      : normalisation_(normalisation) {}
-  SharedForest(LeafHook on_leaf_created, LeafHook on_leaf_released,
-               Normalisation normalisation = Normalisation::None)
+  SharedForest(LeafHook on_leaf_created, LeafHook on_leaf_released)
       : on_leaf_created_(std::move(on_leaf_created)),
-        on_leaf_released_(std::move(on_leaf_released)),
-        normalisation_(normalisation) {}
-
-  [[nodiscard]] Normalisation normalisation() const { return normalisation_; }
+        on_leaf_released_(std::move(on_leaf_released)) {}
 
   // NodeIds index dense side tables in the owning engine; the forest is
   // not copyable (hooks + identity).
@@ -148,15 +112,7 @@ class SharedForest {
   /// Intern `expression` bottom-up; returns the root with one caller-owned
   /// reference. Throws ForestLimitError on limit violations (checked before
   /// any mutation).
-  ///
-  /// Under Normalisation::SortedChildren, a non-null `permutation` receives
-  /// the root's evaluation permutation: for each AND/OR node in pre-order
-  /// of the *written* expression, child_count entries mapping written child
-  /// position -> stored (sorted) child index. to_ast(id, permutation)
-  /// reconstructs the expression exactly as written. Under None nothing is
-  /// recorded (stored order already is the written order).
-  InternResult intern(const ast::Node& expression,
-                      std::vector<std::uint32_t>* permutation = nullptr);
+  InternResult intern(const ast::Node& expression);
 
   void add_ref(NodeId id) {
     NCPS_DASSERT(id < metas_.size() && metas_[id].refs > 0);
@@ -238,15 +194,8 @@ class SharedForest {
   }
 
   /// Rebuild the subtree as a raw AST (no predicate-table references), in
-  /// stored child order.
+  /// stored (canonical) child order.
   [[nodiscard]] ast::NodePtr to_ast(NodeId id) const;
-
-  /// Rebuild the subtree exactly as written, undoing SortedChildren
-  /// interning through the evaluation permutation intern() recorded for
-  /// this root. An empty permutation degrades to stored order (correct for
-  /// Normalisation::None, where stored order *is* the written order).
-  [[nodiscard]] ast::NodePtr to_ast(
-      NodeId id, std::span<const std::uint32_t> permutation) const;
 
   // ---- sizing / lifecycle ----
 
@@ -294,8 +243,10 @@ class SharedForest {
   /// `predicate_bound` bounds leaf predicate ids (the predicate table's
   /// id_bound()). Throws StorageError on any structural violation: dangling
   /// or dead child ids, cycles, depth/width over the forest limits,
-  /// duplicate structure (a hash-consing violation), duplicate leaves for
-  /// one predicate, or refcounts below the in-DAG parent edge count.
+  /// duplicate structure (a hash-consing violation), AND/OR children out of
+  /// canonical order (which would split a commutation class that later
+  /// intern() calls rely on), duplicate leaves for one predicate, or
+  /// refcounts below the in-DAG parent edge count.
   void load_state(storage::Reader& r, std::size_t predicate_bound);
 
  private:
@@ -318,11 +269,12 @@ class SharedForest {
            (static_cast<std::uint32_t>(decided_by_flips) << 31);
   }
 
-  NodeId intern_node(const ast::Node& node,
-                     std::vector<std::uint32_t>* permutation);
-  ast::NodePtr to_ast_permuted(NodeId id,
-                               std::span<const std::uint32_t> permutation,
-                               std::size_t& cursor) const;
+  /// A child's canonical sort key: (structural hash, node id).
+  using ChildKey = std::pair<std::uint64_t, NodeId>;
+
+  /// Interns `node` and returns its key, so the parent sorts its children
+  /// without rehashing them.
+  ChildKey intern_node(const ast::Node& node);
   NodeId new_node();
   std::uint32_t alloc_children(std::size_t count);
   void free_children(std::uint32_t offset, std::size_t count);
@@ -334,8 +286,9 @@ class SharedForest {
   void retire_quarantine_batch(EpochDomain& domain, std::vector<NodeId> batch);
 
   [[nodiscard]] std::uint64_t leaf_hash(PredicateId pred) const;
-  [[nodiscard]] std::uint64_t interior_hash(
-      ast::NodeKind kind, std::span<const NodeId> kids) const;
+  template <typename Ids>
+  [[nodiscard]] static std::uint64_t interior_hash(ast::NodeKind kind,
+                                                   const Ids& kids);
   [[nodiscard]] std::uint64_t node_hash(NodeId id) const;
   void bucket_insert(NodeId id, std::uint64_t hash);
   void bucket_remove(NodeId id, std::uint64_t hash);
@@ -343,7 +296,6 @@ class SharedForest {
 
   LeafHook on_leaf_created_;
   LeafHook on_leaf_released_;
-  Normalisation normalisation_ = Normalisation::None;
 
   std::vector<Meta> metas_;             // node arena, dense by NodeId
   std::vector<NodeId> child_arena_;     // all child-id slices
@@ -356,6 +308,9 @@ class SharedForest {
   std::unordered_map<NodeId, std::vector<NodeId>> extra_parents_;
   std::vector<NodeId> free_nodes_;      // reusable slots
   std::vector<NodeId> quarantine_;      // released, not yet reusable
+  // intern() scratch: the child keys of every interior node on the current
+  // recursion path, stacked, so interning allocates nothing once warm.
+  std::vector<ChildKey> intern_stack_;
   /// Deferred-reclamation target for quarantined slots (see
   /// set_reclaim_domain); not owned. Null = immediate reclaim.
   EpochDomain* reclaim_domain_ = nullptr;

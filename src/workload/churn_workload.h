@@ -62,9 +62,10 @@ struct ChurnWorkloadConfig {
   std::size_t duplicate_pool_size = 64;
   /// Probability that a duplicate is emitted *commuted* — the same pool
   /// expression with AND/OR children re-shuffled. Commuted duplicates are
-  /// semantically identical but structurally distinct as written, so only
-  /// Normalisation::SortedChildren forests share them; the lockstep suites
-  /// use this to stress the normalisation ladder.
+  /// semantically identical but structurally distinct as written: the
+  /// forest shares them through its canonical child order, the other
+  /// engines not at all, and the lockstep suites use this to check that
+  /// sharing changes no notification.
   double commute_probability = 0.0;
   /// Shape of the generated subscriptions and events.
   PaperWorkloadConfig subscriptions;

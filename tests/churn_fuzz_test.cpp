@@ -36,12 +36,10 @@ using Delivery = std::tuple<std::uint32_t, std::uint32_t>;  // owner, sub id
 struct Config {
   EngineKind engine;
   std::size_t shards;
-  Normalisation normalisation = Normalisation::None;
 
   [[nodiscard]] std::string label() const {
     return std::string(to_string(engine)) + "/shards=" +
-           std::to_string(shards) + "/" +
-           std::string(to_string(normalisation));
+           std::to_string(shards);
   }
 };
 
@@ -57,8 +55,7 @@ struct Harness {
       : broker(std::make_unique<ShardedBroker>(
             attrs,
             ShardedBrokerConfig{.shard_count = config.shards,
-                                .engine = config.engine,
-                                .normalisation = config.normalisation})) {}
+                                .engine = config.engine})) {}
 
   SubscriberId session() {
     return broker->register_subscriber([this](const Notification& n) {
@@ -299,18 +296,15 @@ TEST(ChurnFuzzTest, ZipfDuplicateSubscriptionsStayInLockstep) {
                          /*commute_probability=*/0.0);
 }
 
-// The normalisation axis: the same heavy-duplication churn, but most
-// duplicates arrive *commuted* (AND/OR children re-shuffled). The sorted
-// forest shares them by identity, the order-preserving forest through its
-// covering probes, and the tree/counting engines not at all — any
-// divergence in notification multisets or teardown emptiness pins a
-// normalisation bug (wrong canonical order, stale permutation, recycled
-// slot) to the one configuration that disagrees.
-TEST(ChurnFuzzTest, CommutedDuplicatesStayInLockstepAcrossNormalisations) {
+// The same heavy-duplication churn, but most duplicates arrive *commuted*
+// (AND/OR children re-shuffled). The forest shares them by identity, the
+// tree and counting engines not at all — any divergence in notification
+// multisets or teardown emptiness pins a sharing bug (wrong canonical
+// order, recycled slot) to the one configuration that disagrees.
+TEST(ChurnFuzzTest, CommutedDuplicatesStayInLockstep) {
   const Config commuted_configs[] = {
-      {EngineKind::NonCanonical, 1, Normalisation::SortedChildren},
-      {EngineKind::NonCanonical, 4, Normalisation::SortedChildren},
-      {EngineKind::NonCanonical, 1, Normalisation::None},
+      {EngineKind::NonCanonical, 1},
+      {EngineKind::NonCanonical, 4},
       {EngineKind::NonCanonicalTree, 1},
       {EngineKind::NonCanonicalTree, 4},
       {EngineKind::Counting, 1},

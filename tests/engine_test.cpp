@@ -302,12 +302,13 @@ TEST_F(NonCanonicalTest, SharedSubtreesAreStoredOnce) {
   EXPECT_EQ(engine_.distinct_roots(), 2u);
 }
 
-TEST_F(NonCanonicalTest, CoveringSubsumptionAliasesEquivalentRoots) {
-  const SubscriptionId s1 = subscribe("a == 1 and b == 2");
-  const SubscriptionId s2 = subscribe("b == 2 and a == 1");  // commuted
-  EXPECT_EQ(engine_.subsumption_hits(), 1u);
-  EXPECT_EQ(engine_.distinct_roots(), 1u);  // proven equivalent: one root
-  const Event hit = EventBuilder(attrs_).set("a", 1).set("b", 2).build();
+TEST_F(NonCanonicalTest, CommutedRootsShareOneRootByIdentity) {
+  const SubscriptionId s1 = subscribe("(a == 1 or b == 2) and c == 3");
+  const std::size_t nodes_after_first = engine_.forest().live_nodes();
+  const SubscriptionId s2 = subscribe("c == 3 and (b == 2 or a == 1)");
+  EXPECT_EQ(engine_.distinct_roots(), 1u);
+  EXPECT_EQ(engine_.forest().live_nodes(), nodes_after_first);
+  const Event hit = EventBuilder(attrs_).set("b", 2).set("c", 3).build();
   EXPECT_EQ(testing::match_event(engine_, hit),
             testing::sorted(std::vector{s1, s2}));
   EXPECT_TRUE(
@@ -316,14 +317,67 @@ TEST_F(NonCanonicalTest, CoveringSubsumptionAliasesEquivalentRoots) {
   EXPECT_TRUE(engine_.remove(s1));
   EXPECT_EQ(testing::match_event(engine_, hit), std::vector{s2});
   EXPECT_TRUE(engine_.remove(s2));
+  EXPECT_EQ(engine_.forest().live_nodes(), 0u);
   EXPECT_EQ(table_.size(), 0u);
 }
 
-TEST_F(NonCanonicalTest, SubsumptionNeverAliasesNonEquivalentRoots) {
-  // Same predicate signature, different semantics: AND vs OR.
+TEST_F(NonCanonicalTest, CommutedRootsShareEvenPastTheDnfBudget) {
+  // A pair whose DNF has 2^21 disjuncts — past the covering proofs'
+  // default budget of 2^20. Identity needs no DNF, so the commuted pair
+  // still shares one root.
+  std::string wide = "a >= 0";
+  std::string wide_commuted = "a >= 0";
+  for (int i = 0; i < 21; ++i) {
+    const std::string g = "g" + std::to_string(i);
+    wide += " and (" + g + " == 1 or " + g + " == 2)";
+    wide_commuted = "(" + g + " == 2 or " + g + " == 1) and " + wide_commuted;
+  }
+  const SubscriptionId s1 = subscribe(wide);
+  const SubscriptionId s2 = subscribe(wide_commuted);
+  EXPECT_EQ(engine_.distinct_roots(), 1u);
+  EventBuilder builder(attrs_);
+  builder.set("a", 5);
+  for (int i = 0; i < 21; ++i) builder.set("g" + std::to_string(i), 1);
+  EXPECT_EQ(testing::match_event(engine_, builder.build()),
+            testing::sorted(std::vector{s1, s2}));
+  EXPECT_TRUE(engine_.remove(s1));
+  EXPECT_TRUE(engine_.remove(s2));
+  EXPECT_EQ(table_.size(), 0u);
+}
+
+TEST_F(NonCanonicalTest, EquivalentButNotCommutedRootsStayApart) {
+  // Regression: `not (a == 1)` canonicalises to the complement predicate
+  // `a != 1`, so a DNF covering proof once judged these two subscriptions
+  // equivalent and shared one result root. They differ when `a` is absent:
+  // the complement is false there, the NOT is true. On {b=5} only the
+  // second matches, exactly as in the per-subscription tree engine.
+  NonCanonicalTreeEngine reference(table_);
+  const char* kSubs[] = {
+      "a != 1 and not (a == 1)",
+      "not (a == 1) or a != 1",
+  };
+  for (const char* text : kSubs) {
+    const ast::Expr expr = parse_subscription(text, attrs_, table_);
+    ASSERT_EQ(reference.add(expr.root()), engine_.add(expr.root()));
+  }
+  EXPECT_EQ(engine_.distinct_roots(), 2u);
+  const Event b_only = EventBuilder(attrs_).set("b", 5).build();
+  EXPECT_EQ(testing::match_event(engine_, b_only),
+            testing::match_event(reference, b_only));
+  EXPECT_EQ(testing::match_event(engine_, b_only),
+            std::vector{SubscriptionId(1)});
+  for (const int a : {1, 2}) {
+    const Event event = EventBuilder(attrs_).set("a", a).build();
+    EXPECT_EQ(testing::match_event(engine_, event),
+              testing::match_event(reference, event))
+        << "a = " << a;
+  }
+}
+
+TEST_F(NonCanonicalTest, DistinctSemanticsNeverShareARoot) {
+  // Same predicates, different connective: AND vs OR.
   const SubscriptionId s1 = subscribe("a == 1 and b == 2");
   const SubscriptionId s2 = subscribe("a == 1 or b == 2");
-  EXPECT_EQ(engine_.subsumption_hits(), 0u);
   EXPECT_EQ(engine_.distinct_roots(), 2u);
   EXPECT_EQ(testing::match_event(engine_,
                                  EventBuilder(attrs_).set("a", 1).build()),
@@ -489,8 +543,8 @@ class FlipSemanticsTest : public NonCanonicalTest {
 };
 
 TEST_F(FlipSemanticsTest, RepeatedChildCountsEveryEdge) {
-  // Normalisation::None keeps both occurrences: the AND has two edges to
-  // one child, so one flip counts twice and decides it true.
+  // Interning keeps both occurrences: the AND has two edges to one child,
+  // so one flip counts twice and decides it true.
   expect_oracle({"a == 1 and a == 1",
                  "(a == 1 or b == 2) and (a == 1 or b == 2)"},
                 abc_assignments());
@@ -713,181 +767,61 @@ TEST_F(NonCanonicalTreeTest, SelectivityReorderingPreservesMatching) {
   }
 }
 
-// ---- Normalisation ladder & partial sharing ----------------------------
+// ---- Partial sharing & scratch reset ---------------------------------
 
-class NonCanonicalOptionsTest : public ::testing::Test {
- protected:
-  NonCanonicalEngine& build(const NonCanonicalEngineOptions& options) {
-    engine_ = std::make_unique<NonCanonicalEngine>(table_, options);
-    return *engine_;
-  }
+class PartialSharingTest : public NonCanonicalTest {};
 
-  SubscriptionId subscribe(std::string_view text) {
-    const ast::Expr expr = parse_subscription(text, attrs_, table_);
-    return engine_->add(expr.root());
-  }
-
-  ast::Expr parse(std::string_view text) {
-    return parse_subscription(text, attrs_, table_);
-  }
-
-  AttributeRegistry attrs_;
-  PredicateTable table_;
-  std::unique_ptr<NonCanonicalEngine> engine_;
-};
-
-TEST_F(NonCanonicalOptionsTest, SortedChildrenSharesCommutedRootsByIdentity) {
-  NonCanonicalEngineOptions options;
-  options.normalisation = Normalisation::SortedChildren;
-  build(options);
-  const SubscriptionId s1 = subscribe("a == 1 and b == 2");
-  const SubscriptionId s2 = subscribe("b == 2 and a == 1");  // commuted
-  // Identity-level sharing: no covering probe was needed.
-  EXPECT_EQ(engine_->distinct_roots(), 1u);
-  EXPECT_EQ(engine_->subsumption_hits(), 0u);
-  const Event hit = EventBuilder(attrs_).set("a", 1).set("b", 2).build();
-  EXPECT_EQ(testing::match_event(*engine_, hit),
-            testing::sorted(std::vector{s1, s2}));
-  EXPECT_TRUE(
-      testing::match_event(*engine_, EventBuilder(attrs_).set("a", 1).build())
-          .empty());
-  // Each subscription still reports its own written form. (Scoped: the
-  // parsed references must not outlive the drain checks below.)
-  {
-    const ast::Expr w1 = parse("a == 1 and b == 2");
-    const ast::Expr w2 = parse("b == 2 and a == 1");
-    EXPECT_TRUE(ast::equal(w1.root(), *engine_->subscription_ast(s1)));
-    EXPECT_TRUE(ast::equal(w2.root(), *engine_->subscription_ast(s2)));
-  }
-  EXPECT_TRUE(engine_->remove(s1));
-  EXPECT_EQ(testing::match_event(*engine_, hit), std::vector{s2});
-  EXPECT_TRUE(engine_->remove(s2));
-  EXPECT_EQ(engine_->forest().live_nodes(), 0u);
-  EXPECT_EQ(table_.size(), 0u);
-}
-
-TEST_F(NonCanonicalOptionsTest, CommutedRootsAliasAtBothNormalisationLevels) {
-  // Satellite regression: a root that becomes equivalent only after
-  // sorted-child normalisation must land on one result root at *both*
-  // levels — via identity under SortedChildren, via the mutual-covering
-  // probe under None.
-  for (const Normalisation level :
-       {Normalisation::None, Normalisation::SortedChildren}) {
-    SCOPED_TRACE(std::string(to_string(level)));
-    AttributeRegistry attrs;
-    PredicateTable table;
-    NonCanonicalEngineOptions options;
-    options.normalisation = level;
-    NonCanonicalEngine engine(table, options);
-    const SubscriptionId s1 = engine.add(
-        parse_subscription("(a == 1 or b == 2) and c == 3", attrs, table)
-            .root());
-    const SubscriptionId s2 = engine.add(
-        parse_subscription("c == 3 and (b == 2 or a == 1)", attrs, table)
-            .root());
-    EXPECT_EQ(engine.distinct_roots(), 1u);
-    EXPECT_EQ(engine.subsumption_hits(),
-              level == Normalisation::None ? 1u : 0u);
-    const Event hit = EventBuilder(attrs).set("b", 2).set("c", 3).build();
-    EXPECT_EQ(testing::match_event(engine, hit),
-              testing::sorted(std::vector{s1, s2}));
-    EXPECT_TRUE(engine.remove(s1));
-    EXPECT_TRUE(engine.remove(s2));
-    EXPECT_EQ(table.size(), 0u);
-  }
-}
-
-TEST_F(NonCanonicalOptionsTest, SortedAliasingSurvivesDnfBudgetOverflow) {
-  // The asymmetric-DNF-budget edge (PR 2): a pair whose equivalence proof
-  // blows the covering budget. Under None the probe conservatively keeps
-  // two roots; under SortedChildren identity needs no DNF at all, so the
-  // commuted pair still shares one root. Both stay observationally correct.
-  std::string wide = "a >= 0";
-  std::string wide_commuted = "a >= 0";
-  for (int i = 0; i < 12; ++i) {
-    const std::string g = "g" + std::to_string(i);
-    wide += " and (" + g + " == 1 or " + g + " == 2)";
-    wide_commuted += " and (" + g + " == 2 or " + g + " == 1)";
-  }
-  for (const Normalisation level :
-       {Normalisation::None, Normalisation::SortedChildren}) {
-    SCOPED_TRACE(std::string(to_string(level)));
-    AttributeRegistry attrs;
-    PredicateTable table;
-    NonCanonicalEngineOptions options;
-    options.normalisation = level;
-    options.subsumption_budget.max_disjuncts = 16;  // forces the overflow
-    NonCanonicalEngine engine(table, options);
-    const SubscriptionId s1 =
-        engine.add(parse_subscription(wide, attrs, table).root());
-    const SubscriptionId s2 =
-        engine.add(parse_subscription(wide_commuted, attrs, table).root());
-    EXPECT_EQ(engine.distinct_roots(),
-              level == Normalisation::SortedChildren ? 1u : 2u);
-    EventBuilder builder(attrs);
-    builder.set("a", 5);
-    for (int i = 0; i < 12; ++i) builder.set("g" + std::to_string(i), 1);
-    EXPECT_EQ(testing::match_event(engine, builder.build()),
-              testing::sorted(std::vector{s1, s2}));
-    EXPECT_TRUE(engine.remove(s1));
-    EXPECT_TRUE(engine.remove(s2));
-    EXPECT_EQ(table.size(), 0u);
-  }
-}
-
-TEST_F(NonCanonicalOptionsTest, PartialSharingGatesBorrowerOnDonorTruth) {
-  build(NonCanonicalEngineOptions{});  // partial sharing is on by default
+TEST_F(PartialSharingTest, PartialSharingGatesBorrowerOnDonorTruth) {
   const SubscriptionId donor = subscribe("a == 1 and b == 2");
   const SubscriptionId borrower = subscribe("a == 1 and b == 2 and c == 3");
-  EXPECT_EQ(engine_->partial_shares(), 1u);
+  EXPECT_EQ(engine_.partial_shares(), 1u);
 
   const Event both = EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3)
                          .build();
-  EXPECT_EQ(testing::match_event(*engine_, both),
+  EXPECT_EQ(testing::match_event(engine_, both),
             testing::sorted(std::vector{donor, borrower}));
   const Event donor_only =
       EventBuilder(attrs_).set("a", 1).set("b", 2).build();
-  EXPECT_EQ(testing::match_event(*engine_, donor_only), std::vector{donor});
+  EXPECT_EQ(testing::match_event(engine_, donor_only), std::vector{donor});
 
   // c alone touches the borrower's root but the donor refutes the event:
   // the borrower is skipped before its own (deferred) evaluation — no
   // candidate scan, no node evaluation for it.
   const Event gated = EventBuilder(attrs_).set("c", 3).build();
-  const auto ctx = engine_->make_context();
-  EXPECT_TRUE(testing::match_event(*engine_, gated, *ctx).empty());
+  const auto ctx = engine_.make_context();
+  EXPECT_TRUE(testing::match_event(engine_, gated, *ctx).empty());
   EXPECT_GE(ctx->stats.covering_skips, 1u);
   EXPECT_EQ(ctx->stats.node_evaluations, 0u);
   EXPECT_EQ(ctx->stats.candidates, 0u);
 }
 
-TEST_F(NonCanonicalOptionsTest, BorrowerNeverOutlivesItsDonorNode) {
-  build(NonCanonicalEngineOptions{});
+TEST_F(PartialSharingTest, BorrowerNeverOutlivesItsDonorNode) {
   const SubscriptionId donor = subscribe("a == 1 and b == 2");
   const SubscriptionId borrower = subscribe("a == 1 and b == 2 and c == 3");
-  EXPECT_EQ(engine_->partial_shares(), 1u);
+  EXPECT_EQ(engine_.partial_shares(), 1u);
 
   // Removing the donor's subscription must not free the donor's node: the
   // borrower holds a forest reference and keeps gating on its truth.
-  EXPECT_TRUE(engine_->remove(donor));
-  const std::size_t nodes_after = engine_->forest().live_nodes();
+  EXPECT_TRUE(engine_.remove(donor));
+  const std::size_t nodes_after = engine_.forest().live_nodes();
   EXPECT_GT(nodes_after, 0u);
   const Event both = EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3)
                          .build();
-  EXPECT_EQ(testing::match_event(*engine_, both), std::vector{borrower});
+  EXPECT_EQ(testing::match_event(engine_, both), std::vector{borrower});
   const Event gated = EventBuilder(attrs_).set("c", 3).build();
-  const auto ctx = engine_->make_context();
-  EXPECT_TRUE(testing::match_event(*engine_, gated, *ctx).empty());
+  const auto ctx = engine_.make_context();
+  EXPECT_TRUE(testing::match_event(engine_, gated, *ctx).empty());
   EXPECT_GE(ctx->stats.covering_skips, 1u);
 
   // The borrower's removal releases the donated reference; everything
   // drains.
-  EXPECT_TRUE(engine_->remove(borrower));
-  EXPECT_EQ(engine_->partial_shares(), 0u);
-  EXPECT_EQ(engine_->forest().live_nodes(), 0u);
+  EXPECT_TRUE(engine_.remove(borrower));
+  EXPECT_EQ(engine_.partial_shares(), 0u);
+  EXPECT_EQ(engine_.forest().live_nodes(), 0u);
   EXPECT_EQ(table_.size(), 0u);
 }
 
-TEST_F(NonCanonicalOptionsTest, NotBearingExpressionsNeverPartialShare) {
+TEST_F(PartialSharingTest, NotBearingExpressionsNeverPartialShare) {
   // Regression (code review): canonicalisation rewrites `not x == 9` into
   // the interned complement `x != 9`, and the two disagree when x is
   // absent from the event — the complement predicate is false on absence,
@@ -895,7 +829,6 @@ TEST_F(NonCanonicalOptionsTest, NotBearingExpressionsNeverPartialShare) {
   // adopted the written-complement subscription as a donor and gated the
   // NOT-bearing borrower on it, dropping a real match. NOT-bearing
   // expressions must simply never participate in partial sharing.
-  build(NonCanonicalEngineOptions{});
   NonCanonicalTreeEngine reference(table_);
   const char* kSubs[] = {
       "a == 1 and x != 9",                  // written complement (donor bait)
@@ -903,49 +836,50 @@ TEST_F(NonCanonicalOptionsTest, NotBearingExpressionsNeverPartialShare) {
   };
   for (const char* text : kSubs) {
     const ast::Expr expr = parse_subscription(text, attrs_, table_);
-    ASSERT_EQ(reference.add(expr.root()), engine_->add(expr.root()));
+    ASSERT_EQ(reference.add(expr.root()), engine_.add(expr.root()));
   }
-  EXPECT_EQ(engine_->partial_shares(), 0u);
+  EXPECT_EQ(engine_.partial_shares(), 0u);
   // x absent: the written complement is false, the NOT is true — the
   // borrower-to-be must still match, exactly like the tree engine.
   const Event x_absent = EventBuilder(attrs_).set("a", 1).set("y", 1).build();
-  EXPECT_EQ(testing::match_event(*engine_, x_absent),
+  EXPECT_EQ(testing::match_event(engine_, x_absent),
             testing::match_event(reference, x_absent));
-  EXPECT_EQ(testing::match_event(*engine_, x_absent).size(), 1u);
+  EXPECT_EQ(testing::match_event(engine_, x_absent).size(), 1u);
   const Event x_present =
       EventBuilder(attrs_).set("a", 1).set("y", 1).set("x", 9).build();
-  EXPECT_EQ(testing::match_event(*engine_, x_present),
+  EXPECT_EQ(testing::match_event(engine_, x_present),
             testing::match_event(reference, x_present));
 }
 
-TEST_F(NonCanonicalOptionsTest, PartialSharingProbesSurviveBudgetOverflow) {
+TEST_F(PartialSharingTest, PartialSharingProbesSurviveBudgetOverflow) {
   // A candidate whose covering proof explodes the budget must simply not
-  // donate — never throw, never alias unsoundly.
-  NonCanonicalEngineOptions options;
-  options.subsumption_budget.max_disjuncts = 4;
-  build(options);
-  std::string wide = "a >= 0";
-  for (int i = 0; i < 8; ++i) {
-    const std::string g = "g" + std::to_string(i);
-    wide += " and (" + g + " == 1 or " + g + " == 2)";
-  }
+  // donate — never throw, never alias unsoundly. Two wide ORs make a DNF of
+  // 1100 x 1000 disjuncts, past the default budget of 2^20; the proof
+  // gives up after materialising the first 1100.
+  const auto wide_or = [](const std::string& attribute, int width) {
+    std::string out = "(";
+    for (int i = 0; i < width; ++i) {
+      if (i > 0) out += " or ";
+      out += attribute + " == " + std::to_string(i);
+    }
+    return out + ")";
+  };
+  const std::string wide = wide_or("x", 1100) + " and " + wide_or("y", 1000);
   const SubscriptionId d = subscribe(wide);
   const SubscriptionId b = subscribe(wide + " and z == 1");
-  EXPECT_EQ(engine_->partial_shares(), 0u);  // proof overflowed: no donor
-  EventBuilder builder(attrs_);
-  builder.set("a", 1).set("z", 1);
-  for (int i = 0; i < 8; ++i) builder.set("g" + std::to_string(i), 2);
-  EXPECT_EQ(testing::match_event(*engine_, builder.build()),
+  EXPECT_EQ(engine_.partial_shares(), 0u);  // proof overflowed: no donor
+  const Event event =
+      EventBuilder(attrs_).set("x", 5).set("y", 7).set("z", 1).build();
+  EXPECT_EQ(testing::match_event(engine_, event),
             testing::sorted(std::vector{d, b}));
 }
 
 // ---- Per-event scratch reset regressions -------------------------------
 
-TEST_F(NonCanonicalOptionsTest, TallTreeThenLeafOnlyEventResetsScratch) {
+TEST_F(PartialSharingTest, TallTreeThenLeafOnlyEventResetsScratch) {
   // Satellite regression: an event flooding a tall frontier followed by an
   // event touching a single leaf must not replay stale rank buckets or
   // stale memoized truth. Diffed against the per-subscription tree engine.
-  build(NonCanonicalEngineOptions{});
   NonCanonicalTreeEngine reference(table_);
   const char* kSubs[] = {
       "((a == 1 or b == 2) and (c == 3 or d == 4)) or "
@@ -956,7 +890,7 @@ TEST_F(NonCanonicalOptionsTest, TallTreeThenLeafOnlyEventResetsScratch) {
   };
   for (const char* text : kSubs) {
     const ast::Expr expr = parse_subscription(text, attrs_, table_);
-    ASSERT_EQ(reference.add(expr.root()), engine_->add(expr.root()));
+    ASSERT_EQ(reference.add(expr.root()), engine_.add(expr.root()));
   }
   const Event tall = EventBuilder(attrs_)
                          .set("a", 1).set("b", 2).set("c", 3).set("d", 4)
@@ -965,15 +899,14 @@ TEST_F(NonCanonicalOptionsTest, TallTreeThenLeafOnlyEventResetsScratch) {
   const Event leaf_only = EventBuilder(attrs_).set("h", 8).build();
   const Event empty = EventBuilder(attrs_).set("zz", 0).build();
   for (const Event* event : {&tall, &leaf_only, &empty, &leaf_only, &tall}) {
-    EXPECT_EQ(testing::match_event(*engine_, *event),
+    EXPECT_EQ(testing::match_event(engine_, *event),
               testing::match_event(reference, *event));
   }
 }
 
-TEST_F(NonCanonicalOptionsTest, EpochWrapClearsStaleTruth) {
+TEST_F(PartialSharingTest, EpochWrapClearsStaleTruth) {
   // The epoch-stamped truth array wraps once per ~4G events; stale stamps
   // from before the wrap must not resurface as frontier membership.
-  build(NonCanonicalEngineOptions{});
   NonCanonicalTreeEngine reference(table_);
   const char* kSubs[] = {
       "(a == 1 or b == 2) and c == 3",
@@ -982,18 +915,18 @@ TEST_F(NonCanonicalOptionsTest, EpochWrapClearsStaleTruth) {
   };
   for (const char* text : kSubs) {
     const ast::Expr expr = parse_subscription(text, attrs_, table_);
-    ASSERT_EQ(reference.add(expr.root()), engine_->add(expr.root()));
+    ASSERT_EQ(reference.add(expr.root()), engine_.add(expr.root()));
   }
   const Event rich =
       EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3).build();
   const Event sparse = EventBuilder(attrs_).set("b", 2).build();
-  const auto ctx = engine_->make_context();
-  EXPECT_EQ(testing::match_event(*engine_, rich, *ctx),
+  const auto ctx = engine_.make_context();
+  EXPECT_EQ(testing::match_event(engine_, rich, *ctx),
             testing::match_event(reference, rich));
-  engine_->force_scratch_epoch_wrap(*ctx);  // next match wraps the epoch
-  EXPECT_EQ(testing::match_event(*engine_, sparse, *ctx),
+  engine_.force_scratch_epoch_wrap(*ctx);  // next match wraps the epoch
+  EXPECT_EQ(testing::match_event(engine_, sparse, *ctx),
             testing::match_event(reference, sparse));
-  EXPECT_EQ(testing::match_event(*engine_, rich, *ctx),
+  EXPECT_EQ(testing::match_event(engine_, rich, *ctx),
             testing::match_event(reference, rich));
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
+#include "common/work_stealing_pool.h"
 #include "event/schema.h"
 #include "test_util.h"
 #include "workload/random_workload.h"
@@ -162,7 +162,7 @@ TEST_F(PredicateIndexTest, BulkLoadEquivalentToSequentialAdds) {
   PredicateIndex bulk_sequential;
   bulk_sequential.bulk_load(entries, nullptr);
 
-  ThreadPool pool(4);
+  WorkStealingPool pool(4);
   PredicateIndex bulk_parallel;
   bulk_parallel.bulk_load(entries, &pool);
 

@@ -4,8 +4,8 @@
 // notification under the same published events.
 //
 // Covers every engine kind (forest-state snapshots for the non-canonical
-// DAG engine, text-replay recovery for the rest), shard counts 1 and 4,
-// and both normalisation levels; plus the torn-journal regressions (partial
+// DAG engine, text-replay recovery for the rest) and shard counts 1 and 4;
+// plus the torn-journal regressions (partial
 // final record, crash during recovery, empty/missing journal) and a
 // thread-sanitised checkpoint-under-load case.
 #include <algorithm>
@@ -33,7 +33,6 @@ namespace {
 struct RecoveryConfig {
   EngineKind engine;
   std::size_t shards;
-  Normalisation normalisation = Normalisation::None;
 
   [[nodiscard]] std::string label() const {
     std::string out;
@@ -44,7 +43,6 @@ struct RecoveryConfig {
       case EngineKind::CountingVariant: out = "counting-variant"; break;
     }
     out += "/shards=" + std::to_string(shards);
-    if (normalisation == Normalisation::SortedChildren) out += "/sorted";
     return out;
   }
 };
@@ -52,8 +50,6 @@ struct RecoveryConfig {
 const RecoveryConfig kConfigs[] = {
     {EngineKind::NonCanonical, 1},
     {EngineKind::NonCanonical, 4},
-    {EngineKind::NonCanonical, 1, Normalisation::SortedChildren},
-    {EngineKind::NonCanonical, 4, Normalisation::SortedChildren},
     {EngineKind::NonCanonicalTree, 1},
     {EngineKind::NonCanonicalTree, 4},
     {EngineKind::Counting, 1},
@@ -68,7 +64,6 @@ std::unique_ptr<ShardedBroker> make_broker(AttributeRegistry& attrs,
       attrs, ShardedBrokerConfig{
                  .shard_count = config.shards,
                  .engine = config.engine,
-                 .normalisation = config.normalisation,
                  .storage = storage::StorageOptions{.enabled = true,
                                                     .directory = "store",
                                                     .sync_on_commit = true,
@@ -329,11 +324,6 @@ TEST(RecoveryTest, MismatchedConfigurationIsRejected) {
                StorageError);
   EXPECT_THROW(make_broker(attrs, {EngineKind::NonCanonical, 4}, vfs),
                StorageError);
-  EXPECT_THROW(
-      make_broker(attrs,
-                  {EngineKind::NonCanonical, 2, Normalisation::SortedChildren},
-                  vfs),
-      StorageError);
 }
 
 TEST(RecoveryTest, AttributeIdsRemapAcrossRegistries) {

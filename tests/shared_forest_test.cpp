@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "broker/sharded_broker.h"
+#include "storage/serializer.h"
 #include "subscription/parser.h"
 #include "test_util.h"
 
@@ -26,6 +29,16 @@ class SharedForestTest : public ::testing::Test {
 
   ast::Expr parse(std::string_view text) {
     return parse_subscription(text, attrs_, table_);
+  }
+
+  /// The first child of `parent` with kind `kind`; stored child order is
+  /// canonical, not written, so tests look children up by shape.
+  NodeId child_of_kind(NodeId parent, ast::NodeKind kind) const {
+    for (const NodeId c : forest_.children(parent)) {
+      if (forest_.kind(c) == kind) return c;
+    }
+    ADD_FAILURE() << "no child of the requested kind";
+    return SharedForest::kNoNode;
   }
 
   AttributeRegistry attrs_;
@@ -60,22 +73,12 @@ TEST_F(SharedForestTest, InteriorSubtreesAreShared) {
   EXPECT_EQ(forest_.live_nodes(), 7u);
 
   // The shared OR node is a child of both roots and reports both parents.
-  const NodeId shared_or = forest_.children(r1).front();
-  EXPECT_EQ(forest_.children(r2).front(), shared_or);
+  const NodeId shared_or = child_of_kind(r1, ast::NodeKind::Or);
+  EXPECT_EQ(child_of_kind(r2, ast::NodeKind::Or), shared_or);
   std::vector<NodeId> parents;
   forest_.for_each_parent(shared_or, [&](NodeId p) { parents.push_back(p); });
   EXPECT_EQ(testing::sorted_values(parents),
             testing::sorted_values(std::vector<NodeId>{r1, r2}));
-}
-
-TEST_F(SharedForestTest, OrderSensitiveIdentity) {
-  const ast::Expr ab = parse("a == 1 and b == 2");
-  const ast::Expr ba = parse("b == 2 and a == 1");
-  const NodeId r1 = forest_.intern(ab.root()).id;
-  const auto r2 = forest_.intern(ba.root());
-  EXPECT_TRUE(r2.created);  // structural identity preserves child order
-  EXPECT_NE(r1, r2.id);
-  EXPECT_EQ(forest_.live_nodes(), 4u);  // 2 leaves shared, 2 AND nodes
 }
 
 TEST_F(SharedForestTest, ReleaseCascadesAndFiresLeafHooks) {
@@ -98,7 +101,7 @@ TEST_F(SharedForestTest, SharedSubtreeSurvivesPartialRelease) {
   // The OR and its leaves live on under r2; only r1's AND and c == 3 died.
   EXPECT_EQ(forest_.live_nodes(), 5u);
   EXPECT_EQ(released_.size(), 1u);
-  const NodeId shared_or = forest_.children(r2).front();
+  const NodeId shared_or = child_of_kind(r2, ast::NodeKind::Or);
   std::vector<NodeId> parents;
   forest_.for_each_parent(shared_or, [&](NodeId p) { parents.push_back(p); });
   EXPECT_EQ(parents, std::vector<NodeId>{r2});
@@ -150,8 +153,7 @@ TEST_F(SharedForestTest, DecidedByFlipsMarksAndOrWithoutStaticTrueChild) {
   // NOT of a flip-decided OR is statically true, so the outer OR scans.
   const NodeId outer = forest_.intern(refuted_not.root()).id;
   EXPECT_FALSE(forest_.decided_by_flips(outer));
-  const NodeId inner_not = forest_.children(outer).front();
-  ASSERT_EQ(forest_.kind(inner_not), ast::NodeKind::Not);
+  const NodeId inner_not = child_of_kind(outer, ast::NodeKind::Not);
   EXPECT_TRUE(forest_.decided_by_flips(forest_.children(inner_not).front()));
   // Leaves never carry the flag.
   EXPECT_FALSE(forest_.decided_by_flips(forest_.children(c).front()));
@@ -167,11 +169,16 @@ TEST_F(SharedForestTest, RankIsStrictlyAboveChildren) {
 }
 
 TEST_F(SharedForestTest, ToAstRoundTrips) {
+  // to_ast() returns the stored (canonical) spelling; interning it again
+  // must land on the very same node.
   const ast::Expr e =
       parse("(a > 10 or a <= 5 or b == 1) and not (c <= 20 and d == 5)");
   const NodeId root = forest_.intern(e.root()).id;
   const ast::NodePtr back = forest_.to_ast(root);
-  EXPECT_TRUE(ast::equal(e.root(), *back));
+  const auto again = forest_.intern(*back);
+  EXPECT_FALSE(again.created);
+  EXPECT_EQ(again.id, root);
+  EXPECT_TRUE(ast::equal(*back, *forest_.to_ast(root)));
 }
 
 TEST_F(SharedForestTest, QuarantinedSlotsReuseAfterReclaim) {
@@ -205,29 +212,20 @@ TEST_F(SharedForestTest, CompactionPreservesStructure) {
     roots.push_back(forest_.intern(exprs.back().root()).id);
   }
   for (int i = 0; i < 40; i += 2) forest_.release(roots[i]);
+  std::vector<ast::NodePtr> before;
+  for (int i = 1; i < 40; i += 2) before.push_back(forest_.to_ast(roots[i]));
   forest_.compact_storage();
   for (int i = 1; i < 40; i += 2) {
-    EXPECT_TRUE(ast::equal(exprs[i].root(), *forest_.to_ast(roots[i])))
+    EXPECT_TRUE(ast::equal(*before[i / 2], *forest_.to_ast(roots[i])))
         << "root " << i;
   }
 }
 
-// ---- Normalisation ladder ----------------------------------------------
+// ---- Node identity: canonical child order ----------------------------
 
-class SortedForestTest : public ::testing::Test {
- protected:
-  SortedForestTest()
-      : forest_([](PredicateId) {}, [](PredicateId) {},
-                Normalisation::SortedChildren) {}
-
-  ast::Expr parse(std::string_view text) {
-    return parse_subscription(text, attrs_, table_);
-  }
-
-  AttributeRegistry attrs_;
-  PredicateTable table_;
-  SharedForest forest_;
-};
+// The forest's only identity: AND/OR children intern in canonical order,
+// so every commuted spelling of a subtree is one node.
+class SortedForestTest : public SharedForestTest {};
 
 TEST_F(SortedForestTest, CommutedConjunctionsInternToOneNode) {
   const ast::Expr ab = parse("a == 1 and b == 2");
@@ -266,75 +264,113 @@ TEST_F(SortedForestTest, DistinctStructuresStayDistinct) {
   EXPECT_NE(duplicated.id, and_root);
 }
 
-TEST_F(SortedForestTest, EvaluationPermutationRestoresWrittenOrder) {
-  const ast::Expr written =
-      parse("(d == 4 or c == 3) and (b == 2 or a == 1) and e == 5");
-  std::vector<std::uint32_t> perm;
-  const NodeId root = forest_.intern(written.root(), &perm).id;
-  // Stored form is canonical — generally NOT the written order...
-  // ...but the permutation restores the expression exactly as written.
-  const ast::NodePtr restored = forest_.to_ast(root, perm);
-  EXPECT_TRUE(ast::equal(written.root(), *restored));
-
-  // A commuted respelling interns to the same node with a different
-  // permutation; both reconstruct their own written order.
-  const ast::Expr respelled =
-      parse("e == 5 and (a == 1 or b == 2) and (c == 3 or d == 4)");
-  std::vector<std::uint32_t> perm2;
-  const auto r2 = forest_.intern(respelled.root(), &perm2);
-  EXPECT_EQ(r2.id, root);
-  EXPECT_TRUE(ast::equal(respelled.root(), *forest_.to_ast(root, perm2)));
-  EXPECT_NE(perm, perm2);
+TEST_F(SortedForestTest, EveryChildOrderHitsOneNode) {
+  // All 24 orders of a four-way AND over mixed subtrees (NOT included)
+  // share one node, so the stored order cannot depend on the written one.
+  std::vector<std::string> parts = {"a == 1", "(b == 2 or c == 3)",
+                                    "not d == 4", "not (e == 5 and f == 6)"};
+  std::sort(parts.begin(), parts.end());
+  std::vector<ast::Expr> exprs;
+  NodeId first = SharedForest::kNoNode;
+  do {
+    exprs.push_back(parse(parts[0] + " and " + parts[1] + " and " +
+                          parts[2] + " and " + parts[3]));
+    const NodeId root = forest_.intern(exprs.back().root()).id;
+    if (first == SharedForest::kNoNode) first = root;
+    EXPECT_EQ(root, first);
+  } while (std::next_permutation(parts.begin(), parts.end()));
+  EXPECT_EQ(exprs.size(), 24u);
+  EXPECT_EQ(forest_.ref_count(first), 24u);
+  // 6 leaves, the OR, two NOTs, the inner AND and the root.
+  EXPECT_EQ(forest_.live_nodes(), 11u);
 }
 
-TEST_F(SortedForestTest, PermutationHandlesNotAndDuplicateChildren) {
-  const ast::Expr written = parse("not (b == 2 and a == 1) or a == 1");
-  std::vector<std::uint32_t> perm;
-  const NodeId root = forest_.intern(written.root(), &perm).id;
-  EXPECT_TRUE(ast::equal(written.root(), *forest_.to_ast(root, perm)));
-
-  // AND(p, p): duplicate children survive the stable sort with their
-  // multiplicity intact.
+TEST_F(SortedForestTest, RepeatedChildrenKeepTheirMultiplicity) {
+  // AND(p, p, q) in every order: one node, and p keeps both edges.
   std::vector<ast::NodePtr> kids;
   kids.push_back(ast::leaf(PredicateId(3)));
+  kids.push_back(ast::leaf(PredicateId(5)));
   kids.push_back(ast::leaf(PredicateId(3)));
-  const ast::NodePtr dup = ast::make_and(std::move(kids));
-  std::vector<std::uint32_t> dup_perm;
-  const NodeId dup_root = forest_.intern(*dup, &dup_perm).id;
-  EXPECT_EQ(forest_.ref_count(forest_.children(dup_root).front()), 2u);
-  EXPECT_TRUE(ast::equal(*dup, *forest_.to_ast(dup_root, dup_perm)));
+  const ast::NodePtr written = ast::make_and(std::move(kids));
+  const NodeId root = forest_.intern(*written).id;
+  ASSERT_EQ(forest_.child_count(root), 3u);
+  EXPECT_EQ(forest_.ref_count(forest_.leaf_of(PredicateId(3))), 2u);
+  std::vector<ast::NodePtr> respelled_kids;
+  respelled_kids.push_back(ast::leaf(PredicateId(3)));
+  respelled_kids.push_back(ast::leaf(PredicateId(3)));
+  respelled_kids.push_back(ast::leaf(PredicateId(5)));
+  const ast::NodePtr respelled = ast::make_and(std::move(respelled_kids));
+  EXPECT_EQ(forest_.intern(*respelled).id, root);
+  forest_.release(root);
+  forest_.release(root);
+  EXPECT_EQ(forest_.live_nodes(), 0u);
 }
 
-TEST_F(SortedForestTest, PermutationIsStableAcrossReleaseAndReintern) {
+TEST_F(SortedForestTest, IdentityIsStableAcrossReleaseAndReintern) {
   // Node ids feed the canonical sort key only as a tie-breaker behind the
   // structural hash, so releasing and re-interning (with different slot
-  // assignments) must still converge: the same expression always lands on
-  // a structurally identical node and a valid permutation.
+  // assignments) must converge: a commuted spelling of the re-interned
+  // expression lands on the same node as the expression itself.
   const ast::Expr written =
       parse("(x == 9 or y == 8) and (a == 1 or b == 2) and c == 3");
-  std::vector<std::uint32_t> perm;
-  const NodeId first = forest_.intern(written.root(), &perm).id;
-  const ast::NodePtr restored_first = forest_.to_ast(first, perm);
+  const ast::Expr commuted =
+      parse("c == 3 and (b == 2 or a == 1) and (y == 8 or x == 9)");
+  const NodeId first = forest_.intern(written.root()).id;
   forest_.release(first);
   forest_.reclaim_quarantine();
   // Interleave another expression so slot assignment shifts.
   const ast::Expr other = parse("z == 7 and w == 6");
   const NodeId keep = forest_.intern(other.root()).id;
-  std::vector<std::uint32_t> perm2;
-  const NodeId second = forest_.intern(written.root(), &perm2).id;
-  EXPECT_TRUE(ast::equal(*restored_first, *forest_.to_ast(second, perm2)));
+  const NodeId second = forest_.intern(commuted.root()).id;
+  EXPECT_EQ(forest_.intern(written.root()).id, second);
   forest_.release(keep);
+  forest_.release(second);
   forest_.release(second);
   EXPECT_EQ(forest_.live_nodes(), 0u);
 }
 
-TEST_F(SharedForestTest, NoneNormalisationRecordsNoPermutation) {
-  std::vector<std::uint32_t> perm{99};  // stale garbage must be cleared
-  const ast::Expr e = parse("b == 2 and a == 1");
-  const NodeId root = forest_.intern(e.root(), &perm).id;
-  EXPECT_TRUE(perm.empty());
-  // Empty permutation degrades to stored order == written order.
-  EXPECT_TRUE(ast::equal(e.root(), *forest_.to_ast(root, perm)));
+TEST_F(SortedForestTest, LoadRejectsChildrenOutOfCanonicalOrder) {
+  // A snapshot is untrusted input. An AND stored in a non-canonical order
+  // would be a second node for its commutation class, one that intern()
+  // never finds, so load_state must refuse it.
+  const ast::Expr e = parse("(a == 1 or b == 2) and c == 3 and d == 4");
+  const NodeId root = forest_.intern(e.root()).id;
+  forest_.compact_storage();
+  // save_state()'s grammar, written by hand so the root's slice can be
+  // stored reversed.
+  const auto dump = [&](bool reverse_root) {
+    storage::Writer w;
+    w.varint(forest_.node_bound());
+    w.varint(forest_.live_nodes());
+    for (NodeId id = 0; id < forest_.node_bound(); ++id) {
+      w.varint(id);
+      w.varint(forest_.ref_count(id));
+      w.u8(static_cast<std::uint8_t>(forest_.kind(id)));
+      if (forest_.kind(id) == ast::NodeKind::Leaf) {
+        w.varint(forest_.leaf_predicate(id).value());
+        continue;
+      }
+      std::vector<NodeId> kids(forest_.children(id).begin(),
+                               forest_.children(id).end());
+      if (reverse_root && id == root) std::reverse(kids.begin(), kids.end());
+      w.varint(kids.size());
+      for (const NodeId k : kids) w.varint(k);
+    }
+    return w.bytes();
+  };
+  storage::Writer saved;
+  forest_.save_state(saved);
+  ASSERT_EQ(dump(false), saved.bytes());
+
+  SharedForest canonical;
+  storage::Reader good(saved.bytes());
+  canonical.load_state(good, table_.id_bound());
+  EXPECT_EQ(canonical.live_nodes(), forest_.live_nodes());
+
+  const std::string reversed = dump(true);
+  SharedForest tampered;
+  storage::Reader bad(reversed);
+  EXPECT_THROW(tampered.load_state(bad, table_.id_bound()), StorageError);
 }
 
 TEST_F(SharedForestTest, ValidateLimitsRejectsOversizedTrees) {
@@ -362,17 +398,12 @@ TEST_F(SharedForestTest, ValidateLimitsRejectsOversizedTrees) {
 // could leak truth across the removal fence. A publisher hammers
 // match_batch the whole time (run this under TSan: the CI concurrency job
 // includes this binary); the assertions check that a fenced subscription
-// id is never notified after its removal generation has applied, at every
-// normalisation level.
-class QuarantineReuseRace
-    : public ::testing::TestWithParam<Normalisation> {};
-
-TEST_P(QuarantineReuseRace, UnsubResubIdenticalFilterDuringMatchBatch) {
+// id is never notified after its removal generation has applied.
+TEST(QuarantineReuseRace, UnsubResubIdenticalFilterDuringMatchBatch) {
   AttributeRegistry attrs;
   ShardedBroker broker(attrs,
                        ShardedBrokerConfig{.shard_count = 2,
-                                           .engine = EngineKind::NonCanonical,
-                                           .normalisation = GetParam()});
+                                           .engine = EngineKind::NonCanonical});
 
   // fenced_id is only trusted by the callback after `fenced` was released
   // by the control thread (store-release / load-acquire pairing).
@@ -406,9 +437,8 @@ TEST_P(QuarantineReuseRace, UnsubResubIdenticalFilterDuringMatchBatch) {
     }
   });
 
-  // The two spellings intern to one node under SortedChildren (so the
-  // recycled slot is re-interned with identical structure) and to two
-  // nodes under None (so slots churn); both must stay fenced.
+  // The two spellings intern to one node, so the recycled slot is
+  // re-interned with identical structure; it must stay fenced.
   const char* kTexts[] = {"price > 10 and qty > 0", "qty > 0 and price > 10"};
   for (int round = 0; round < 40; ++round) {
     const SubscriptionId id = broker.subscribe(session, kTexts[round % 2]);
@@ -447,10 +477,6 @@ TEST_P(QuarantineReuseRace, UnsubResubIdenticalFilterDuringMatchBatch) {
   ASSERT_TRUE(broker.unsubscribe(standing));
   EXPECT_EQ(broker.subscription_count(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllNormalisations, QuarantineReuseRace,
-                         ::testing::Values(Normalisation::None,
-                                           Normalisation::SortedChildren));
 
 }  // namespace
 }  // namespace ncps

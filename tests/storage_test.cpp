@@ -354,5 +354,29 @@ TEST(SnapshotFileTest, CorruptFramingThrows) {
   }
 }
 
+TEST(SnapshotFileTest, VersionOneSnapshotIsRejected) {
+  // Version 1 payloads carried a forest identity-mode byte and per-
+  // subscription child-order maps; a current broker must refuse them
+  // outright rather than misparse them.
+  FaultInjectingVfs vfs;
+  const std::string payload = "payload bytes";
+  Writer file;
+  file.raw("NCPSSNP1", 8);
+  file.u32(1);
+  file.u32(crc32(payload));
+  file.u64(payload.size());
+  file.raw(payload.data(), payload.size());
+  vfs.create_directories("dir");
+  vfs.set_durable_contents(snapshot_path("dir"), file.bytes());
+  try {
+    (void)read_snapshot_payload(vfs, "dir");
+    FAIL() << "a version 1 snapshot was accepted";
+  } catch (const StorageError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace ncps::storage
