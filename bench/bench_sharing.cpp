@@ -17,6 +17,9 @@
 // throughput and per-event evaluation counts (paper methodology: phase 2
 // over sampled fulfilled sets), the phase-2 time relative to the unshared
 // trees at the same overlap (phase2_vs_tree), plus wall-clock add time.
+// A `sharing_refinement` row per engine measures the same columns on a
+// refinement-shaped population (hot base queries narrowed by one or two
+// extra conjuncts; see run_refinement).
 //
 // Verified claim (exit status, like bench_memory), at 95% overlap: the
 // forest's storage is at most 0.3x the unshared encoded trees, and its
@@ -24,12 +27,14 @@
 // Both fail if commuted duplicates stop collapsing.
 //
 // REPRO_SCALE=paper registers the full 500k-subscription population.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "subscription/parser.h"
 #include "workload/zipf.h"
 
 namespace {
@@ -86,6 +91,124 @@ std::unique_ptr<FilterEngine> make_config_engine(const Config& config,
                                                  PredicateTable& table) {
   if (!config.forest) return std::make_unique<NonCanonicalTreeEngine>(table);
   return std::make_unique<NonCanonicalEngine>(table);
+}
+
+/// Registers `stream` into a fresh engine, then times phase 2 over
+/// `fulfilled_sets` (the paper's methodology: phase 1 is identical across
+/// engines). `distinct` is left for the caller.
+Cell measure(const Config& config, PredicateTable& table,
+             const std::vector<const ast::Node*>& stream,
+             const std::vector<std::vector<PredicateId>>& fulfilled_sets) {
+  const auto engine = make_config_engine(config, table);
+  Cell cell;
+  cell.subscriptions = stream.size();
+  cell.add_seconds = time_seconds(
+      [&] {
+        for (const ast::Node* expression : stream) engine->add(*expression);
+      },
+      /*repetitions=*/1);
+  engine->compact_storage();
+  cell.storage_bytes = sum_components(*engine, config.forest);
+  cell.phase2_bytes = phase2_bytes(*engine);
+  std::vector<SubscriptionId> out;
+  const auto ctx = engine->make_context();
+  std::uint64_t evals = 0;
+  const auto events = static_cast<double>(fulfilled_sets.size());
+  cell.seconds_per_event = time_seconds([&] {
+    evals = 0;
+    for (const auto& fulfilled : fulfilled_sets) {
+      out.clear();
+      match_predicates(*engine, fulfilled, *ctx, out);
+      evals += config.forest ? ctx->stats.node_evaluations
+                             : ctx->stats.tree_evaluations;
+    }
+  }) / events;
+  cell.evals_per_event = static_cast<double>(evals) / events;
+  if (config.forest) {
+    cell.live_nodes = static_cast<const NonCanonicalEngine&>(*engine)
+                          .forest()
+                          .live_nodes();
+  }
+  return cell;
+}
+
+/// The refinement shape: 64 hot base queries `(x or y) and (z or w)`, each
+/// refined 300 times by one or two extra equality conjuncts — a standing
+/// query that many subscribers narrow in their own way. Every refinement
+/// shares the base's two ORs by identity; the base's AND is its own node.
+/// One `sharing_refinement` row per engine; no claim rides on it.
+void run_refinement(std::size_t events, std::size_t fulfilled_per_event) {
+  constexpr int kBases = 64;
+  constexpr int kRefinements = 300;
+  constexpr int kRefineAttributes = 16;
+  constexpr int kRefineValues = 64;
+  AttributeRegistry attrs;
+  PredicateTable table;
+  Pcg32 rng(0x7ef1);
+  std::vector<ast::Expr> population;
+  population.reserve(kBases * (kRefinements + 1));
+  for (int b = 0; b < kBases; ++b) {
+    const std::string base = "(x == " + std::to_string(b) + " or y == " +
+                             std::to_string(b) + ") and (z == " +
+                             std::to_string(b) + " or w == " +
+                             std::to_string(b) + ")";
+    population.push_back(parse_subscription(base, attrs, table));
+    for (int r = 0; r < kRefinements; ++r) {
+      std::string text = base;
+      const std::uint32_t conjuncts = 1 + rng.bounded(2);
+      for (std::uint32_t c = 0; c < conjuncts; ++c) {
+        text += " and r" + std::to_string(rng.bounded(kRefineAttributes)) +
+                " == " + std::to_string(rng.bounded(kRefineValues));
+      }
+      population.push_back(parse_subscription(text, attrs, table));
+    }
+  }
+  std::vector<const ast::Node*> stream;
+  std::vector<PredicateId> predicates;
+  for (const ast::Expr& expression : population) {
+    stream.push_back(&expression.root());
+    ast::collect_predicates(expression.root(), predicates);
+  }
+  std::sort(predicates.begin(), predicates.end());
+  predicates.erase(std::unique(predicates.begin(), predicates.end()),
+                   predicates.end());
+
+  // Uniform fulfilled sets over the population's own predicates (partial
+  // Fisher–Yates, as PaperWorkload::sample_fulfilled).
+  const std::size_t count = std::min(fulfilled_per_event, predicates.size());
+  std::vector<std::vector<PredicateId>> fulfilled_sets;
+  for (std::size_t e = 0; e < events; ++e) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t j =
+          i + rng.bounded(static_cast<std::uint32_t>(predicates.size() - i));
+      std::swap(predicates[i], predicates[j]);
+    }
+    fulfilled_sets.emplace_back(predicates.begin(),
+                                predicates.begin() + count);
+  }
+
+  double tree_seconds = 0.0;
+  for (const Config& config : kConfigs) {
+    const Cell cell = measure(config, table, stream, fulfilled_sets);
+    if (!config.forest) tree_seconds = cell.seconds_per_event;
+    JsonRow("sharing_refinement")
+        .field("engine", config.label)
+        .field("bases", static_cast<std::size_t>(kBases))
+        .field("refinements_per_base", static_cast<std::size_t>(kRefinements))
+        .field("subscriptions", cell.subscriptions)
+        .field("storage_kind", config.forest ? "forest" : "encoded_trees")
+        .field("storage_bytes", cell.storage_bytes)
+        .field("phase2_bytes", cell.phase2_bytes)
+        .field("live_forest_nodes", cell.live_nodes)
+        .field("add_s_total", cell.add_seconds)
+        .field("phase2_s_per_event", cell.seconds_per_event)
+        .field("phase2_vs_tree", cell.seconds_per_event / tree_seconds)
+        .field("phase2_evals_per_event", cell.evals_per_event)
+        .emit();
+    std::printf("refinement %s: %.1f us/event, %.0f evals/event, %zuB\n",
+                config.label, cell.seconds_per_event * 1e6,
+                cell.evals_per_event, cell.storage_bytes);
+  }
 }
 
 }  // namespace
@@ -158,39 +281,8 @@ int main() {
     };
     std::vector<Result> results;
     for (const Config& engine_config : kConfigs) {
-      const auto engine = make_config_engine(engine_config, table);
-      Cell cell;
-      cell.subscriptions = subscriptions;
+      Cell cell = measure(engine_config, table, stream, fulfilled_sets);
       cell.distinct = distinct;
-      cell.add_seconds = time_seconds(
-          [&] {
-            for (const ast::Node* expression : stream) {
-              engine->add(*expression);
-            }
-          },
-          /*repetitions=*/1);
-      engine->compact_storage();
-      cell.storage_bytes = sum_components(*engine, engine_config.forest);
-      cell.phase2_bytes = phase2_bytes(*engine);
-      std::vector<SubscriptionId> out;
-      const auto ctx = engine->make_context();
-      std::uint64_t evals = 0;
-      cell.seconds_per_event = time_seconds([&] {
-        evals = 0;
-        for (const auto& fulfilled : fulfilled_sets) {
-          out.clear();
-          match_predicates(*engine, fulfilled, *ctx, out);
-          evals += engine_config.forest ? ctx->stats.node_evaluations
-                                        : ctx->stats.tree_evaluations;
-        }
-      }) / static_cast<double>(events);
-      cell.evals_per_event =
-          static_cast<double>(evals) / static_cast<double>(events);
-      if (engine_config.forest) {
-        const auto& forest_engine =
-            static_cast<const NonCanonicalEngine&>(*engine);
-        cell.live_nodes = forest_engine.forest().live_nodes();
-      }
       results.push_back(Result{&engine_config, cell});
     }
 
@@ -240,6 +332,8 @@ int main() {
         forest_cell.storage_bytes, tree_ratio, tree_cell.add_seconds,
         forest_cell.add_seconds);
   }
+
+  run_refinement(events, fulfilled_per_event);
 
   std::printf("# claim: forest storage at 95%% overlap <= 0.3x "
               "unshared encoded trees: %s (ratio %.3f)\n",

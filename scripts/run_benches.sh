@@ -68,6 +68,10 @@ if [ -s "$sharing_json" ] && ! grep -q '"phase2_vs_tree"' "$sharing_json"; then
   echo "error: BENCH_sharing.json lacks the \"phase2_vs_tree\" column" >&2
   status=1
 fi
+if [ -s "$sharing_json" ] && ! grep -q '"sharing_refinement"' "$sharing_json"; then
+  echo "error: BENCH_sharing.json lacks the \"sharing_refinement\" row" >&2
+  status=1
+fi
 
 # Schema guard: bench_phase1 rows must carry the naive-vs-indexed speedup and
 # the posting-compression ratio — the two columns the phase-1 overhaul's
