@@ -1098,8 +1098,6 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
                      stats.hit_increments);
     snap.add_counter("ncps_match_counter_comparisons_total", labels,
                      stats.counter_comparisons);
-    snap.add_counter("ncps_match_covering_skips_total", labels,
-                     stats.covering_skips);
     snap.add_counter("ncps_match_matches_total", labels, stats.matches);
     snap.add_counter("ncps_match_phase_seconds_total",
                      {{"shard", std::to_string(s)}, {"phase", "1"}},

@@ -516,7 +516,6 @@ class ShardedBroker {
     std::atomic<std::uint64_t> truth_lookups{0};
     std::atomic<std::uint64_t> hit_increments{0};
     std::atomic<std::uint64_t> counter_comparisons{0};
-    std::atomic<std::uint64_t> covering_skips{0};
     std::atomic<std::uint64_t> matches{0};
     std::atomic<std::uint64_t> phase1_ns{0};
     std::atomic<std::uint64_t> phase2_ns{0};
@@ -534,7 +533,6 @@ class ShardedBroker {
       hit_increments.fetch_add(s.hit_increments, std::memory_order_relaxed);
       counter_comparisons.fetch_add(s.counter_comparisons,
                                     std::memory_order_relaxed);
-      covering_skips.fetch_add(s.covering_skips, std::memory_order_relaxed);
       matches.fetch_add(s.matches, std::memory_order_relaxed);
       phase1_ns.fetch_add(s.phase1_ns, std::memory_order_relaxed);
       phase2_ns.fetch_add(s.phase2_ns, std::memory_order_relaxed);
@@ -552,7 +550,6 @@ class ShardedBroker {
       s.hit_increments = hit_increments.load(std::memory_order_relaxed);
       s.counter_comparisons =
           counter_comparisons.load(std::memory_order_relaxed);
-      s.covering_skips = covering_skips.load(std::memory_order_relaxed);
       s.matches = matches.load(std::memory_order_relaxed);
       s.phase1_ns = phase1_ns.load(std::memory_order_relaxed);
       s.phase2_ns = phase2_ns.load(std::memory_order_relaxed);

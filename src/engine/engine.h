@@ -78,7 +78,6 @@ struct MatchStats {
   std::uint64_t truth_lookups = 0;        ///< per-leaf truth probes during tree evaluation
   std::uint64_t hit_increments = 0;       ///< counter bumps (counting family)
   std::uint64_t counter_comparisons = 0;  ///< hits-vs-required comparisons
-  std::uint64_t covering_skips = 0;       ///< borrower roots skipped via donor truth
   std::uint64_t matches = 0;              ///< subscriptions reported
   /// Wall time in match_range, split at the phase boundary (three clock
   /// reads per call, none per event; match_predicates adds nothing).

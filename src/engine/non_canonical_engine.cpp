@@ -5,26 +5,8 @@
 
 #include "common/contracts.h"
 #include "storage/serializer.h"
-#include "subscription/covering.h"
 
 namespace ncps {
-
-namespace {
-
-/// Donor candidates *examined* per add (skips included, so an add never
-/// walks an unbounded index list); only candidates that survive the cheap
-/// filters pay a covering proof.
-constexpr std::size_t kMaxPartialProbes = 4;
-
-bool contains_not(const ast::Node& node) {
-  if (node.kind == ast::NodeKind::Not) return true;
-  for (const auto& child : node.children) {
-    if (contains_not(*child)) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 NonCanonicalEngine::NonCanonicalEngine(PredicateTable& table)
     : FilterEngine(table),
@@ -58,24 +40,7 @@ SubscriptionId NonCanonicalEngine::add(const ast::Node& expression) {
   // existing root land on it here, by identity.
   const NodeId root = forest_.intern(expression).id;
   const SubscriptionId id = allocate_id();
-  if (attach(id, root)) {
-    // A new result root. Probe for a donor first (the candidate index must
-    // not yet contain this root), then index the newcomer so it can donate
-    // in turn. Each root is indexed under its *smallest* predicate id only
-    // — one entry per root instead of one per (root, predicate). That
-    // reaches every refinement-shaped donor (a conjunctive donor's
-    // predicates all recur in its borrowers); a disjunctive donor whose
-    // smallest predicate the borrower lacks is conservatively missed (see
-    // try_adopt_donor).
-    pred_scratch_.clear();
-    ast::collect_predicates(expression, pred_scratch_);
-    std::sort(pred_scratch_.begin(), pred_scratch_.end());
-    pred_scratch_.erase(
-        std::unique(pred_scratch_.begin(), pred_scratch_.end()),
-        pred_scratch_.end());
-    try_adopt_donor(root, expression);
-    roots_by_pred_[pred_scratch_.front().value()].push_back(root);
-  }
+  attach(id, root);
   ++live_count_;
   return id;
 }
@@ -86,91 +51,7 @@ std::size_t NonCanonicalEngine::distinct_roots() const {
                                   kNoSub));
 }
 
-void NonCanonicalEngine::collect_root_predicates(
-    NodeId root, std::vector<PredicateId>& out) const {
-  if (forest_.kind(root) == ast::NodeKind::Leaf) {
-    out.push_back(forest_.leaf_predicate(root));
-    return;
-  }
-  for (const NodeId child : forest_.children(root)) {
-    collect_root_predicates(child, out);
-  }
-}
-
-PredicateId NonCanonicalEngine::min_root_predicate(NodeId root) {
-  pred_scratch_.clear();
-  collect_root_predicates(root, pred_scratch_);
-  return *std::min_element(pred_scratch_.begin(), pred_scratch_.end());
-}
-
-bool NonCanonicalEngine::root_contains_not(NodeId root) const {
-  if (forest_.kind(root) == ast::NodeKind::Not) return true;
-  if (forest_.kind(root) == ast::NodeKind::Leaf) return false;
-  for (const NodeId child : forest_.children(root)) {
-    if (root_contains_not(child)) return true;
-  }
-  return false;
-}
-
-void NonCanonicalEngine::try_adopt_donor(NodeId root,
-                                         const ast::Node& expression) {
-  // NOT is excluded from partial sharing outright: canonicalisation
-  // rewrites `not p` into p's interned *complement predicate*, and the two
-  // disagree when p's attribute is absent from the event (a complement
-  // predicate is false on absence, `not p` is true). A propositional proof
-  // that leans on such a literal would gate the borrower on semantics its
-  // own evaluation does not share — see the NOT discussion in DESIGN.md
-  // §3. NOT-free on both sides, every DNF literal is a written predicate
-  // with identical fulfilled-set semantics in donor and borrower, and the
-  // proof is assignment-sound.
-  if (contains_not(expression)) return;
-  // Candidate donors share at least one interned predicate with the new
-  // root — the overlapping-population shape (a hot base query extended
-  // with extra conjuncts) partial sharing targets. The index is a
-  // heuristic: each result root is filed under its smallest predicate id,
-  // so refinement-shaped donors are always reachable, while a disjunctive
-  // donor whose smallest predicate the borrower lacks is (conservatively)
-  // missed. The budget bounds every candidate *examined*, not just the
-  // covering proofs run, so an add can never walk an unbounded list.
-  std::size_t examined = 0;
-  std::vector<NodeId> probed;  // a root can sit in several predicate lists
-  for (const PredicateId pid : pred_scratch_) {
-    const auto it = roots_by_pred_.find(pid.value());
-    if (it == roots_by_pred_.end()) continue;
-    for (const NodeId donor : it->second) {
-      if (donor == root) continue;
-      if (++examined > kMaxPartialProbes) return;
-      // Never chain borrowers: a borrower's own truth may be skipped
-      // entirely (deferred evaluation), so it cannot gate anyone else.
-      if (donor < donor_of_.size() &&
-          donor_of_[donor] != SharedForest::kNoNode) {
-        continue;
-      }
-      if (std::find(probed.begin(), probed.end(), donor) != probed.end()) {
-        continue;
-      }
-      probed.push_back(donor);
-      if (root_contains_not(donor)) continue;
-      const ast::NodePtr donor_ast = forest_.to_ast(donor);
-      if (!covers(*donor_ast, expression, *table_, DnfOptions{},
-                  ImplicationMode::Propositional)) {
-        continue;
-      }
-      // Adopt: the borrower holds one reference on the donor's node, so
-      // the donor's memoized truth stays computable until the borrower
-      // detaches — a partially-shared root can never outlive its donor.
-      forest_.add_ref(donor);
-      if (donor_of_.size() <= root) {
-        donor_of_.resize(root + 1, SharedForest::kNoNode);
-      }
-      donor_of_[root] = donor;
-      ++live_borrowers_;
-      return;
-    }
-  }
-}
-
-bool NonCanonicalEngine::attach(SubscriptionId id, NodeId root) {
+void NonCanonicalEngine::attach(SubscriptionId id, NodeId root) {
   if (chain_head_.size() <= root) chain_head_.resize(root + 1, kNoSub);
   SubRecord& record = subs_[id.value()];
   record.root = root;
@@ -181,10 +62,9 @@ bool NonCanonicalEngine::attach(SubscriptionId id, NodeId root) {
   if (record.next != kNoSub) {
     subs_[record.next].prev = id.value();
     record.chain_length += subs_[record.next].chain_length;
-    return false;
+  } else if (forest_.static_truth(root)) {
+    always_roots_.push_back(root);
   }
-  if (forest_.static_truth(root)) always_roots_.push_back(root);
-  return true;
 }
 
 void NonCanonicalEngine::detach(SubscriptionId id) {
@@ -205,21 +85,6 @@ void NonCanonicalEngine::detach(SubscriptionId id) {
       if (forest_.static_truth(root)) {
         auto& always = always_roots_;
         always.erase(std::find(always.begin(), always.end(), root));
-      }
-      // Drop out of the donor candidate index (mirrors the add()-time
-      // registration under the root's smallest predicate id).
-      const auto index = roots_by_pred_.find(min_root_predicate(root).value());
-      NCPS_DASSERT(index != roots_by_pred_.end());
-      auto& list = index->second;
-      list.erase(std::find(list.begin(), list.end(), root));
-      if (list.empty()) roots_by_pred_.erase(index);
-      // A borrower releases its donor reference with its last subscription;
-      // the donor's node may cascade away here if nothing else holds it.
-      if (root < donor_of_.size() &&
-          donor_of_[root] != SharedForest::kNoNode) {
-        forest_.release(donor_of_[root]);
-        donor_of_[root] = SharedForest::kNoNode;
-        --live_borrowers_;
       }
     }
   }
@@ -283,16 +148,9 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
   for (const std::uint64_t w : ctx.leaf_bits) NCPS_DASSERT(w == 0);
 #endif
 
-  // Per-event truth states in ctx.value (valid only while touched): 0/1 are
-  // memoized results, kDeferred marks a borrower root whose evaluation
-  // waits on its donor's truth at emit time.
-  constexpr std::uint8_t kDeferred = 2;
-
   // A node *flips* when its truth differs from its static (all-false)
   // truth. Only a flipped child can change a parent's value, so each parent
-  // edge counts one flip, and the first flip touches the parent. A borrower
-  // root nothing consumes from above defers: its donor's truth decides at
-  // emit time whether it is evaluated at all.
+  // edge counts one flip, and the first flip touches the parent.
   const auto flip = [&](NodeId n) {
     forest_.for_each_parent(n, [&](NodeId parent) {
       if (!ctx.touched.insert(parent)) {
@@ -301,12 +159,6 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
       }
       ctx.flips[parent] = 1;
       ctx.frontier.push_back(parent);
-      if (parent < donor_of_.size() &&
-          donor_of_[parent] != SharedForest::kNoNode &&
-          !forest_.has_parents(parent)) {
-        ctx.value[parent] = kDeferred;
-        return;
-      }
       const std::uint32_t r = forest_.rank(parent);
       if (r >= ctx.rank_buckets.size()) ctx.rank_buckets.resize(r + 1);
       ctx.rank_buckets[r].push_back(parent);
@@ -344,8 +196,6 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
   const auto value_of = [&](NodeId n) {
     ++ctx.stats.truth_lookups;
     if (!ctx.touched.contains(n)) return forest_.static_truth(n);
-    // Deferred nodes have no DAG parents, so no evaluation reads them.
-    NCPS_DASSERT(ctx.value[n] != kDeferred);
     return ctx.value[n] != 0;
   };
   const auto eval_node = [&](NodeId n) {
@@ -386,20 +236,6 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
       emit(SubscriptionId(s));
     }
   };
-  // Donor truth for a borrower root. kDeferred can only appear here if a
-  // former donor was itself re-added and turned borrower; treating it as
-  // true keeps gating conservative (the borrower then stands on its own
-  // evaluation).
-  const auto donor_allows = [&](NodeId root) {
-    if (root >= donor_of_.size()) return true;
-    const NodeId donor = donor_of_[root];
-    if (donor == SharedForest::kNoNode) return true;
-    const bool donor_true = ctx.touched.contains(donor)
-                                ? ctx.value[donor] != 0
-                                : forest_.static_truth(donor);
-    if (!donor_true) ++ctx.stats.covering_skips;
-    return donor_true;
-  };
   // chain_head_ is sized by attach(): nodes above the highest root id
   // (fresh interior nodes) simply are not roots. Read, never resize — the
   // match path must not mutate engine state.
@@ -407,16 +243,6 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
     const std::uint32_t head =
         n < chain_head_.size() ? chain_head_[n] : kNoSub;
     if (head == kNoSub) continue;
-    if (!donor_allows(n)) {
-      // The covering donor refuted the event: the borrower cannot match,
-      // so its subscription chain is never even scanned as candidates.
-      continue;
-    }
-    if (ctx.value[n] == kDeferred) {
-      // Donor truth admitted the borrower: evaluate it now — children are
-      // already memoized (or static), ranks strictly below.
-      ctx.value[n] = eval_node(n) ? 1 : 0;
-    }
     if (ctx.value[n] != 0) {
       emit_chain(head);
     } else {
@@ -428,7 +254,6 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
   // child their static truth (true) stands.
   for (const NodeId root : always_roots_) {
     if (ctx.touched.contains(root)) continue;  // evaluated above
-    if (!donor_allows(root)) continue;  // donor refuted: cannot match
     emit_chain(chain_head_[root]);
   }
 }
@@ -448,19 +273,6 @@ void NonCanonicalEngine::save_state(storage::Writer& w) const {
     if (!record.live()) continue;
     w.varint(id);
     w.varint(record.root);
-  }
-
-  std::uint64_t borrowers = 0;
-  for (const NodeId donor : donor_of_) {
-    if (donor != SharedForest::kNoNode) ++borrowers;
-  }
-  NCPS_DASSERT(borrowers == live_borrowers_);
-  w.varint(borrowers);
-  for (NodeId root = 0; root < donor_of_.size(); ++root) {
-    if (donor_of_[root] != SharedForest::kNoNode) {
-      w.varint(root);
-      w.varint(donor_of_[root]);
-    }
   }
 }
 
@@ -516,48 +328,10 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
     if (!subs_[id].live()) free_ids_.push_back(SubscriptionId(id));
   }
 
-  // Partial-sharing borrower -> donor pairs.
-  const std::uint64_t borrowers =
-      r.varint_max(live, "borrower count");
-  donor_of_.assign(node_bound, SharedForest::kNoNode);
-  for (std::uint64_t n = 0; n < borrowers; ++n) {
-    const std::uint64_t root = r.varint_max(node_bound - 1, "borrower root");
-    const std::uint64_t donor = r.varint_max(node_bound - 1, "donor node");
-    if (!forest_.is_live(static_cast<NodeId>(donor)) ||
-        root >= chain_head_.size() || chain_head_[root] == kNoSub) {
-      throw StorageError("borrower/donor pair references a dead node");
-    }
-    if (donor_of_[root] != SharedForest::kNoNode) {
-      throw StorageError("duplicate borrower record");
-    }
-    if (donor_of_[donor] != SharedForest::kNoNode) {
-      throw StorageError("chained borrower in snapshot");
-    }
-    donor_of_[root] = static_cast<NodeId>(donor);
-  }
-  live_borrowers_ = borrowers;
-  // A donor that is itself a borrower can also appear with the pairs in
-  // the other order; the chain check above only catches donor-first.
-  for (NodeId root = 0; root < donor_of_.size(); ++root) {
-    const NodeId donor = donor_of_[root];
-    if (donor != SharedForest::kNoNode &&
-        donor_of_[donor] != SharedForest::kNoNode) {
-      throw StorageError("chained borrower in snapshot");
-    }
-  }
-
-  // Donor candidate index: exactly the current result roots, each filed
-  // under its smallest predicate id (mirrors add()/detach()). Ascending
-  // node id keeps recovered probe order deterministic.
-  for (NodeId root = 0; root < chain_head_.size(); ++root) {
-    if (chain_head_[root] == kNoSub) continue;
-    roots_by_pred_[min_root_predicate(root).value()].push_back(root);
-  }
-
   // Full ownership ledger: every forest reference must be accounted for by
-  // a parent edge, a subscription's root reference or a borrower's donor
-  // reference. An over-count merely leaks, but an under-count would free a
-  // node still chained to subscriptions — reject both.
+  // a parent edge or a subscription's root reference. An over-count merely
+  // leaks, but an under-count would free a node still chained to
+  // subscriptions — reject both.
   std::vector<std::uint32_t> expected(node_bound, 0);
   for (NodeId id = 0; id < node_bound; ++id) {
     if (!forest_.is_live(id) || forest_.kind(id) == ast::NodeKind::Leaf) {
@@ -567,9 +341,6 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
   }
   for (const SubRecord& record : subs_) {
     if (record.live()) ++expected[record.root];
-  }
-  for (const NodeId donor : donor_of_) {
-    if (donor != SharedForest::kNoNode) ++expected[donor];
   }
   for (NodeId id = 0; id < node_bound; ++id) {
     if (forest_.is_live(id) && forest_.ref_count(id) != expected[id]) {
@@ -585,9 +356,6 @@ void NonCanonicalEngine::compact_storage() {
   free_ids_.shrink_to_fit();
   chain_head_.shrink_to_fit();
   always_roots_.shrink_to_fit();
-  donor_of_.shrink_to_fit();
-  for (auto& entry : roots_by_pred_) entry.second.shrink_to_fit();
-  pred_scratch_.shrink_to_fit();
 }
 
 MemoryBreakdown NonCanonicalEngine::memory() const {
@@ -599,13 +367,6 @@ MemoryBreakdown NonCanonicalEngine::memory() const {
   const std::size_t attachment =
       vector_bytes(chain_head_) + vector_bytes(always_roots_);
   mem.add("root_attachment", attachment);
-  // Partial sharing: the borrower -> donor table and the donor index.
-  std::size_t donors = vector_bytes(donor_of_) +
-                       unordered_map_bytes(roots_by_pred_);
-  for (const auto& entry : roots_by_pred_) {
-    donors += vector_bytes(entry.second);
-  }
-  mem.add("donor_index", donors);
   mem.add("scratch/free_ids", vector_bytes(free_ids_));
   mem.add_nested("index/", index_.memory());
   return mem;

@@ -27,13 +27,10 @@
 //   - roots whose expression is satisfiable with zero fulfilled predicates
 //     (static truth = true, e.g. `not a == 1`) live on an always-candidate
 //     list and match whenever nothing touches (and refutes) them;
-//   - covering-based *partial* sharing: a new root propositionally covered
-//     by an existing root borrows that donor's memoized truth as a
-//     pre-filter — donor false means the borrower cannot match, so its
-//     candidate chain is never scanned, and a borrower nothing else
-//     consumes skips its own evaluation too. The borrower refcounts its
-//     donor, so a donor node outlives every borrower (quarantine rules
-//     unchanged). NOT-bearing expressions never take part (DESIGN.md §1f).
+//   - identity is the only sharing rule: a refinement `base and c` shares
+//     the base's children as nodes, but never borrows the base's truth.
+//     Its AND is decided from its own flip count in O(1), so a covering
+//     pre-filter would save nothing (DESIGN.md §1c).
 //
 // Unsubscription releases the root reference; the forest cascades refcount
 // decrements and quarantines fully released node slots until the next add()
@@ -44,7 +41,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/epoch_set.h"
@@ -93,8 +89,6 @@ class NonCanonicalEngine final : public FilterEngine {
   /// Distinct result roots currently attached to subscriptions (a scan of
   /// the chain-head table).
   [[nodiscard]] std::size_t distinct_roots() const;
-  /// Roots currently borrowing a donor's truth via partial sharing.
-  [[nodiscard]] std::size_t partial_shares() const { return live_borrowers_; }
 
   /// Test hook: jump `ctx`'s per-event scratch epoch to its maximum so the
   /// next match on it wraps the epoch counter (regression surface for
@@ -147,15 +141,9 @@ class NonCanonicalEngine final : public FilterEngine {
   };
 
   SubscriptionId allocate_id();
-  /// Chains `id` onto `root`; true when `root` thereby becomes a result root.
-  bool attach(SubscriptionId id, NodeId root);
+  /// Chains `id` onto `root`, making `root` a result root if it was not.
+  void attach(SubscriptionId id, NodeId root);
   void detach(SubscriptionId id);
-  void try_adopt_donor(NodeId root, const ast::Node& expression);
-  [[nodiscard]] bool root_contains_not(NodeId root) const;
-  void collect_root_predicates(NodeId root,
-                               std::vector<PredicateId>& out) const;
-  /// The root's smallest predicate id: its key in the donor index.
-  [[nodiscard]] PredicateId min_root_predicate(NodeId root);
 
   template <typename Emit>
   void match_impl(std::span<const PredicateId> fulfilled, ForestContext& ctx,
@@ -173,19 +161,6 @@ class NonCanonicalEngine final : public FilterEngine {
   // true).
   std::vector<std::uint32_t> chain_head_;
   std::vector<NodeId> always_roots_;
-
-  // Partial sharing: borrower root -> donor node (dense by node id,
-  // kNoNode = not a borrower). A borrower holds one forest reference on its
-  // donor, so the donor's node — and therefore its memoized truth — can
-  // never die before the last borrower detaches. roots_by_pred_ is the
-  // donor candidate index: predicate id -> result roots whose expression
-  // uses it.
-  std::vector<NodeId> donor_of_;
-  std::unordered_map<std::uint32_t, std::vector<NodeId>> roots_by_pred_;
-  std::size_t live_borrowers_ = 0;
-
-  // Add-path scratch only — never touched by the (concurrent) match path.
-  std::vector<PredicateId> pred_scratch_;
 };
 
 }  // namespace ncps

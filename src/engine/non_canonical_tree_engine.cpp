@@ -25,9 +25,9 @@ void NonCanonicalTreeEngine::validate(const ast::Node& expression,
   // limits by throwing EncodeError, which is the only way add() can fail.
   std::vector<std::byte> scratch_bytes;
   if (encoding_ == TreeEncoding::kV1Paper) {
-    (void)encode_tree(expression, scratch_bytes, reorder_);
+    (void)encode_tree(expression, scratch_bytes);
   } else {
-    (void)encode_tree_v2(expression, scratch_bytes, reorder_);
+    (void)encode_tree_v2(expression, scratch_bytes);
   }
 }
 
@@ -39,8 +39,8 @@ SubscriptionId NonCanonicalTreeEngine::add(const ast::Node& expression) {
   const std::size_t offset = tree_bytes_.size();
   const std::size_t length =
       encoding_ == TreeEncoding::kV1Paper
-          ? encode_tree(expression, tree_bytes_, reorder_)
-          : encode_tree_v2(expression, tree_bytes_, reorder_);
+          ? encode_tree(expression, tree_bytes_)
+          : encode_tree_v2(expression, tree_bytes_);
   NCPS_ASSERT(offset <= UINT32_MAX && length <= UINT32_MAX);
   locations_[id.value()] =
       Location{static_cast<std::uint32_t>(offset),
@@ -272,8 +272,8 @@ void NonCanonicalTreeEngine::reorder_trees_by_selectivity() {
     const std::size_t offset = rewritten.size();
     const std::size_t length =
         encoding_ == TreeEncoding::kV1Paper
-            ? encode_tree(*tree, rewritten, ReorderPolicy::kNone)
-            : encode_tree_v2(*tree, rewritten, ReorderPolicy::kNone);
+            ? encode_tree(*tree, rewritten)
+            : encode_tree_v2(*tree, rewritten);
     loc = Location{static_cast<std::uint32_t>(offset),
                    static_cast<std::uint32_t>(length)};
   }

@@ -46,9 +46,8 @@ enum class TreeEncoding : std::uint8_t {
 class NonCanonicalTreeEngine final : public FilterEngine {
  public:
   explicit NonCanonicalTreeEngine(PredicateTable& table,
-                                  ReorderPolicy reorder = ReorderPolicy::kNone,
                                   TreeEncoding encoding = TreeEncoding::kV1Paper)
-      : FilterEngine(table), reorder_(reorder), encoding_(encoding) {}
+      : FilterEngine(table), encoding_(encoding) {}
 
   SubscriptionId add(const ast::Node& expression) override;
   bool remove(SubscriptionId id) override;
@@ -130,7 +129,6 @@ class NonCanonicalTreeEngine final : public FilterEngine {
 
   SubscriptionId allocate_id();
 
-  ReorderPolicy reorder_;
   TreeEncoding encoding_;
 
   std::vector<std::byte> tree_bytes_;   // all encoded subscription trees

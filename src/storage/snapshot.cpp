@@ -10,8 +10,9 @@ namespace {
 constexpr std::string_view kSnapshotMagic = "NCPSSNP1";
 // Version 2: forest snapshots store AND/OR children in canonical order only,
 // so the forest identity-mode byte and the per-subscription child-order maps
-// of version 1 are gone.
-constexpr std::uint32_t kSnapshotVersion = 2;
+// of version 1 are gone. Version 3: the engine no longer writes
+// borrower/donor pairs after its subscription records.
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 }  // namespace
 

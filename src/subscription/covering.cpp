@@ -190,8 +190,7 @@ bool predicate_implies(const Predicate& a, const Predicate& b) {
 }
 
 bool covers(const ast::Node& covering, const ast::Node& covered,
-            PredicateTable& table, const DnfOptions& options,
-            ImplicationMode mode) {
+            PredicateTable& table, const DnfOptions& options) {
   Dnf cover_dnf;
   Dnf sub_dnf;
   ast::Expr cover_nnf;
@@ -204,14 +203,9 @@ bool covers(const ast::Node& covering, const ast::Node& covered,
   }
 
   // Disjunct c covers disjunct d when every literal of c is implied by some
-  // literal of d (then sat(d) ⊆ sat(c)). Propositional mode accepts only
-  // literal identity — predicates intern, so id equality is exact.
+  // literal of d (then sat(d) ⊆ sat(c)).
   const auto disjunct_covers = [&](const Disjunct& c, const Disjunct& d) {
     return std::all_of(c.begin(), c.end(), [&](PredicateId lc) {
-      if (mode == ImplicationMode::Propositional) {
-        return std::any_of(d.begin(), d.end(),
-                           [&](PredicateId ld) { return ld == lc; });
-      }
       const Predicate& pc = table.get(lc);
       return std::any_of(d.begin(), d.end(), [&](PredicateId ld) {
         return predicate_implies(table.get(ld), pc);

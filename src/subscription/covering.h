@@ -33,27 +33,10 @@ namespace ncps {
 /// cannot be established.
 [[nodiscard]] bool predicate_implies(const Predicate& a, const Predicate& b);
 
-/// How literal-level implication is established during covers().
-enum class ImplicationMode : std::uint8_t {
-  /// predicate_implies(): interval/string reasoning over *events*. Sound
-  /// for any fulfilled set derived from a real event (phase 1 fulfils
-  /// x > 5 whenever it fulfils x > 10), but not for an arbitrary truth
-  /// assignment over predicate ids.
-  Semantic,
-  /// Literal identity only (same interned PredicateId). Strictly weaker,
-  /// but the proof then holds for *every* truth assignment, which is what
-  /// consumers that gate matching on a covering relation (the engine's
-  /// partial-sharing donors) need to stay equivalent even under synthetic
-  /// fulfilled sets.
-  Propositional,
-};
-
 /// Conservative covering test: true ⇒ every event matching `covered` also
-/// matches `covering` (ImplicationMode::Semantic), or every truth
-/// assignment satisfying `covered` satisfies `covering`
-/// (ImplicationMode::Propositional).
+/// matches `covering`.
 [[nodiscard]] bool covers(const ast::Node& covering, const ast::Node& covered,
-                          PredicateTable& table, const DnfOptions& options = {},
-                          ImplicationMode mode = ImplicationMode::Semantic);
+                          PredicateTable& table,
+                          const DnfOptions& options = {});
 
 }  // namespace ncps

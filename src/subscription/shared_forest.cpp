@@ -477,7 +477,7 @@ void SharedForest::load_state(storage::Reader& r,
   }
 
   // Refcount floor: every in-DAG child occurrence owns one reference; the
-  // surplus is externally owned (engine roots, donors). A deficit means the
+  // surplus is externally owned (subscription roots). A deficit means the
   // dump's ownership ledger is corrupt.
   std::vector<std::uint32_t> parent_occurrences(bound, 0);
   for (std::uint64_t id = 0; id < bound; ++id) {

@@ -114,11 +114,6 @@ class SharedForest {
   /// any mutation).
   InternResult intern(const ast::Node& expression);
 
-  void add_ref(NodeId id) {
-    NCPS_DASSERT(id < metas_.size() && metas_[id].refs > 0);
-    ++metas_[id].refs;
-  }
-
   /// Drop one reference; at zero the node is unlinked, child references are
   /// released recursively, and the slot is quarantined for reuse after the
   /// next reclaim_quarantine().
@@ -168,11 +163,6 @@ class SharedForest {
   }
   [[nodiscard]] bool is_live(NodeId id) const {
     return id < metas_.size() && metas_[id].refs > 0;
-  }
-  /// True iff some interior node holds this node as a child — i.e. its
-  /// memoized truth can be consumed by an upward evaluation.
-  [[nodiscard]] bool has_parents(NodeId id) const {
-    return metas_[id].parent0 != kNoNode;
   }
 
   /// The leaf node for a predicate, or kNoNode.

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
 #include "subscription/parser.h"
 #include "workload/random_workload.h"
 
@@ -274,81 +273,6 @@ TEST_F(CoversTest, EqualityAtRangeEndpoints) {
   EXPECT_TRUE(check("x between 10 and 10", "x == 10"));
   EXPECT_FALSE(check("x between 10 and 20", "x <= 20"));
   EXPECT_TRUE(check("x <= 20", "x between 10 and 20"));
-}
-
-TEST_F(CoversTest, PropositionalModeAcceptsOnlyLiteralIdentity) {
-  const DnfOptions options;
-  const auto check = [&](std::string_view covering, std::string_view covered,
-                         ImplicationMode mode) {
-    const ast::Expr a = parse(covering);
-    const ast::Expr b = parse(covered);
-    return covers(a.root(), b.root(), table_, options, mode);
-  };
-  // Interval reasoning holds semantically but NOT propositionally: an
-  // arbitrary truth assignment may fulfil x > 10 without x > 5.
-  EXPECT_TRUE(check("x > 5", "x > 10", ImplicationMode::Semantic));
-  EXPECT_FALSE(check("x > 5", "x > 10", ImplicationMode::Propositional));
-  // Literal subset conjunctions hold in both modes — the shape the
-  // engine's partial-sharing donors rely on.
-  EXPECT_TRUE(check("x > 5", "x > 5 and y == 1",
-                    ImplicationMode::Propositional));
-  EXPECT_TRUE(check("x > 5 or y == 1", "y == 1",
-                    ImplicationMode::Propositional));
-  EXPECT_FALSE(check("x > 5 and y == 1", "x > 5",
-                     ImplicationMode::Propositional));
-  // Complement literals intern once, so NOT compares by identity *at the
-  // canonical-literal level*. Note the engine's partial sharing still
-  // refuses NOT-bearing operands: a complement literal and the NOT it came
-  // from disagree on absent attributes (see DESIGN.md §1f), which is
-  // outside what this assignment-level proof speaks to.
-  EXPECT_TRUE(check("not x == 9", "not x == 9 and y == 1",
-                    ImplicationMode::Propositional));
-}
-
-TEST_F(CoversTest, PropositionalModeIsAssignmentSound) {
-  // Property: whenever propositional covers() says yes, no truth
-  // assignment over the predicate ids may satisfy the covered expression
-  // without satisfying the covering one (the guarantee the engine's
-  // donor gating needs for synthetic fulfilled sets).
-  RandomWorkloadConfig config;
-  config.rich_operators = false;
-  config.not_probability = 0.2;
-  config.sharing_probability = 0.7;  // shared predicates: identity can fire
-  config.attribute_count = 4;
-  config.domain_size = 8;
-  config.seed = 3434;
-  RandomWorkload workload(config, attrs_, table_);
-
-  Pcg32 rng(0x50f7);
-  std::size_t proven = 0;
-  for (int pair = 0; pair < 300; ++pair) {
-    const ast::Expr a = workload.next_subscription();
-    const ast::Expr b = workload.next_subscription();
-    if (!covers(a.root(), b.root(), table_, DnfOptions{},
-                ImplicationMode::Propositional)) {
-      continue;
-    }
-    ++proven;
-    std::vector<PredicateId> preds;
-    ast::collect_predicates(a.root(), preds);
-    ast::collect_predicates(b.root(), preds);
-    std::sort(preds.begin(), preds.end());
-    preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
-    for (int trial = 0; trial < 100; ++trial) {
-      std::vector<std::uint8_t> assignment(preds.size());
-      for (auto& bit : assignment) bit = rng.bounded(2) != 0;
-      const auto truth = [&](PredicateId pid) {
-        const auto it = std::lower_bound(preds.begin(), preds.end(), pid);
-        return it != preds.end() && *it == pid &&
-               assignment[static_cast<std::size_t>(it - preds.begin())] != 0;
-      };
-      if (ast::evaluate(b.root(), truth)) {
-        ASSERT_TRUE(ast::evaluate(a.root(), truth))
-            << "propositional covering unsound on pair " << pair;
-      }
-    }
-  }
-  EXPECT_GT(proven, 0u) << "property never fired — weaken the workload";
 }
 
 TEST_F(CoversTest, AsymmetricExplosionBudgetAnswersFalse) {

@@ -250,8 +250,7 @@ TEST_F(EncodedTreeV2Test, EngineWithV2MatchesEngineWithV1) {
   config.seed = 94;
   RandomWorkload workload(config, attrs_, table_);
   NonCanonicalTreeEngine v1_engine(table_);
-  NonCanonicalTreeEngine v2_engine(table_, ReorderPolicy::kNone,
-                                   TreeEncoding::kV2Varint);
+  NonCanonicalTreeEngine v2_engine(table_, TreeEncoding::kV2Varint);
   std::vector<ast::Expr> exprs;
   for (int i = 0; i < 150; ++i) {
     exprs.push_back(workload.next_subscription());
@@ -280,8 +279,7 @@ TEST_F(EncodedTreeV2Test, EngineWithV2MatchesEngineWithV1) {
 }
 
 TEST_F(EncodedTreeV2Test, UnsubscribeAndCompactionWorkWithV2) {
-  NonCanonicalTreeEngine engine(table_, ReorderPolicy::kNone,
-                                TreeEncoding::kV2Varint);
+  NonCanonicalTreeEngine engine(table_, TreeEncoding::kV2Varint);
   std::vector<SubscriptionId> ids;
   for (int i = 0; i < 30; ++i) {
     const ast::Expr e = parse("a == " + std::to_string(i) + " and b == 2");

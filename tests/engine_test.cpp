@@ -663,9 +663,8 @@ TEST_F(FlipSemanticsTest, NotBearingSnapshotRoundTripKeepsMatchesAndStats) {
 
   const auto work = [](const MatchStats& s) {
     return std::vector<std::uint64_t>{
-        s.events,         s.fulfilled_predicates, s.candidates,
-        s.node_evaluations, s.truth_lookups,      s.covering_skips,
-        s.matches};
+        s.events,           s.fulfilled_predicates, s.candidates,
+        s.node_evaluations, s.truth_lookups,        s.matches};
   };
   const auto original_ctx = engine_.make_context();
   const auto restored_ctx = restored.make_context();
@@ -767,80 +766,41 @@ TEST_F(NonCanonicalTreeTest, SelectivityReorderingPreservesMatching) {
   }
 }
 
-// ---- Partial sharing & scratch reset ---------------------------------
+TEST_F(NonCanonicalTest, RemovingABaseFreesItsNodes) {
+  // A refinement shares its base's leaves but holds nothing of the base's
+  // own AND: once the base's last subscription leaves, the forest is
+  // exactly what the refinement alone would build.
+  const SubscriptionId base = subscribe("a == 1 and b == 2");
+  const SubscriptionId refined = subscribe("a == 1 and b == 2 and c == 3");
+  EXPECT_TRUE(engine_.remove(base));
 
-class PartialSharingTest : public NonCanonicalTest {};
-
-TEST_F(PartialSharingTest, PartialSharingGatesBorrowerOnDonorTruth) {
-  const SubscriptionId donor = subscribe("a == 1 and b == 2");
-  const SubscriptionId borrower = subscribe("a == 1 and b == 2 and c == 3");
-  EXPECT_EQ(engine_.partial_shares(), 1u);
-
-  const Event both = EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3)
-                         .build();
-  EXPECT_EQ(testing::match_event(engine_, both),
-            testing::sorted(std::vector{donor, borrower}));
-  const Event donor_only =
-      EventBuilder(attrs_).set("a", 1).set("b", 2).build();
-  EXPECT_EQ(testing::match_event(engine_, donor_only), std::vector{donor});
-
-  // c alone touches the borrower's root but the donor refutes the event:
-  // the borrower is skipped before its own (deferred) evaluation — no
-  // candidate scan, no node evaluation for it.
-  const Event gated = EventBuilder(attrs_).set("c", 3).build();
-  const auto ctx = engine_.make_context();
-  EXPECT_TRUE(testing::match_event(engine_, gated, *ctx).empty());
-  EXPECT_GE(ctx->stats.covering_skips, 1u);
-  EXPECT_EQ(ctx->stats.node_evaluations, 0u);
-  EXPECT_EQ(ctx->stats.candidates, 0u);
+  AttributeRegistry fresh_attrs;
+  PredicateTable fresh_table;
+  NonCanonicalEngine fresh(fresh_table);
+  const ast::Expr expr = parse_subscription("a == 1 and b == 2 and c == 3",
+                                            fresh_attrs, fresh_table);
+  fresh.add(expr.root());
+  EXPECT_EQ(engine_.forest().live_nodes(), fresh.forest().live_nodes());
+  const Event all = EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3)
+                        .build();
+  EXPECT_EQ(testing::match_event(engine_, all), std::vector{refined});
 }
 
-TEST_F(PartialSharingTest, BorrowerNeverOutlivesItsDonorNode) {
-  const SubscriptionId donor = subscribe("a == 1 and b == 2");
-  const SubscriptionId borrower = subscribe("a == 1 and b == 2 and c == 3");
-  EXPECT_EQ(engine_.partial_shares(), 1u);
-
-  // Removing the donor's subscription must not free the donor's node: the
-  // borrower holds a forest reference and keeps gating on its truth.
-  EXPECT_TRUE(engine_.remove(donor));
-  const std::size_t nodes_after = engine_.forest().live_nodes();
-  EXPECT_GT(nodes_after, 0u);
-  const Event both = EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3)
-                         .build();
-  EXPECT_EQ(testing::match_event(engine_, both), std::vector{borrower});
-  const Event gated = EventBuilder(attrs_).set("c", 3).build();
-  const auto ctx = engine_.make_context();
-  EXPECT_TRUE(testing::match_event(engine_, gated, *ctx).empty());
-  EXPECT_GE(ctx->stats.covering_skips, 1u);
-
-  // The borrower's removal releases the donated reference; everything
-  // drains.
-  EXPECT_TRUE(engine_.remove(borrower));
-  EXPECT_EQ(engine_.partial_shares(), 0u);
-  EXPECT_EQ(engine_.forest().live_nodes(), 0u);
-  EXPECT_EQ(table_.size(), 0u);
-}
-
-TEST_F(PartialSharingTest, NotBearingExpressionsNeverPartialShare) {
-  // Regression (code review): canonicalisation rewrites `not x == 9` into
-  // the interned complement `x != 9`, and the two disagree when x is
-  // absent from the event — the complement predicate is false on absence,
-  // the NOT is true. A propositional proof through that literal once
-  // adopted the written-complement subscription as a donor and gated the
-  // NOT-bearing borrower on it, dropping a real match. NOT-bearing
-  // expressions must simply never participate in partial sharing.
+TEST_F(NonCanonicalTest, NotAndWrittenComplementStayDistinct) {
+  // Canonicalisation rewrites `not x == 9` into the interned complement
+  // `x != 9`, and the two disagree when x is absent from the event: the
+  // complement predicate is false on absence, the NOT is true. Diffed
+  // against the per-subscription tree engine.
   NonCanonicalTreeEngine reference(table_);
   const char* kSubs[] = {
-      "a == 1 and x != 9",                  // written complement (donor bait)
+      "a == 1 and x != 9",                  // written complement
       "a == 1 and not x == 9 and y == 1",   // NOT form of the same literal
   };
   for (const char* text : kSubs) {
     const ast::Expr expr = parse_subscription(text, attrs_, table_);
     ASSERT_EQ(reference.add(expr.root()), engine_.add(expr.root()));
   }
-  EXPECT_EQ(engine_.partial_shares(), 0u);
-  // x absent: the written complement is false, the NOT is true — the
-  // borrower-to-be must still match, exactly like the tree engine.
+  // x absent: the written complement is false, the NOT is true.
   const Event x_absent = EventBuilder(attrs_).set("a", 1).set("y", 1).build();
   EXPECT_EQ(testing::match_event(engine_, x_absent),
             testing::match_event(reference, x_absent));
@@ -851,11 +811,10 @@ TEST_F(PartialSharingTest, NotBearingExpressionsNeverPartialShare) {
             testing::match_event(reference, x_present));
 }
 
-TEST_F(PartialSharingTest, PartialSharingProbesSurviveBudgetOverflow) {
-  // A candidate whose covering proof explodes the budget must simply not
-  // donate — never throw, never alias unsoundly. Two wide ORs make a DNF of
-  // 1100 x 1000 disjuncts, past the default budget of 2^20; the proof
-  // gives up after materialising the first 1100.
+TEST_F(NonCanonicalTest, AddBuildsNoDnfPastTheBudget) {
+  // Two wide ORs make a DNF of 1100 x 1000 disjuncts, past the default
+  // budget of 2^20. add() interns the expression as written, so neither
+  // subscription throws and both match.
   const auto wide_or = [](const std::string& attribute, int width) {
     std::string out = "(";
     for (int i = 0; i < width; ++i) {
@@ -867,7 +826,6 @@ TEST_F(PartialSharingTest, PartialSharingProbesSurviveBudgetOverflow) {
   const std::string wide = wide_or("x", 1100) + " and " + wide_or("y", 1000);
   const SubscriptionId d = subscribe(wide);
   const SubscriptionId b = subscribe(wide + " and z == 1");
-  EXPECT_EQ(engine_.partial_shares(), 0u);  // proof overflowed: no donor
   const Event event =
       EventBuilder(attrs_).set("x", 5).set("y", 7).set("z", 1).build();
   EXPECT_EQ(testing::match_event(engine_, event),
@@ -876,8 +834,8 @@ TEST_F(PartialSharingTest, PartialSharingProbesSurviveBudgetOverflow) {
 
 // ---- Per-event scratch reset regressions -------------------------------
 
-TEST_F(PartialSharingTest, TallTreeThenLeafOnlyEventResetsScratch) {
-  // Satellite regression: an event flooding a tall frontier followed by an
+TEST_F(NonCanonicalTest, TallTreeThenLeafOnlyEventResetsScratch) {
+  // Regression: an event flooding a tall frontier followed by an
   // event touching a single leaf must not replay stale rank buckets or
   // stale memoized truth. Diffed against the per-subscription tree engine.
   NonCanonicalTreeEngine reference(table_);
@@ -904,7 +862,7 @@ TEST_F(PartialSharingTest, TallTreeThenLeafOnlyEventResetsScratch) {
   }
 }
 
-TEST_F(PartialSharingTest, EpochWrapClearsStaleTruth) {
+TEST_F(NonCanonicalTest, EpochWrapClearsStaleTruth) {
   // The epoch-stamped truth array wraps once per ~4G events; stale stamps
   // from before the wrap must not resurface as frontier membership.
   NonCanonicalTreeEngine reference(table_);

@@ -354,27 +354,30 @@ TEST(SnapshotFileTest, CorruptFramingThrows) {
   }
 }
 
-TEST(SnapshotFileTest, VersionOneSnapshotIsRejected) {
+TEST(SnapshotFileTest, PriorSnapshotVersionsAreRejected) {
   // Version 1 payloads carried a forest identity-mode byte and per-
-  // subscription child-order maps; a current broker must refuse them
-  // outright rather than misparse them.
-  FaultInjectingVfs vfs;
-  const std::string payload = "payload bytes";
-  Writer file;
-  file.raw("NCPSSNP1", 8);
-  file.u32(1);
-  file.u32(crc32(payload));
-  file.u64(payload.size());
-  file.raw(payload.data(), payload.size());
-  vfs.create_directories("dir");
-  vfs.set_durable_contents(snapshot_path("dir"), file.bytes());
-  try {
-    (void)read_snapshot_payload(vfs, "dir");
-    FAIL() << "a version 1 snapshot was accepted";
-  } catch (const StorageError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 1"),
-              std::string::npos)
-        << e.what();
+  // subscription child-order maps, version 2 payloads borrower/donor pairs;
+  // a current broker must refuse both outright rather than misparse them.
+  for (const std::uint32_t version : {1u, 2u}) {
+    FaultInjectingVfs vfs;
+    const std::string payload = "payload bytes";
+    Writer file;
+    file.raw("NCPSSNP1", 8);
+    file.u32(version);
+    file.u32(crc32(payload));
+    file.u64(payload.size());
+    file.raw(payload.data(), payload.size());
+    vfs.create_directories("dir");
+    vfs.set_durable_contents(snapshot_path("dir"), file.bytes());
+    const std::string expected =
+        "unsupported snapshot version " + std::to_string(version);
+    try {
+      (void)read_snapshot_payload(vfs, "dir");
+      ADD_FAILURE() << "a version " << version << " snapshot was accepted";
+    } catch (const StorageError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
   }
 }
 
