@@ -2,7 +2,7 @@
 // values, compressed posting lists with galloping intersection, and the
 // parallel bulk build.
 //
-// Four measurement groups, each emitting JsonRows:
+// Five measurement groups, each emitting JsonRows:
 //   phase1_stab      — events/sec through PredicateIndex::match vs a naive
 //                      reference index (the seed's pre-overhaul shape:
 //                      Value-keyed hash maps of id vectors, linear interval
@@ -14,6 +14,11 @@
 //                      for candidate pruning against sorted query sets.
 //   phase1_bulk_load — attribute-partitioned bulk_load on a thread pool vs
 //                      sequential bulk_load vs an add() loop.
+//   phase1_intervals — one AttributeIndex of 1,000 `between` ranges, stabbed
+//                      at uniform values: µs, interval probes and matches
+//                      per stab, for narrow equal widths (the e2e
+//                      `selective` shape) and for uniform endpoints (mixed
+//                      widths up to the whole domain).
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -24,6 +29,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/work_stealing_pool.h"
+#include "index/attribute_index.h"
 #include "index/predicate_index.h"
 
 namespace {
@@ -432,6 +438,65 @@ void bench_bulk_load(Scale scale) {
       .emit();
 }
 
+void bench_intervals() {
+  constexpr std::int64_t kDomain = 1'000'000'000;
+  constexpr std::int64_t kNarrowWidth = 7'000'000;  // 0.7% of the domain
+  constexpr std::size_t kIntervals = 1000;
+  constexpr std::size_t kStabs = 20000;
+
+  for (const bool mixed : {false, true}) {
+    Pcg32 rng(0x57ab);
+    AttributeRegistry attrs;
+    const AttributeId attr = attrs.intern("x");
+    PredicateTable table;
+    AttributeIndex index;
+    for (std::size_t i = 0; i < kIntervals; ++i) {
+      std::int64_t lo = rng.range(0, kDomain - kNarrowWidth);
+      std::int64_t hi = lo + kNarrowWidth - 1;
+      if (mixed) {
+        const std::int64_t a = rng.range(0, kDomain - 1);
+        const std::int64_t b = rng.range(0, kDomain - 1);
+        lo = std::min(a, b);
+        hi = std::max(a, b);
+      }
+      const auto r = table.intern(
+          Predicate{attr, Operator::Between, Value(lo), Value(hi)});
+      if (r.newly_created) index.add(r.id, table.get(r.id));
+    }
+    std::vector<Value> values;
+    for (std::size_t i = 0; i < kStabs; ++i) {
+      values.emplace_back(rng.range(0, kDomain - 1));
+    }
+
+    std::vector<PredicateId> out;
+    std::size_t matches = 0;
+    const double seconds = time_seconds([&] {
+      index.reset_interval_probe_count();
+      matches = 0;
+      for (const Value& v : values) {
+        out.clear();
+        index.stab(v, table, out);
+        matches += out.size();
+      }
+    });
+    const double probes =
+        static_cast<double>(index.interval_probe_count()) / kStabs;
+    const char* widths = mixed ? "mixed" : "narrow";
+    std::printf("intervals widths=%s n=%zu: %.3f us/stab, %.1f probes/stab, "
+                "%.1f matches/stab\n",
+                widths, kIntervals, seconds / kStabs * 1e6, probes,
+                static_cast<double>(matches) / kStabs);
+    JsonRow("phase1_intervals")
+        .field("widths", widths)
+        .field("intervals", kIntervals)
+        .field("stabs", kStabs)
+        .field("us_per_stab", seconds / kStabs * 1e6)
+        .field("probes_per_stab", probes)
+        .field("matches_per_stab", static_cast<double>(matches) / kStabs)
+        .emit();
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -440,5 +505,6 @@ int main() {
   const bool ok = bench_stab(scale);
   bench_intersect(scale);
   bench_bulk_load(scale);
+  bench_intervals();
   return ok ? 0 : 1;
 }

@@ -1,5 +1,8 @@
 #include "index/attribute_index.h"
 
+#include <cmath>
+#include <limits>
+
 #include "common/contracts.h"
 
 namespace ncps {
@@ -31,6 +34,23 @@ Slot classify(const Predicate& p) {
   }
 }
 
+/// The width class of [lo, hi]: the least power of two above the width, 0
+/// for a point interval, inf when the width overflows (or is NaN) — that
+/// class is stabbed from its first key.
+double reach_of(double lo, double hi) {
+  const double width = hi - lo;
+  if (width == 0) return 0.0;
+  if (!std::isfinite(width)) return std::numeric_limits<double>::infinity();
+  int exponent = 0;
+  std::frexp(width, &exponent);  // |width| < 2^exponent
+  return std::ldexp(1.0, exponent);
+}
+
+/// Orders `between_` by reach, for std::lower_bound.
+constexpr auto kByReach = [](const auto& cls, double reach) {
+  return cls.reach < reach;
+};
+
 }  // namespace
 
 void AttributeIndex::add(PredicateId id, const Predicate& p) {
@@ -54,8 +74,13 @@ void AttributeIndex::add(PredicateId id, const Predicate& p) {
       return;
     }
     case Slot::Between: {
-      IntervalRun* run = between_.try_emplace(p.lo.numeric()).first;
-      run->insert(p.hi.numeric(), id);
+      const double reach = reach_of(p.lo.numeric(), p.hi.numeric());
+      auto cls =
+          std::lower_bound(between_.begin(), between_.end(), reach, kByReach);
+      if (cls == between_.end() || cls->reach != reach) {
+        cls = between_.insert(cls, WidthClass{reach, {}});
+      }
+      cls->by_lo.try_emplace(p.lo.numeric()).first->insert(p.hi.numeric(), id);
       ++indexed_count_;
       return;
     }
@@ -95,9 +120,14 @@ bool AttributeIndex::remove(PredicateId id, const Predicate& p) {
       return true;
     }
     case Slot::Between: {
-      IntervalRun* run = between_.find(p.lo.numeric());
+      const double reach = reach_of(p.lo.numeric(), p.hi.numeric());
+      const auto cls =
+          std::lower_bound(between_.begin(), between_.end(), reach, kByReach);
+      if (cls == between_.end() || cls->reach != reach) return false;
+      IntervalRun* run = cls->by_lo.find(p.lo.numeric());
       if (run == nullptr || !run->erase(id)) return false;
-      if (run->empty()) between_.erase(p.lo.numeric());
+      if (run->empty()) cls->by_lo.erase(p.lo.numeric());
+      if (cls->by_lo.empty()) between_.erase(cls);
       --indexed_count_;
       return true;
     }
@@ -120,7 +150,8 @@ void AttributeIndex::stab(const Value& value, const PredicateTable& table,
   // Point predicates.
   eq_.stab(value, out);
 
-  if (value.is_numeric()) {
+  // NaN is unordered: it satisfies no <, <=, >, >= or between.
+  if (value.is_numeric() && !std::isnan(value.numeric())) {
     const double v = value.numeric();
 
     // Upper bounds (a < c, a <= c): every key >= v matches; at key == v only
@@ -141,15 +172,23 @@ void AttributeIndex::stab(const Value& value, const PredicateTable& table,
       if (it.key() < v) p.strict.append_to(out);
     }
 
-    // Intervals: keys (lo) <= v; each run is sorted by hi descending, so the
-    // first hi < v ends the run — matches+1 entries examined per run.
-    for (auto it = between_.begin(); it != between_.end(); ++it) {
-      if (it.key() > v) break;
-      for (const IntervalEntry& entry : it.value().entries) {
-        interval_probes_.value.fetch_add(1, std::memory_order_relaxed);
-        if (entry.hi < v) break;
-        out.push_back(PredicateId(entry.id));
+    // Intervals: within a class every width is below `reach`, so only lo in
+    // [v - reach, v] can match. Each run is sorted by hi descending, so the
+    // first hi < v ends it.
+    std::uint64_t probes = 0;
+    for (const WidthClass& cls : between_) {
+      for (auto it = std::isinf(cls.reach) ? cls.by_lo.begin()
+                                           : cls.by_lo.lower_bound(v - cls.reach);
+           it != cls.by_lo.end() && it.key() <= v; ++it) {
+        for (const IntervalEntry& entry : it.value().entries) {
+          ++probes;
+          if (entry.hi < v) break;
+          out.push_back(PredicateId(entry.id));
+        }
       }
+    }
+    if (probes != 0) {
+      interval_probes_.value.fetch_add(probes, std::memory_order_relaxed);
     }
   }
 
@@ -182,7 +221,7 @@ std::size_t AttributeIndex::memory_bytes() const {
   std::size_t bytes = eq_.memory_bytes() + prefix_.memory_bytes();
   bytes += upper_bounds_.memory_bytes();
   bytes += lower_bounds_.memory_bytes();
-  bytes += between_.memory_bytes();
+  bytes += vector_bytes(between_);
   // Posting and interval storage lives outside the B+ tree node footprint.
   for (auto it = upper_bounds_.begin(); it != upper_bounds_.end(); ++it) {
     bytes += it.value().memory_bytes();
@@ -190,8 +229,11 @@ std::size_t AttributeIndex::memory_bytes() const {
   for (auto it = lower_bounds_.begin(); it != lower_bounds_.end(); ++it) {
     bytes += it.value().memory_bytes();
   }
-  for (auto it = between_.begin(); it != between_.end(); ++it) {
-    bytes += it.value().memory_bytes();
+  for (const WidthClass& cls : between_) {
+    bytes += cls.by_lo.memory_bytes();
+    for (auto it = cls.by_lo.begin(); it != cls.by_lo.end(); ++it) {
+      bytes += it.value().memory_bytes();
+    }
   }
   bytes += exists_.memory_bytes();
   bytes += scan_.memory_bytes();

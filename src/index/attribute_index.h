@@ -8,10 +8,16 @@
 //   Lt/Le (numeric)     → B+ tree keyed on the constant; stab walks keys ≥ v
 //   Gt/Ge (numeric)     → B+ tree keyed on the constant; stab walks keys < v
 //                         (plus Ge postings at v itself)
-//   Between (numeric)   → B+ tree keyed on lo; per-key runs sorted by hi
-//                         DESCENDING, so a stab stops at the first hi < v —
-//                         per key it examines matches+1 entries, not every
-//                         interval sharing the lo (the seed's worst case)
+//   Between (numeric)   → width classes: each interval is filed by the
+//                         least power of two above hi − lo (0 for a point,
+//                         one open-ended class for widths that overflow);
+//                         each class is a B+ tree keyed on lo with per-key
+//                         runs sorted by hi DESCENDING. A stab starts each
+//                         class at lo ≥ v − 2^e, so a run it visits either
+//                         matches or starts in [v − 2^e, v − 2^(e−1)), a
+//                         window no wider than the one matches start in:
+//                         probes stay near 2 × matches + classes, not every
+//                         interval with lo ≤ v
 //   Prefix (string)     → hash index keyed by prefix; stab probes every
 //                         prefix of the event string as a string_view
 //                         (O(|v|) probes, zero allocations)
@@ -66,8 +72,8 @@ class AttributeIndex {
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Interval entries examined across all stabs so far (each hi comparison
-  /// counts one). The nested-interval regression test asserts this stays
-  /// ~matches+1 per stab instead of linear in the lo-matches.
+  /// counts one). The interval tests assert this stays near the matches per
+  /// stab instead of linear in the intervals with lo <= v.
   [[nodiscard]] std::uint64_t interval_probe_count() const {
     return interval_probes_.value.load(std::memory_order_relaxed);
   }
@@ -128,19 +134,28 @@ class AttributeIndex {
   using RangeTree = BPlusTree<double, RangePostings>;
   using IntervalTree = BPlusTree<double, IntervalRun>;
 
+  /// The intervals whose width is below `reach` and at least half of it
+  /// (all of them, for the point class reach == 0 and the open-ended class
+  /// reach == inf), keyed by lo.
+  struct WidthClass {
+    double reach;
+    IntervalTree by_lo;
+  };
+
   HashIndex eq_;
   RangeTree upper_bounds_;  // Lt/Le: predicate matches values BELOW the key
   RangeTree lower_bounds_;  // Gt/Ge: predicate matches values ABOVE the key
-  IntervalTree between_;    // keyed by lo
+  std::vector<WidthClass> between_;  // non-empty classes, reach ascending
   HashIndex prefix_;        // string operands interned as dictionary slots
   PostingList exists_;
   PostingList scan_;
   std::size_t indexed_count_ = 0;
   // The const stab path runs concurrently from match workers, so this
   // mutable instrumentation counter must be atomic (relaxed: it is a
-  // telemetry total, not a synchronisation point). The wrapper restores
-  // copy/move — AttributeIndex lives in a vector, and relocation only
-  // happens on the (exclusive) control path.
+  // telemetry total, not a synchronisation point). A stab counts its probes
+  // locally and adds them once, so workers do not trade the cache line per
+  // probe. The wrapper restores copy/move — AttributeIndex lives in a
+  // vector, and relocation only happens on the (exclusive) control path.
   struct ProbeCounter {
     std::atomic<std::uint64_t> value{0};
     ProbeCounter() = default;

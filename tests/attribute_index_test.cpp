@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
 #include "event/schema.h"
 #include "test_util.h"
@@ -210,6 +214,69 @@ TEST_F(AttributeIndexTest, NestedIntervalStabExaminesSubLinearEntries) {
             static_cast<std::uint64_t>(kIntervals) + 1);
 }
 
+// 1,000 evenly spaced intervals of one width share one width class. A stab
+// visits only the runs whose lo lies within that class's reach of v: the
+// matches plus at most as many near misses, never the whole prefix of
+// intervals with lo <= v. One interval spanning the whole domain then lands
+// in a class of its own, and the narrow class keeps its bound instead of
+// falling back to a scan.
+TEST_F(AttributeIndexTest, NarrowIntervalStabProbesNearMatches) {
+  for (std::int64_t i = 0; i < 1000; ++i) {
+    add(Operator::Between, Value(10 * i), Value(10 * i + 25));
+  }
+  const auto check = [&](std::uint64_t classes) {
+    for (const double v : {-3.0, 0.0, 7.0, 123.5, 5000.0, 9995.0, 10020.0}) {
+      index_.reset_interval_probe_count();
+      const std::vector<PredicateId> got = stab(Value(v));
+      EXPECT_EQ(got, reference(Value(v))) << "v=" << v;
+      EXPECT_LE(index_.interval_probe_count(), 2 * got.size() + classes)
+          << "v=" << v << " classes=" << classes;
+    }
+  };
+  check(1);
+  add(Operator::Between, Value(0), Value(10025));
+  check(2);
+}
+
+// Widths that overflow to inf, infinite endpoints, point intervals (lo ==
+// hi) and an inverted interval (lo > hi) all stab like the reference.
+TEST_F(AttributeIndexTest, OverflowingAndPointIntervalsStab) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  add(Operator::Between, Value(-1.7e308), Value(1.7e308));  // width overflows
+  add(Operator::Between, Value(-kMax), Value(0.0));
+  add(Operator::Between, Value(0.0), Value(kMax));
+  add(Operator::Between, Value(-kInf), Value(-1.0));
+  add(Operator::Between, Value(1.0), Value(kInf));
+  add(Operator::Between, Value(kInf), Value(kInf));
+  add(Operator::Between, Value(5), Value(5));
+  add(Operator::Between, Value(5.5), Value(5.5));
+  add(Operator::Between, Value(0), Value(0));
+  add(Operator::Between, Value(5.0), Value(5.25));
+  add(Operator::Between, Value(10), Value(5));  // empty: never matches
+  for (const double v : {-kInf, -kMax, -1e308, -1.0, 0.0, 4.999, 5.0, 5.1, 5.5,
+                         7.0, 1e308, kMax, kInf}) {
+    EXPECT_EQ(stab(Value(v)), reference(Value(v))) << "v=" << v;
+  }
+  // The overflowing one, [0, max], [1, inf], [5, 5] and [5, 5.25].
+  EXPECT_EQ(stab(Value(5)).size(), 5u);
+}
+
+// NaN is unordered: reference() fulfils no <, <=, >, >= or between with it,
+// and neither may the index's range and interval walks.
+TEST_F(AttributeIndexTest, NanValueFulfilsNoOrderedPredicate) {
+  add(Operator::Le, Value(5));
+  add(Operator::Lt, Value(5));
+  add(Operator::Ge, Value(5));
+  add(Operator::Gt, Value(5));
+  add(Operator::Between, Value(1), Value(10));
+  const PredicateId ne = add(Operator::Ne, Value(5));
+  const PredicateId ex = add(Operator::Exists, Value());
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(stab(nan), reference(nan));
+  EXPECT_EQ(stab(nan), testing::sorted(std::vector{ne, ex}));
+}
+
 TEST_F(AttributeIndexTest, RandomizedAgainstBruteForce) {
   Pcg32 rng(2024);
   // A mix of every operator class over a small domain.
@@ -236,6 +303,62 @@ TEST_F(AttributeIndexTest, RandomizedAgainstBruteForce) {
               reference(Value(static_cast<double>(v) + 0.5)))
         << "v=" << v << ".5";
   }
+
+  // Wide-domain intervals of mixed widths, so many width classes are live
+  // at once: uniform endpoints (widths up to the whole domain) and narrow
+  // widths scaled by a random power of two.
+  constexpr std::int64_t kDomain = 1'000'000;
+  std::vector<PredicateId> wide;
+  for (int i = 0; i < 300; ++i) {
+    double lo = 0;
+    double hi = 0;
+    if (rng.chance(0.5)) {
+      const auto a = static_cast<double>(rng.range(-kDomain, kDomain));
+      const auto b = static_cast<double>(rng.range(-kDomain, kDomain));
+      lo = std::min(a, b);
+      hi = std::max(a, b);
+    } else {
+      lo = static_cast<double>(rng.range(-kDomain, kDomain)) + 0.25;
+      hi = lo + std::ldexp(rng.next_double(),
+                           static_cast<int>(rng.bounded(20)));
+    }
+    const std::size_t before = all_.size();
+    const PredicateId id = add(Operator::Between, Value(lo), Value(hi));
+    if (all_.size() != before) wide.push_back(id);
+  }
+  const auto check_wide = [&](const char* stage) {
+    Pcg32 probe(7);
+    for (int i = 0; i < 200; ++i) {
+      const Value v(static_cast<double>(probe.range(-kDomain, kDomain)) +
+                    probe.next_double());
+      EXPECT_EQ(stab(v), reference(v)) << stage << " v=" << v.numeric();
+    }
+    for (const PredicateId id : wide) {
+      const Predicate& p = table_.get(id);
+      for (const Value& v : {p.lo, p.hi}) {
+        EXPECT_EQ(stab(v), reference(v)) << stage << " v=" << v.numeric();
+      }
+    }
+  };
+  check_wide("added");
+
+  // Remove every interval narrower than 64, emptying the narrow classes,
+  // then every other remaining one; then add them all back.
+  std::vector<PredicateId> removed;
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    const Predicate& p = table_.get(wide[i]);
+    if (p.hi.numeric() - p.lo.numeric() < 64 || i % 2 == 0) {
+      EXPECT_TRUE(index_.remove(wide[i], p));
+      removed.push_back(wide[i]);
+      all_.erase(std::find(all_.begin(), all_.end(), wide[i]));
+    }
+  }
+  check_wide("removed");
+  for (const PredicateId id : removed) {
+    index_.add(id, table_.get(id));
+    all_.push_back(id);
+  }
+  check_wide("re-added");
 }
 
 TEST_F(AttributeIndexTest, RandomizedChurnAgainstBruteForce) {
