@@ -471,7 +471,10 @@ void ShardedBroker::reattach_subscriber(SubscriberId subscriber,
                               delivery_default_policy_);
   } else {
     auto updated = std::make_shared<CallbackMap>(*callbacks_.load());
-    (*updated)[subscriber] = std::move(callback);
+    if (updated->size() <= subscriber.value()) {
+      updated->resize(std::size_t{subscriber.value()} + 1);
+    }
+    (*updated)[subscriber.value()] = std::move(callback);
     callbacks_.store(std::shared_ptr<const CallbackMap>(std::move(updated)));
   }
 }

@@ -74,10 +74,12 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
   if (config.metrics && obs::kMetricsEnabled) {
     cells_ = std::make_unique<obs::BrokerMetrics>(registry_);
   }
+  // The publishing thread matches beside the spawned threads, so the
+  // hardware-derived default spawns one fewer than the cores it fills.
   std::size_t threads = config.worker_threads;
   if (threads == 0) {
     const std::size_t hw = std::thread::hardware_concurrency();
-    threads = std::min(config.shard_count, hw == 0 ? std::size_t{1} : hw);
+    threads = std::min(config.shard_count, hw == 0 ? std::size_t{1} : hw) - 1;
   }
   if (config.shard_count > 1 || threads > 1) {
     pool_ = std::make_unique<WorkStealingPool>(threads);
@@ -170,7 +172,8 @@ SubscriberId ShardedBroker::register_subscriber_impl(
     delivery_->add_subscriber(id, std::move(callback), policy);
   } else {
     auto updated = std::make_shared<CallbackMap>(*callbacks_.load());
-    updated->emplace(id, std::move(callback));
+    updated->resize(std::size_t{id.value()} + 1);
+    (*updated)[id.value()] = std::move(callback);
     callbacks_.store(std::shared_ptr<const CallbackMap>(std::move(updated)));
   }
   if (cells_ != nullptr) cells_->register_ops.add();
@@ -199,8 +202,11 @@ void ShardedBroker::unregister_subscriber(SubscriberId subscriber) {
   if (delivery_ != nullptr) {
     delivery_->remove_subscriber(subscriber);
   } else {
+    // A recovered subscriber that was never reattached has no slot.
     auto updated = std::make_shared<CallbackMap>(*callbacks_.load());
-    updated->erase(subscriber);
+    if (subscriber.value() < updated->size()) {
+      (*updated)[subscriber.value()] = nullptr;
+    }
     callbacks_.store(std::shared_ptr<const CallbackMap>(std::move(updated)));
   }
   if (cells_ != nullptr) cells_->unregister_ops.add();
@@ -440,13 +446,15 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
   // One temporary pool serves every shard applied inline from this call; it
   // exists only while large batches are being built. The broker's own pool_
   // may be mid-run_tasks on the data plane, and run_tasks is not reentrant.
+  // This thread builds beside the pool's, so min(hw, 8) builders means one
+  // fewer spawned.
   std::unique_ptr<WorkStealingPool> build_pool;
   const auto build_pool_for = [&](std::size_t items) -> WorkStealingPool* {
     if (items < kBulkBuildParallelThreshold) return nullptr;
     if (build_pool == nullptr) {
       const std::size_t hw = std::thread::hardware_concurrency();
       build_pool = std::make_unique<WorkStealingPool>(
-          std::min<std::size_t>(hw == 0 ? 1 : hw, 8));
+          std::min<std::size_t>(hw == 0 ? 1 : hw, 8) - 1);
     }
     return build_pool.get();
   };
@@ -844,9 +852,11 @@ std::size_t ShardedBroker::merge_and_deliver(std::span<const Event> events,
     const std::size_t end = event_offsets_[e + 1];
     for (std::size_t i = event_offsets_[e]; i < end; ++i) {
       const ShardMatch& match = merged_[i];
-      const auto cb = callbacks.find(match.owner);
-      if (cb == callbacks.end()) continue;  // unregistered mid-batch
-      cb->second(Notification{match.owner, match.subscription, &events[e]});
+      const std::size_t owner = match.owner.value();
+      // An empty slot was unregistered mid-batch.
+      if (owner >= callbacks.size() || !callbacks[owner]) continue;
+      callbacks[owner](
+          Notification{match.owner, match.subscription, &events[e]});
       ++delivered;
     }
   }
@@ -1056,7 +1066,10 @@ std::size_t ShardedBroker::subscriber_count() const {
     const std::lock_guard<std::mutex> lock(control_mutex_);
     return subscriptions_by_subscriber_.size();
   }
-  return callbacks_.load()->size();
+  const std::shared_ptr<const CallbackMap> callbacks = callbacks_.load();
+  return static_cast<std::size_t>(
+      std::count_if(callbacks->begin(), callbacks->end(),
+                    [](const NotifyFn& fn) { return fn != nullptr; }));
 }
 
 std::size_t ShardedBroker::shard_subscription_count(std::size_t shard) const {
@@ -1128,7 +1141,7 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
   // Match scheduler health: deque depths and how evenly the pool's workers
   // are loaded. Busy fraction is cumulative drain time over pool lifetime —
   // a persistently low worker under a hot batch stream means the chunking
-  // is too coarse to steal.
+  // is too coarse to steal. The last worker is the publishing thread.
   if (pool_ != nullptr) {
     const std::vector<WorkStealingPool::WorkerSample> samples =
         pool_->sample_workers();

@@ -82,10 +82,12 @@
 // the calling thread, so DNF-explosion errors are also synchronous and a
 // queued command can no longer fail.
 //
-// shard_count=1 with one worker is the seed broker: no threads are spawned,
-// and the publishing thread runs the batch's match tasks itself, as worker 0,
-// through the same epoch-pinned path — Broker (broker.h) is a thin
-// specialisation of this class.
+// Every broker's publishing thread matches. With a pool it is the pool's
+// last worker, taking a slice of the match and merge tasks beside the
+// spawned threads. shard_count=1 with one worker is the seed broker: no
+// threads are spawned, and the publishing thread runs the batch's match
+// tasks itself, as worker 0, through the same epoch-pinned path — Broker
+// (broker.h) is a thin specialisation of this class.
 #pragma once
 
 #include <atomic>
@@ -129,13 +131,17 @@ struct ShardedBrokerConfig {
   /// Independent engine shards. 1 reproduces the seed single-engine broker.
   std::size_t shard_count = 1;
   EngineKind engine = EngineKind::NonCanonical;
-  /// Worker threads matching published batches. 0 picks
-  /// min(shard_count, hardware_concurrency). A pool is spawned when the
-  /// resolved count exceeds 1 *or* shard_count exceeds 1; a single-shard
-  /// single-worker broker never spawns threads (the publishing thread runs
-  /// its match tasks). More workers than shards is meaningful: workers
-  /// share one shard's engine as concurrent readers, each with its own
-  /// match context.
+  /// Threads the broker spawns to match published batches. The publishing
+  /// thread matches beside them, so a pool broker runs worker_threads + 1
+  /// matchers. 0 picks min(shard_count, hardware_concurrency) - 1: a count
+  /// derived from the hardware spawns one fewer thread than the cores it
+  /// means to fill, because the calling thread is one of the workers. A
+  /// pool is made when the resolved count exceeds 1 *or* shard_count
+  /// exceeds 1; a single-shard broker whose count resolves to 0 or 1 is
+  /// the seed broker, which spawns nothing (its publishing thread runs
+  /// every match task alone). More workers than shards is meaningful:
+  /// workers share one shard's engine as concurrent readers, each with its
+  /// own match context.
   std::size_t worker_threads = 0;
   /// Subscription placement (broker/shard_router.h). kSubscriberAffine
   /// colocates a subscriber's portfolio on one shard — deliberate skew,
@@ -467,7 +473,9 @@ class ShardedBroker {
   static constexpr std::size_t kBulkBuildParallelThreshold = 512;
 
   class ChunkSink;
-  using CallbackMap = std::unordered_map<SubscriberId, NotifyFn>;
+  /// Callbacks indexed by subscriber id (ids are dense); an empty function
+  /// is an unregistered subscriber, or one recovered but not yet reattached.
+  using CallbackMap = std::vector<NotifyFn>;
 
   /// Write-side section over one shard's reader-visible state. The caller
   /// already holds shard.mutex (exclusive against other mutators); enter()
@@ -591,8 +599,9 @@ class ShardedBroker {
                                         BackpressurePolicy policy);
   /// Phases A+B of the publish path: exclusive per-shard drains, then the
   /// (shard × chunk) match fan-out into match_buffers_ — on the
-  /// work-stealing pool when one exists, otherwise inline on the publishing
-  /// thread as worker 0 (the seed broker).
+  /// work-stealing pool, the publishing thread among its workers, when one
+  /// exists, otherwise inline on the publishing thread as worker 0 (the
+  /// seed broker).
   void run_match_tasks(std::span<const Event> events);
   /// Phase C part 1: merge match_buffers_ into merged_ / event_offsets_ —
   /// per event, ascending global subscription id. The per-event-range merge
@@ -615,7 +624,8 @@ class ShardedBroker {
   BackpressurePolicy delivery_default_policy_ = BackpressurePolicy::Block;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Match scheduler pool; null only for single-shard single-worker brokers
-  /// (the seed broker, whose publishing thread runs the tasks).
+  /// (the seed broker, whose publishing thread runs the tasks). Otherwise
+  /// the publishing thread is its last worker, thread_count() - 1.
   std::unique_ptr<WorkStealingPool> pool_;
   /// One reusable match context per worker (contexts of one engine kind are
   /// interchangeable across shards). Index = worker id; exactly one when

@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -317,6 +319,35 @@ TEST(ShardedBrokerTest, CreateReturnsWorkingHeapBroker) {
   broker->subscribe(alice, "x > 1");
   broker->publish(EventBuilder(attrs).set("x", 5).build());
   EXPECT_EQ(hits, 1u);
+}
+
+// The default worker count spawns min(shards, hw) - 1 threads, and the
+// publishing thread is the pool's last worker: a default four-shard broker
+// matches on min(4, hw) threads, one of them the publisher.
+TEST(ShardedBrokerTest, DefaultPoolCountsThePublishingThread) {
+  AttributeRegistry attrs;
+  ShardedBroker broker(attrs, ShardedBrokerConfig{.shard_count = 4});
+  const std::size_t hw =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  const SubscriberId alice =
+      broker.register_subscriber([](const Notification&) {});
+  for (int i = 0; i < 16; ++i) {
+    broker.subscribe(alice, "x > " + std::to_string(i));
+  }
+  std::vector<Event> batch;
+  for (int i = 0; i < 64; ++i) {
+    batch.push_back(EventBuilder(attrs).set("x", i).build());
+  }
+  EXPECT_GT(broker.publish_batch(batch), 0u);
+  const obs::MetricsSnapshot snap = broker.metrics();
+  EXPECT_EQ(snap.gauge_value("ncps_pool_workers"),
+            std::optional<double>(static_cast<double>(std::min<std::size_t>(
+                4, hw))));
+  const std::optional<double> publisher_busy = snap.gauge_value(
+      "ncps_worker_busy_fraction",
+      {{"worker", std::to_string(std::min<std::size_t>(4, hw) - 1)}});
+  ASSERT_TRUE(publisher_busy.has_value());
+  EXPECT_GT(*publisher_busy, 0.0);
 }
 
 TEST(ShardedBrokerTest, BrokerCreateFactory) {

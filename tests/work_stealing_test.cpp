@@ -1,8 +1,9 @@
 // Work-stealing match scheduler tests.
 //
 // Three layers. (1) WorkStealingPool unit tests: every index runs exactly
-// once, exceptions propagate and the pool survives them, and forced
-// imbalance actually produces steals. (2) Scheduler-equivalence property
+// once, exceptions propagate and the pool survives them, a pool with no
+// spawned threads runs everything on its caller, and forced imbalance
+// actually produces steals. (2) Scheduler-equivalence property
 // tests: the same subscription/event script must yield byte-identical
 // notification *sequences* on the seed Broker and on ShardedBrokers across
 // every scheduler axis — worker count, chunk size (batch sizes chosen so
@@ -81,28 +82,63 @@ TEST(WorkStealingPoolTest, PropagatesTaskExceptionAndStaysUsable) {
   EXPECT_EQ(again.load(), 10u);
 }
 
+TEST(WorkStealingPoolTest, ZeroSpawnedWorkersRunsEverythingOnTheCaller) {
+  WorkStealingPool pool(0);
+  ASSERT_EQ(pool.thread_count(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr std::size_t kCount = 37;
+  std::vector<int> hits(kCount, 0);  // one thread: plain ints suffice
+  const WorkStealingPool::RunStats run =
+      pool.run_tasks(kCount, [&](std::size_t task, std::size_t worker) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(worker, 0u);
+        EXPECT_EQ(worker, pool.thread_count() - 1);
+        ++hits[task];
+      });
+  EXPECT_EQ(run.tasks, kCount);
+  EXPECT_EQ(run.steals, 0u);
+  for (std::size_t t = 0; t < kCount; ++t) EXPECT_EQ(hits[t], 1) << t;
+
+  std::size_t ran = 0;
+  EXPECT_THROW(pool.run_tasks(8,
+                              [&](std::size_t task, std::size_t) {
+                                ++ran;
+                                if (task == 3) throw std::runtime_error("x");
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(ran, 8u);
+  std::size_t again = 0;
+  pool.run_tasks(5, [&](std::size_t, std::size_t) { ++again; });
+  EXPECT_EQ(again, 5u);
+  const std::vector<WorkStealingPool::WorkerSample> samples =
+      pool.sample_workers();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].tasks, kCount + 8 + 5);
+}
+
 TEST(WorkStealingPoolTest, ImbalancedLoadIsStolen) {
-  constexpr std::size_t kWorkers = 4;
-  WorkStealingPool pool(kWorkers);
-  constexpr std::size_t kCount = kWorkers * 8;
-  constexpr std::size_t kPer = kCount / kWorkers;  // worker 0 owns [0, kPer)
+  WorkStealingPool pool(4);  // four spawned workers plus the caller
+  const std::size_t slots = pool.thread_count();
+  const std::size_t count = slots * 8;
+  const std::size_t per = count / slots;  // worker 0 owns [0, per)
   // Worker 0's slice blocks until every other slice has finished, so its
-  // deque still holds tasks when the other workers go idle — they must
-  // steal. Stolen "heavy" tasks unblock as soon as the trivial count is
-  // reached, so the test cannot deadlock even on one hardware thread.
+  // deque still holds tasks when the other workers (the caller among them)
+  // go idle — they must steal. Stolen "heavy" tasks unblock as soon as the
+  // trivial count is reached, so the test cannot deadlock even on one
+  // hardware thread.
   std::atomic<std::size_t> trivial_done{0};
   const WorkStealingPool::RunStats run = pool.run_tasks(
-      kCount, [&](std::size_t task, std::size_t) {
-        if (task < kPer) {
+      count, [&](std::size_t task, std::size_t) {
+        if (task < per) {
           while (trivial_done.load(std::memory_order_acquire) <
-                 kCount - kPer) {
+                 count - per) {
             std::this_thread::yield();
           }
         } else {
           trivial_done.fetch_add(1, std::memory_order_release);
         }
       });
-  EXPECT_EQ(run.tasks, kCount);
+  EXPECT_EQ(run.tasks, count);
   EXPECT_GE(run.steals, 1u);
   EXPECT_GE(pool.total_steals(), run.steals);
   // Telemetry sampling sees the work.
@@ -111,7 +147,7 @@ TEST(WorkStealingPoolTest, ImbalancedLoadIsStolen) {
     sampled_tasks += s.tasks;
     EXPECT_EQ(s.queued, 0u);
   }
-  EXPECT_EQ(sampled_tasks, kCount);
+  EXPECT_EQ(sampled_tasks, count);
 }
 
 // ---- Scheduler equivalence ---------------------------------------------
@@ -160,12 +196,14 @@ struct SchedulerConfig {
 };
 
 // Every scheduler axis: many workers per shard (concurrent readers), more
-// shards than workers, one task per shard (a single worker over eight
-// shards — the pre-work-stealing shape), and affine placement (skewed
-// shards). Adaptive chunking gives ceil(batch / 16) events per chunk on
-// {2 shards, 4 workers} and ceil(batch / 4) on {4 shards, 2 workers}, so
+// shards than workers (one spawned worker beside the publishing thread over
+// eight shards: two tasks per shard; single-event publishes run one task
+// per shard, the pre-work-stealing shape), and affine placement (skewed
+// shards). `workers` counts spawned threads; the publisher matches too.
+// Adaptive chunking gives ceil(batch / 20) events per chunk on
+// {2 shards, 4 workers} and ceil(batch / 6) on {4 shards, 2 workers}, so
 // the 12-event batch below runs single-event chunks (maximal interleaving
-// freedom) on the first and 3-event chunks on the second.
+// freedom) on the first and 2-event chunks on the second.
 const SchedulerConfig kSchedulerConfigs[] = {
     {.shards = 1, .workers = 4},
     {.shards = 2, .workers = 4},
@@ -259,7 +297,7 @@ TEST_P(SchedulerEquivalenceTest, BatchSequencesMatchSeedBroker) {
   subscribe_some(48);
   publish_batch_round(37);  // odd size: last chunk is a partial one
   publish_batch_round(1);   // single-event batch: chunk_count == 1
-  publish_batch_round(12);  // 1-event and 3-event chunks (see above)
+  publish_batch_round(12);  // 1-event and 2-event chunks (see above)
   publish_batch_round(64);
 
   // Churn a third of the population, then publish again (id reuse and
@@ -315,13 +353,14 @@ TEST(WorkStealingChurnTest, BatchedChurnStaysInLockstep) {
     config.seed = seed;
     ChurnWorkload workload(config, attrs);
 
-    // Batches hold at most 8 events, so {4 shards, 4 workers} — eight
-    // tasks per shard — matches single-event chunks.
+    // Batches hold at most 8 events, so {4 shards, 4 workers} — ten tasks
+    // per shard over the five matching threads — matches single-event
+    // chunks.
     const SchedulerConfig configs[] = {
         {.shards = 1, .workers = 1},  // seed broker, no pool
         {.shards = 1, .workers = 4},
         {.shards = 4, .workers = 4},
-        {.shards = 8, .workers = 1},  // one task per shard
+        {.shards = 8, .workers = 1},  // two tasks per shard
         {.shards = 4,
          .workers = 3,
          .placement = ShardPlacement::kSubscriberAffine},
@@ -511,8 +550,9 @@ void run_concurrent_readers_with_control_churn(std::size_t workers) {
 // per-worker contexts) while a control thread churns subscriptions —
 // commands apply concurrently with matching, excluded from the pinned
 // readers only by the epoch write gate, so under TSan this test certifies
-// the whole read-mostly match path. Two shapes: four pool workers
-// (adaptive chunking cuts the 40-event batch into 2-event chunks), and the
+// the whole read-mostly match path. Two shapes: four spawned workers plus
+// the publishing thread (adaptive chunking cuts the 40-event batch into
+// single-event chunks), and the
 // seed broker, whose publishing thread matches as the only reader without
 // holding the shard mutex. The post-quiesce probe then checks the broker is
 // still observationally correct against a sequentially built reference.
