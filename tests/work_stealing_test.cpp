@@ -552,9 +552,8 @@ void run_concurrent_readers_with_control_churn(std::size_t workers) {
 // readers only by the epoch write gate, so under TSan this test certifies
 // the whole read-mostly match path. Two shapes: four spawned workers plus
 // the publishing thread (adaptive chunking cuts the 40-event batch into
-// single-event chunks), and the
-// seed broker, whose publishing thread matches as the only reader without
-// holding the shard mutex. The post-quiesce probe then checks the broker is
+// single-event chunks), and the seed broker, whose publishing thread
+// matches as the only reader without holding the shard mutex. The post-quiesce probe then checks the broker is
 // still observationally correct against a sequentially built reference.
 TEST(WorkStealingConcurrencyTest, ConcurrentReadersWithControlChurn) {
   for (const std::size_t workers : {std::size_t{4}, std::size_t{1}}) {
