@@ -19,9 +19,15 @@
 //                      per stab, for narrow equal widths (the e2e
 //                      `selective` shape) and for uniform endpoints (mixed
 //                      widths up to the whole domain).
+//   phase1_ranges    — one AttributeIndex of unique `>`, `<=` and `==`
+//                      bounds, stabbed at uniform values: µs and ids per
+//                      stab and ns per emitted id, at 600 predicates (the
+//                      e2e `paper` per-shard, per-attribute shape) and at
+//                      60,000.
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -497,6 +503,58 @@ void bench_intervals() {
   }
 }
 
+void bench_ranges() {
+  constexpr std::int64_t kDomain = 1'000'000'000;
+  constexpr std::size_t kEmittedPerPass = 12'000'000;
+
+  for (const std::size_t n : {std::size_t{600}, std::size_t{60000}}) {
+    Pcg32 rng(0x7a46);
+    AttributeRegistry attrs;
+    const AttributeId attr = attrs.intern("x");
+    PredicateTable table;
+    AttributeIndex index;
+    static constexpr Operator kOps[] = {Operator::Gt, Operator::Le,
+                                        Operator::Eq};
+    std::set<std::int64_t> bounds;
+    while (bounds.size() < n) {
+      const std::int64_t bound = rng.range(0, kDomain - 1);
+      if (!bounds.insert(bound).second) continue;
+      const auto r = table.intern(
+          Predicate{attr, kOps[rng.bounded(3)], Value(bound), {}});
+      index.add(r.id, table.get(r.id));
+    }
+    // About a third of the bounds fulfil a uniform stab (half of the `>`
+    // and `<=` ones), so this keeps each timed pass near kEmittedPerPass ids.
+    const std::size_t stabs = 3 * kEmittedPerPass / n;
+    std::vector<Value> values;
+    for (std::size_t i = 0; i < stabs; ++i) {
+      values.emplace_back(rng.range(0, kDomain - 1));
+    }
+
+    std::vector<PredicateId> out;
+    std::size_t emitted = 0;
+    const double seconds = time_seconds([&] {
+      emitted = 0;
+      for (const Value& v : values) {
+        out.clear();
+        index.stab(v, table, out);
+        emitted += out.size();
+      }
+    });
+    const double per_stab = static_cast<double>(emitted) / stabs;
+    const double ns_per_id = seconds / static_cast<double>(emitted) * 1e9;
+    std::printf("ranges n=%zu: %.3f us/stab, %.1f ids/stab, %.2f ns/id\n", n,
+                seconds / stabs * 1e6, per_stab, ns_per_id);
+    JsonRow("phase1_ranges")
+        .field("predicates", n)
+        .field("stabs", stabs)
+        .field("us_per_stab", seconds / stabs * 1e6)
+        .field("ids_per_stab", per_stab)
+        .field("ns_per_id", ns_per_id)
+        .emit();
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -506,5 +564,6 @@ int main() {
   bench_intersect(scale);
   bench_bulk_load(scale);
   bench_intervals();
+  bench_ranges();
   return ok ? 0 : 1;
 }

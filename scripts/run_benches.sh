@@ -75,8 +75,9 @@ fi
 
 # Schema guard: bench_phase1 rows must carry the naive-vs-indexed speedup and
 # the posting-compression ratio — the two columns the phase-1 overhaul's
-# acceptance thresholds are scraped from — and the interval-stab row that
-# tracks probes per stab against matches per stab.
+# acceptance thresholds are scraped from — the interval-stab row that
+# tracks probes per stab against matches per stab, and the range-stab row
+# that tracks ns per emitted id.
 phase1_json="$repo_root/BENCH_phase1.json"
 if [ -s "$phase1_json" ]; then
   for col in '"speedup"' '"ratio"' '"parallel_seconds"'; do
@@ -85,10 +86,12 @@ if [ -s "$phase1_json" ]; then
       status=1
     fi
   done
-  if ! grep -q '"phase1_intervals"' "$phase1_json"; then
-    echo "error: BENCH_phase1.json lacks the \"phase1_intervals\" row" >&2
-    status=1
-  fi
+  for row in '"phase1_intervals"' '"phase1_ranges"'; do
+    if ! grep -q "$row" "$phase1_json"; then
+      echo "error: BENCH_phase1.json lacks the $row row" >&2
+      status=1
+    fi
+  done
 fi
 
 # Schema guard: bench_recovery rows must carry the durable-resubscribe vs
