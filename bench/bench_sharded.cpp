@@ -25,6 +25,7 @@
 //
 // Scale via REPRO_SCALE (quick | big | paper); engines via
 // NCPS_SHARDED_ENGINES=all (default: non-canonical only).
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,8 +108,19 @@ RunResult run_once(AttributeRegistry& attrs, EngineKind kind,
     broker.subscribe(owner, texts[i]);
   }
 
-  // Warm-up batch: fault in scratch buffers and per-shard caches.
-  broker.publish_batch(std::span<const Event>(events.data(), batch_size));
+  // Warm up for a fixed wall time, not a batch count: one batch is over
+  // before parked cores wake, and the first timed batches after the box
+  // sits idle would then measure the wake-up. This also faults in scratch
+  // buffers and per-shard caches.
+  constexpr auto kWarmUp = std::chrono::milliseconds(200);
+  const auto warm_until = std::chrono::steady_clock::now() + kWarmUp;
+  std::size_t warm_off = 0;
+  do {
+    broker.publish_batch(
+        std::span<const Event>(events.data() + warm_off, batch_size));
+    warm_off += batch_size;
+    if (warm_off + batch_size > events.size()) warm_off = 0;
+  } while (std::chrono::steady_clock::now() < warm_until);
   const obs::MetricsSnapshot before = broker.metrics();
 
   RunResult result;
