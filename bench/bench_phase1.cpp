@@ -1,6 +1,5 @@
-// Phase-1 index microbenchmarks for the PR 6 overhaul: dictionary-encoded
-// values, compressed posting lists with galloping intersection, and the
-// parallel bulk build.
+// Phase-1 index microbenchmarks: dictionary-encoded values, compressed
+// posting lists, the parallel bulk build, and the interval and range stabs.
 //
 // Five measurement groups, each emitting JsonRows:
 //   phase1_stab      — events/sec through PredicateIndex::match vs a naive
@@ -10,8 +9,6 @@
 //                      population x operand-domain (selectivity) x batch.
 //   phase1_postings  — resident posting bytes vs the uncompressed
 //                      vector-per-list baseline (target ratio <= 0.6).
-//   phase1_intersect — PostingList::intersect_into vs concatenate-then-filter
-//                      for candidate pruning against sorted query sets.
 //   phase1_bulk_load — attribute-partitioned bulk_load on a thread pool vs
 //                      sequential bulk_load vs an add() loop.
 //   phase1_intervals — one AttributeIndex of 1,000 `between` ranges, stabbed
@@ -348,56 +345,6 @@ bool bench_stab(Scale scale) {
   return speedup_ok;
 }
 
-void bench_intersect(Scale scale) {
-  const std::size_t list_size = scale == Scale::kQuick ? 200000 : 1000000;
-  Pcg32 rng(0x1a7e);
-  PostingList list;
-  std::vector<std::uint32_t> members;
-  for (std::uint32_t i = 0; i < list_size; ++i) {
-    const std::uint32_t id = i * 3 + rng.bounded(3);  // ~1/3 density
-    list.add(id);
-    members.push_back(id);
-  }
-  list.compact();
-
-  for (const std::size_t probe_size : {64u, 1024u, 16384u}) {
-    std::vector<std::uint32_t> probe;
-    for (std::size_t i = 0; i < probe_size; ++i) {
-      probe.push_back(rng.bounded(static_cast<std::uint32_t>(list_size * 3)));
-    }
-    std::sort(probe.begin(), probe.end());
-    probe.erase(std::unique(probe.begin(), probe.end()), probe.end());
-
-    std::vector<std::uint32_t> out;
-    const double intersect_s = time_seconds([&] {
-      out.clear();
-      list.intersect_into(probe, out);
-    });
-    // Concat baseline: decode the whole list, keep ids present in the probe
-    // (what phase 2 would do without a pruning intersection).
-    std::vector<std::uint32_t> concat;
-    const double concat_s = time_seconds([&] {
-      concat.clear();
-      list.for_each([&](std::uint32_t v) {
-        if (std::binary_search(probe.begin(), probe.end(), v)) {
-          concat.push_back(v);
-        }
-      });
-    });
-    std::printf("intersect list=%zu probe=%zu: gallop %.1f us, concat %.1f us "
-                "(%.1fx)\n",
-                list_size, probe.size(), intersect_s * 1e6, concat_s * 1e6,
-                concat_s / intersect_s);
-    JsonRow("phase1_intersect")
-        .field("list_size", list_size)
-        .field("probe_size", probe.size())
-        .field("intersect_us", intersect_s * 1e6)
-        .field("concat_us", concat_s * 1e6)
-        .field("speedup", concat_s / intersect_s)
-        .emit();
-  }
-}
-
 void bench_bulk_load(Scale scale) {
   const std::size_t n = scale == Scale::kQuick ? 200000 : 1000000;
   constexpr std::size_t kAttributes = 32;
@@ -561,7 +508,6 @@ int main() {
   const Scale scale = scale_from_env();
   std::printf("# phase-1 index bench (scale=%s)\n", to_string(scale));
   const bool ok = bench_stab(scale);
-  bench_intersect(scale);
   bench_bulk_load(scale);
   bench_intervals();
   bench_ranges();

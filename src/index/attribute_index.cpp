@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/contracts.h"
 
@@ -10,7 +11,7 @@ namespace ncps {
 namespace {
 
 /// Which structure a predicate belongs to.
-enum class Slot { Eq, Upper, Lower, Between, Prefix, Exists, Scan };
+enum class Slot { Eq, Range, Between, Prefix, Exists, Scan };
 
 Slot classify(const Predicate& p) {
   switch (p.op) {
@@ -18,10 +19,9 @@ Slot classify(const Predicate& p) {
       return Slot::Eq;
     case Operator::Lt:
     case Operator::Le:
-      return p.lo.is_numeric() ? Slot::Upper : Slot::Scan;
     case Operator::Gt:
     case Operator::Ge:
-      return p.lo.is_numeric() ? Slot::Lower : Slot::Scan;
+      return p.lo.is_numeric() ? Slot::Range : Slot::Scan;
     case Operator::Between:
       return p.lo.is_numeric() && p.hi.is_numeric() ? Slot::Between
                                                     : Slot::Scan;
@@ -53,27 +53,32 @@ constexpr auto kByReach = [](const auto& cls, double reach) {
 
 }  // namespace
 
+AttributeIndex::RangeTree& AttributeIndex::range_tree(Operator op) {
+  switch (op) {
+    case Operator::Lt: return lt_;
+    case Operator::Le: return le_;
+    case Operator::Gt: return gt_;
+    default:
+      NCPS_DASSERT(op == Operator::Ge);
+      return ge_;
+  }
+}
+
 void AttributeIndex::add(PredicateId id, const Predicate& p) {
   switch (classify(p)) {
     case Slot::Eq:
       eq_.add(p.lo, id);
       ++indexed_count_;
       return;
-    case Slot::Upper: {
-      RangePostings* postings = upper_bounds_.try_emplace(p.lo.numeric()).first;
-      (p.op == Operator::Lt ? postings->strict : postings->inclusive)
-          .add(id.value());
+    case Slot::Range:
+      // A NaN bound has no place in the order: it would sit beside some
+      // real bound and be emitted with it, though it fulfils nothing.
+      NCPS_EXPECTS(!std::isnan(p.lo.numeric()));
+      range_tree(p.op).try_emplace(RangeKey{p.lo.numeric(), id.value()}, id);
       ++indexed_count_;
       return;
-    }
-    case Slot::Lower: {
-      RangePostings* postings = lower_bounds_.try_emplace(p.lo.numeric()).first;
-      (p.op == Operator::Gt ? postings->strict : postings->inclusive)
-          .add(id.value());
-      ++indexed_count_;
-      return;
-    }
     case Slot::Between: {
+      NCPS_EXPECTS(!std::isnan(p.lo.numeric()) && !std::isnan(p.hi.numeric()));
       const double reach = reach_of(p.lo.numeric(), p.hi.numeric());
       auto cls =
           std::lower_bound(between_.begin(), between_.end(), reach, kByReach);
@@ -104,21 +109,12 @@ bool AttributeIndex::remove(PredicateId id, const Predicate& p) {
       if (!eq_.remove(p.lo, id)) return false;
       --indexed_count_;
       return true;
-    case Slot::Upper:
-    case Slot::Lower: {
-      RangeTree& tree =
-          classify(p) == Slot::Upper ? upper_bounds_ : lower_bounds_;
-      RangePostings* postings = tree.find(p.lo.numeric());
-      if (postings == nullptr) return false;
-      const bool strict = p.op == Operator::Lt || p.op == Operator::Gt;
-      if (!(strict ? postings->strict : postings->inclusive)
-               .remove(id.value())) {
+    case Slot::Range:
+      if (!range_tree(p.op).erase(RangeKey{p.lo.numeric(), id.value()})) {
         return false;
       }
-      if (postings->empty()) tree.erase(p.lo.numeric());
       --indexed_count_;
       return true;
-    }
     case Slot::Between: {
       const double reach = reach_of(p.lo.numeric(), p.hi.numeric());
       const auto cls =
@@ -154,23 +150,18 @@ void AttributeIndex::stab(const Value& value, const PredicateTable& table,
   if (value.is_numeric() && !std::isnan(value.numeric())) {
     const double v = value.numeric();
 
-    // Upper bounds (a < c, a <= c): every key >= v matches; at key == v only
-    // the inclusive flavour does.
-    for (auto it = upper_bounds_.lower_bound(v); it != upper_bounds_.end();
-         ++it) {
-      const RangePostings& p = it.value();
-      p.inclusive.append_to(out);
-      if (it.key() > v) p.strict.append_to(out);
-    }
-
-    // Lower bounds (a > c, a >= c): every key < v matches; at key == v only
-    // the inclusive flavour does.
-    for (auto it = lower_bounds_.begin(); it != lower_bounds_.end(); ++it) {
-      if (it.key() > v) break;
-      const RangePostings& p = it.value();
-      p.inclusive.append_to(out);
-      if (it.key() < v) p.strict.append_to(out);
-    }
+    // Each operator's fulfilled entries are a prefix or a suffix of its
+    // tree: copy them a leaf at a time. {v, 0} is the first key with bound
+    // v, and everything after {v, max id} has a bound above v.
+    const auto copy = [&out](std::span<const PredicateId> ids) {
+      out.insert(out.end(), ids.begin(), ids.end());
+    };
+    const RangeKey first_at{v, 0};
+    const RangeKey last_at{v, std::numeric_limits<std::uint32_t>::max()};
+    gt_.for_each_span(gt_.begin(), gt_.lower_bound(first_at), copy);
+    ge_.for_each_span(ge_.begin(), ge_.upper_bound(last_at), copy);
+    lt_.for_each_span(lt_.upper_bound(last_at), lt_.end(), copy);
+    le_.for_each_span(le_.lower_bound(first_at), le_.end(), copy);
 
     // Intervals: within a class every width is below `reach`, so only lo in
     // [v - reach, v] can match. Each run is sorted by hi descending, so the
@@ -219,16 +210,11 @@ bool AttributeIndex::empty() const {
 
 std::size_t AttributeIndex::memory_bytes() const {
   std::size_t bytes = eq_.memory_bytes() + prefix_.memory_bytes();
-  bytes += upper_bounds_.memory_bytes();
-  bytes += lower_bounds_.memory_bytes();
+  for (const RangeTree* tree : {&lt_, &le_, &gt_, &ge_}) {
+    bytes += tree->memory_bytes();
+  }
   bytes += vector_bytes(between_);
-  // Posting and interval storage lives outside the B+ tree node footprint.
-  for (auto it = upper_bounds_.begin(); it != upper_bounds_.end(); ++it) {
-    bytes += it.value().memory_bytes();
-  }
-  for (auto it = lower_bounds_.begin(); it != lower_bounds_.end(); ++it) {
-    bytes += it.value().memory_bytes();
-  }
+  // Interval storage lives outside the B+ tree node footprint.
   for (const WidthClass& cls : between_) {
     bytes += cls.by_lo.memory_bytes();
     for (auto it = cls.by_lo.begin(); it != cls.by_lo.end(); ++it) {
@@ -243,14 +229,6 @@ std::size_t AttributeIndex::memory_bytes() const {
 void AttributeIndex::observe_postings(PostingList::Stats& stats) const {
   eq_.observe_postings(stats);
   prefix_.observe_postings(stats);
-  const auto observe_range = [&stats](const RangeTree& tree) {
-    for (auto it = tree.begin(); it != tree.end(); ++it) {
-      if (!it.value().strict.empty()) stats.observe(it.value().strict);
-      if (!it.value().inclusive.empty()) stats.observe(it.value().inclusive);
-    }
-  };
-  observe_range(upper_bounds_);
-  observe_range(lower_bounds_);
   if (!exists_.empty()) stats.observe(exists_);
   if (!scan_.empty()) stats.observe(scan_);
 }

@@ -5,9 +5,13 @@
 // in predicates"):
 //
 //   Eq                  → hash index on the interned operand value
-//   Lt/Le (numeric)     → B+ tree keyed on the constant; stab walks keys ≥ v
-//   Gt/Ge (numeric)     → B+ tree keyed on the constant; stab walks keys < v
-//                         (plus Ge postings at v itself)
+//   Lt, Le, Gt, Ge      → one B+ tree per operator with one entry per
+//     (numeric)           predicate, keyed by (bound, id); each leaf keeps
+//                         its ids in one contiguous array. The fulfilled
+//                         entries are a prefix (Gt: bounds < v, Ge: ≤ v) or
+//                         a suffix (Lt: bounds > v, Le: ≥ v), so a stab is
+//                         one boundary search per tree plus a copy of each
+//                         leaf's id span
 //   Between (numeric)   → width classes: each interval is filed by the
 //                         least power of two above hi − lo (0 for a point,
 //                         one open-ended class for widths that overflow);
@@ -27,8 +31,8 @@
 //                         ops, and ordered comparisons on non-numeric
 //                         operands)
 //
-// All posting storage is the compressed PostingList (posting_list.h); the
-// seed's std::vector<PredicateId> lists are gone from this layer.
+// The hash indexes, Exists and the scan list keep their ids in the
+// compressed PostingList (posting_list.h).
 //
 // Every predicate registered on this attribute lives in exactly one of these
 // structures, so a stab emits each matching id exactly once.
@@ -85,15 +89,13 @@ class AttributeIndex {
   void observe_postings(PostingList::Stats& stats) const;
 
  private:
-  /// Posting lists for the strict and inclusive flavour of one bound.
-  struct RangePostings {
-    PostingList strict;     // Lt (or Gt)
-    PostingList inclusive;  // Le (or Ge)
-    [[nodiscard]] bool empty() const {
-      return strict.empty() && inclusive.empty();
-    }
-    [[nodiscard]] std::size_t memory_bytes() const {
-      return strict.memory_bytes() + inclusive.memory_bytes();
+  /// Orders one operator's predicates by bound; the id breaks ties, so
+  /// every predicate has its own entry.
+  struct RangeKey {
+    double bound = 0;
+    std::uint32_t id = 0;
+    friend bool operator<(const RangeKey& a, const RangeKey& b) {
+      return a.bound < b.bound || (a.bound == b.bound && a.id < b.id);
     }
   };
 
@@ -131,7 +133,7 @@ class AttributeIndex {
     }
   };
 
-  using RangeTree = BPlusTree<double, RangePostings>;
+  using RangeTree = BPlusTree<RangeKey, PredicateId>;
   using IntervalTree = BPlusTree<double, IntervalRun>;
 
   /// The intervals whose width is below `reach` and at least half of it
@@ -142,9 +144,14 @@ class AttributeIndex {
     IntervalTree by_lo;
   };
 
+  /// The tree of Lt, Le, Gt or Ge.
+  RangeTree& range_tree(Operator op);
+
   HashIndex eq_;
-  RangeTree upper_bounds_;  // Lt/Le: predicate matches values BELOW the key
-  RangeTree lower_bounds_;  // Gt/Ge: predicate matches values ABOVE the key
+  RangeTree lt_;
+  RangeTree le_;
+  RangeTree gt_;
+  RangeTree ge_;
   std::vector<WidthClass> between_;  // non-empty classes, reach ascending
   HashIndex prefix_;        // string operands interned as dictionary slots
   PostingList exists_;

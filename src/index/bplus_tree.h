@@ -4,6 +4,8 @@
 // ordered index ("for range predicates we deploy B+ trees", §3.2). This is a
 // from-scratch, header-only, unique-key B+ tree with:
 //   - sorted arrays inside fixed-capacity nodes (cache-linear search),
+//   - keys and values in separate arrays, so a range scan can take a leaf's
+//     values as one contiguous span (for_each_span),
 //   - doubly linked leaves for ordered scans in both directions,
 //   - full delete support (borrow from siblings, merge, root collapse),
 //   - an O(n) structural validator used by the test suite,
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,6 +74,7 @@ class BPlusTree {
     }
 
    private:
+    friend class BPlusTree;
     LeafNode* leaf_ = nullptr;
     std::size_t index_ = 0;
   };
@@ -133,7 +137,8 @@ class BPlusTree {
       size_ = 1;
       return {&leaf->values[0], true};
     }
-    SplitResult split = insert_rec(root_, key, std::move(value));
+    Placed placed;
+    SplitResult split = insert_rec(root_, key, std::move(value), placed);
     if (split.happened) {
       auto* new_root = new_internal();
       new_root->keys[0] = split.separator;
@@ -142,16 +147,15 @@ class BPlusTree {
       new_root->count = 1;
       root_ = new_root;
     }
-    if (inserted_) ++size_;
-    return {last_slot_, inserted_};
+    if (placed.inserted) ++size_;
+    return {placed.slot, placed.inserted};
   }
 
   /// Remove a key. Returns true if it was present.
   bool erase(const Key& key) {
     if (root_ == nullptr) return false;
-    erased_ = false;
-    erase_rec(root_, key);
-    if (erased_) {
+    const bool erased = erase_rec(root_, key);
+    if (erased) {
       --size_;
       // Collapse the root when it loses its last separator.
       if (!root_->is_leaf && root_->count == 0) {
@@ -164,7 +168,7 @@ class BPlusTree {
         first_leaf_ = nullptr;
       }
     }
-    return erased_;
+    return erased;
   }
 
   [[nodiscard]] iterator begin() const {
@@ -191,12 +195,18 @@ class BPlusTree {
     return it;
   }
 
-  /// Visit all entries with lo <= key <= hi in order.
+  /// Visit the values in [first, last) in key order, one contiguous span
+  /// per leaf. `last` must be reachable from `first`.
   template <typename Fn>
-  void for_each_in_range(const Key& lo, const Key& hi, Fn&& fn) const {
-    for (iterator it = lower_bound(lo); it != end(); ++it) {
-      if (less_(hi, it.key())) break;
-      fn(it.key(), it.value());
+  void for_each_span(iterator first, iterator last, Fn&& fn) const {
+    for (LeafNode* leaf = first.leaf_; leaf != nullptr; leaf = leaf->next) {
+      const bool at_last = leaf == last.leaf_;
+      const std::size_t begin = leaf == first.leaf_ ? first.index_ : 0;
+      const std::size_t end = at_last ? last.index_ : leaf->count;
+      if (begin < end) {
+        fn(std::span<const Value>(leaf->values + begin, end - begin));
+      }
+      if (at_last) return;
     }
   }
 
@@ -238,6 +248,12 @@ class BPlusTree {
     bool happened = false;
     Key separator{};
     Node* right = nullptr;
+  };
+
+  /// Where an insert left the key's value, and whether it was new.
+  struct Placed {
+    Value* slot = nullptr;
+    bool inserted = false;
   };
 
   LeafNode* new_leaf() {
@@ -305,12 +321,17 @@ class BPlusTree {
     return static_cast<LeafNode*>(node);
   }
 
-  SplitResult insert_rec(Node* node, const Key& key, Value&& value) {
-    if (node->is_leaf) return insert_leaf(static_cast<LeafNode*>(node), key, std::move(value));
+  SplitResult insert_rec(Node* node, const Key& key, Value&& value,
+                         Placed& placed) {
+    if (node->is_leaf) {
+      return insert_leaf(static_cast<LeafNode*>(node), key, std::move(value),
+                         placed);
+    }
 
     auto* internal = static_cast<InternalNode*>(node);
     const std::size_t ci = child_index(internal, key);
-    SplitResult child_split = insert_rec(internal->children[ci], key, std::move(value));
+    SplitResult child_split =
+        insert_rec(internal->children[ci], key, std::move(value), placed);
     if (!child_split.happened) return {};
 
     // Insert separator + right child at position ci.
@@ -324,14 +345,13 @@ class BPlusTree {
     return split_internal(internal, ci, child_split);
   }
 
-  SplitResult insert_leaf(LeafNode* leaf, const Key& key, Value&& value) {
+  SplitResult insert_leaf(LeafNode* leaf, const Key& key, Value&& value,
+                          Placed& placed) {
     const std::size_t i = lower_bound_in(leaf, key);
     if (i < leaf->count && !less_(key, leaf->keys[i])) {
-      inserted_ = false;
-      last_slot_ = &leaf->values[i];
+      placed = {&leaf->values[i], false};
       return {};
     }
-    inserted_ = true;
     if (leaf->count < kMaxKeys) {
       for (std::size_t j = leaf->count; j > i; --j) {
         leaf->keys[j] = std::move(leaf->keys[j - 1]);
@@ -340,7 +360,7 @@ class BPlusTree {
       leaf->keys[i] = key;
       leaf->values[i] = std::move(value);
       ++leaf->count;
-      last_slot_ = &leaf->values[i];
+      placed = {&leaf->values[i], true};
       return {};
     }
 
@@ -365,7 +385,7 @@ class BPlusTree {
       leaf->keys[i] = key;
       leaf->values[i] = std::move(value);
       ++leaf->count;
-      last_slot_ = &leaf->values[i];
+      placed = {&leaf->values[i], true};
     } else {
       // New entry lands in the right node.
       for (std::size_t j = mid; j < kMaxKeys; ++j) {
@@ -382,7 +402,7 @@ class BPlusTree {
       right->keys[ri] = key;
       right->values[ri] = std::move(value);
       ++right->count;
-      last_slot_ = &right->values[ri];
+      placed = {&right->values[ri], true};
     }
 
     right->next = leaf->next;
@@ -438,25 +458,26 @@ class BPlusTree {
     return {true, std::move(keys[mid]), right};
   }
 
-  void erase_rec(Node* node, const Key& key) {
+  /// Returns true if `key` was present.
+  bool erase_rec(Node* node, const Key& key) {
     if (node->is_leaf) {
       auto* leaf = static_cast<LeafNode*>(node);
       const std::size_t i = lower_bound_in(leaf, key);
-      if (i >= leaf->count || less_(key, leaf->keys[i])) return;  // absent
+      if (i >= leaf->count || less_(key, leaf->keys[i])) return false;
       for (std::size_t j = i + 1; j < leaf->count; ++j) {
         leaf->keys[j - 1] = std::move(leaf->keys[j]);
         leaf->values[j - 1] = std::move(leaf->values[j]);
       }
       --leaf->count;
-      erased_ = true;
-      return;
+      return true;
     }
 
     auto* internal = static_cast<InternalNode*>(node);
     const std::size_t ci = child_index(internal, key);
     Node* child = internal->children[ci];
-    erase_rec(child, key);
+    const bool erased = erase_rec(child, key);
     if (child->count < kMinKeys) rebalance(internal, ci);
+    return erased;
   }
 
   void rebalance(InternalNode* parent, std::size_t ci) {
@@ -607,12 +628,7 @@ class BPlusTree {
   LeafNode* first_leaf_ = nullptr;
   std::size_t size_ = 0;
   std::size_t node_count_ = 0;
-  Compare less_{};
-
-  // Scratch carried across one try_emplace call.
-  Value* last_slot_ = nullptr;
-  bool inserted_ = false;
-  bool erased_ = false;
+  [[no_unique_address]] Compare less_{};
 };
 
 }  // namespace ncps

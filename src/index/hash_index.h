@@ -58,12 +58,6 @@ class HashIndex {
     if (vid != ValueDictionary::kInvalidId) postings_[vid].append_to(out);
   }
 
-  /// The posting list for one operand, or nullptr (intersection probes).
-  [[nodiscard]] const PostingList* postings(const Value& operand) const {
-    const ValueDictionary::ValueId vid = dict_.find(operand);
-    return vid == ValueDictionary::kInvalidId ? nullptr : &postings_[vid];
-  }
-
   [[nodiscard]] std::size_t size() const { return entries_; }
   [[nodiscard]] bool empty() const { return entries_ == 0; }
   [[nodiscard]] std::size_t distinct_values() const { return dict_.size(); }

@@ -195,55 +195,6 @@ void PostingList::shrink_to_fit() {
   r.dead.shrink_to_fit();
 }
 
-void PostingList::intersect_into(std::span<const std::uint32_t> sorted,
-                                 std::vector<std::uint32_t>& out) const {
-  if (sorted.empty() || count_ == 0) return;
-  if (!spilled()) {
-    std::uint32_t hits[kInlineCapacity];
-    std::uint32_t n = 0;
-    for (std::uint32_t i = 0; i < count_; ++i) {
-      if (std::binary_search(sorted.begin(), sorted.end(), store_.ids[i])) {
-        hits[n++] = store_.ids[i];
-      }
-    }
-    std::sort(hits, hits + n);
-    out.insert(out.end(), hits, hits + n);
-    return;
-  }
-  const Rep& r = *store_.rep;
-  if (r.tail.empty() && r.dead.empty()) {
-    // Compacted: gallop block-wise. A whole block is skipped (never
-    // decoded) when its id range ends before the probe cursor.
-    const std::size_t blocks = r.skips.size() / 2;
-    std::size_t qi = 0;
-    for (std::size_t b = 0; b < blocks && qi < sorted.size(); ++b) {
-      if (b + 1 < blocks && r.skips[2 * (b + 1)] <= sorted[qi]) continue;
-      decode_block(r, b, [&](std::uint32_t v) {
-        while (qi < sorted.size() && sorted[qi] < v) ++qi;
-        if (qi < sorted.size() && sorted[qi] == v) {
-          out.push_back(v);
-          ++qi;
-        }
-      });
-    }
-    return;
-  }
-  // Dirty list: materialise, sort, merge.
-  std::vector<std::uint32_t> ids;
-  ids.reserve(count_);
-  for_each([&](std::uint32_t v) { ids.push_back(v); });
-  std::sort(ids.begin(), ids.end());
-  std::size_t qi = 0;
-  for (const std::uint32_t v : ids) {
-    while (qi < sorted.size() && sorted[qi] < v) ++qi;
-    if (qi == sorted.size()) break;
-    if (sorted[qi] == v) {
-      out.push_back(v);
-      ++qi;
-    }
-  }
-}
-
 std::size_t PostingList::memory_bytes() const {
   if (!spilled()) return 0;
   const Rep& r = *store_.rep;

@@ -19,15 +19,12 @@
 //
 // Decoding is branch-light: a SWAR fast path consumes eight one-byte deltas
 // at a time whenever the next eight continuation bits are all clear (the
-// common case for dense id ranges). intersect_into() galloped through the
-// skip directory decodes only blocks that can overlap the probe set —
-// the leapfrog-style merged iteration of the EPEI/RDF-TDAA lineage.
+// common case for dense id ranges).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "common/contracts.h"
@@ -107,13 +104,6 @@ class PostingList {
     }
     for_each([&](std::uint32_t v) { out.push_back(PredicateId(v)); });
   }
-
-  /// Emit ids present in both this list and `sorted` (ascending, unique)
-  /// into `out`, ascending. On a compacted list this gallops through the
-  /// skip directory and decodes only candidate blocks; a dirty list falls
-  /// back to decode-sort-merge. Call compact() first on hot paths.
-  void intersect_into(std::span<const std::uint32_t> sorted,
-                      std::vector<std::uint32_t>& out) const;
 
   /// Fold tail and tombstones into the packed encoding now.
   void compact();

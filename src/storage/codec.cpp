@@ -1,5 +1,7 @@
 #include "storage/codec.h"
 
+#include <cmath>
+
 #include "predicate/operators.h"
 
 namespace ncps::storage {
@@ -60,6 +62,13 @@ Predicate read_predicate(Reader& r,
   p.op = static_cast<Operator>(op_raw);
   p.lo = read_value(r);
   if (is_binary_operand(p.op)) p.hi = read_value(r);
+  // The parser never yields a NaN operand, and the phase-1 index cannot
+  // order one: it would be stabbed alongside an unrelated bound.
+  for (const Value* v : {&p.lo, &p.hi}) {
+    if (v->type() == ValueType::Float64 && std::isnan(v->as_double())) {
+      throw StorageError("NaN predicate operand");
+    }
+  }
   return p;
 }
 

@@ -21,8 +21,8 @@ void write_value(Writer& w, const Value& v);
 void write_predicate(Writer& w, const Predicate& p);
 /// `attr_remap` maps the writer's attribute id values to this process's
 /// AttributeIds (built by interning the snapshot's attribute dictionary).
-/// Throws StorageError on unknown operators or attribute ids outside the
-/// dictionary.
+/// Throws StorageError on unknown operators, attribute ids outside the
+/// dictionary, or NaN operands.
 [[nodiscard]] Predicate read_predicate(Reader& r,
                                        std::span<const AttributeId> attr_remap);
 

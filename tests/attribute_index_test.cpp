@@ -5,7 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/contracts.h"
 #include "common/random.h"
 #include "event/schema.h"
 #include "test_util.h"
@@ -275,6 +280,8 @@ TEST_F(AttributeIndexTest, NanValueFulfilsNoOrderedPredicate) {
   const Value nan(std::numeric_limits<double>::quiet_NaN());
   EXPECT_EQ(stab(nan), reference(nan));
   EXPECT_EQ(stab(nan), testing::sorted(std::vector{ne, ex}));
+  // A NaN bound cannot be ordered among the others; adding one is refused.
+  EXPECT_THROW(add(Operator::Gt, nan), ContractViolation);
 }
 
 TEST_F(AttributeIndexTest, RandomizedAgainstBruteForce) {
@@ -359,6 +366,55 @@ TEST_F(AttributeIndexTest, RandomizedAgainstBruteForce) {
     all_.push_back(id);
   }
   check_wide("re-added");
+
+  // Ordered comparisons on a few shared bounds, strict and inclusive side by
+  // side, infinite and extreme bounds and Int64 operands among them. Each
+  // (operator, bound) pair carries several ids: one per attribute name, as
+  // the index never looks at the attribute.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::int64_t kIntMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<Value> bounds = {
+      Value(-kInf),  Value(-kMax), Value(-kIntMax), Value(std::int64_t{-7}),
+      Value(0.0),    Value(std::int64_t{3}),        Value(3.5),
+      Value(kIntMax), Value(kMax), Value(kInf)};
+  static constexpr Operator kRangeOps[] = {Operator::Lt, Operator::Le,
+                                           Operator::Gt, Operator::Ge};
+  std::map<std::pair<Operator, double>, std::vector<PredicateId>> on_bound;
+  for (int i = 0; i < 600; ++i) {
+    const Predicate p{
+        attrs_.intern("r" + std::to_string(rng.bounded(12))),
+        kRangeOps[rng.bounded(4)],
+        bounds[rng.bounded(static_cast<std::uint32_t>(bounds.size()))],
+        {}};
+    const auto r = table_.intern(p);
+    if (!r.newly_created) continue;
+    index_.add(r.id, table_.get(r.id));
+    all_.push_back(r.id);
+    on_bound[{p.op, p.lo.numeric()}].push_back(r.id);
+  }
+  const auto check_ranges = [&](const char* stage) {
+    std::vector<Value> values = {Value(-0.0)};
+    for (const Value& b : bounds) {
+      values.push_back(b);
+      values.emplace_back(std::nextafter(b.numeric(), -kInf));
+      values.emplace_back(std::nextafter(b.numeric(), kInf));
+    }
+    for (const Value& v : values) {
+      EXPECT_EQ(stab(v), reference(v)) << stage << " v=" << v.numeric();
+    }
+  };
+  check_ranges("added");
+  std::size_t crowded = 0;
+  for (const auto& [key, ids] : on_bound) {
+    ASSERT_GE(ids.size(), 2u);  // every pair is shared
+    ++crowded;
+    const PredicateId id = ids[ids.size() / 2];
+    EXPECT_TRUE(index_.remove(id, table_.get(id)));
+    all_.erase(std::find(all_.begin(), all_.end(), id));
+  }
+  EXPECT_EQ(crowded, std::size(kRangeOps) * bounds.size());
+  check_ranges("removed one per bound");
 }
 
 TEST_F(AttributeIndexTest, RandomizedChurnAgainstBruteForce) {

@@ -2,6 +2,9 @@
 
 #include <map>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -102,12 +105,23 @@ TEST(BPlusTreeTest, LowerAndUpperBound) {
 
 TEST(BPlusTreeTest, RangeScan) {
   BPlusTree<int, int, std::less<int>, 4> tree;
-  for (int i = 0; i < 50; ++i) tree.try_emplace(i, i);
-  std::vector<int> seen;
-  tree.for_each_in_range(10, 20, [&](int k, int&) { seen.push_back(k); });
-  ASSERT_EQ(seen.size(), 11u);
-  EXPECT_EQ(seen.front(), 10);
-  EXPECT_EQ(seen.back(), 20);
+  for (int i = 0; i < 50; ++i) tree.try_emplace(i, i * 2);
+  const auto scan = [&tree](auto first, auto last) {
+    std::vector<int> seen;
+    tree.for_each_span(first, last, [&](std::span<const int> values) {
+      EXPECT_FALSE(values.empty());
+      EXPECT_LE(values.size(), 4u);  // one leaf at a time
+      seen.insert(seen.end(), values.begin(), values.end());
+    });
+    return seen;
+  };
+  std::vector<int> expected;
+  for (int i = 10; i <= 20; ++i) expected.push_back(i * 2);
+  EXPECT_EQ(scan(tree.lower_bound(10), tree.upper_bound(20)), expected);
+  EXPECT_EQ(scan(tree.begin(), tree.end()).size(), 50u);
+  EXPECT_EQ(scan(tree.lower_bound(49), tree.end()), std::vector{98});
+  EXPECT_TRUE(scan(tree.lower_bound(7), tree.lower_bound(7)).empty());
+  EXPECT_TRUE(scan(tree.end(), tree.end()).empty());
 }
 
 TEST(BPlusTreeTest, EraseLeafSimple) {
@@ -257,6 +271,27 @@ TEST_P(BPlusTreeFuzzTest, MatchesStdMap) {
   for (auto it = tree.begin(); it != tree.end(); ++it, ++ref_it) {
     ASSERT_EQ(it.key(), ref_it->first);
     ASSERT_EQ(it.value(), ref_it->second);
+  }
+
+  // Leaf spans between two bounds carry exactly the values in key order.
+  for (int probe = 0; probe < 50; ++probe) {
+    int lo = static_cast<int>(
+        rng.bounded(static_cast<std::uint32_t>(params.key_range)));
+    int hi = static_cast<int>(
+        rng.bounded(static_cast<std::uint32_t>(params.key_range)));
+    if (hi < lo) std::swap(lo, hi);
+    std::vector<int> spans;
+    tree.for_each_span(tree.lower_bound(lo), tree.lower_bound(hi),
+                       [&](std::span<const int> values) {
+                         spans.insert(spans.end(), values.begin(),
+                                      values.end());
+                       });
+    std::vector<int> expected;
+    for (auto it = reference.lower_bound(lo); it != reference.lower_bound(hi);
+         ++it) {
+      expected.push_back(it->second);
+    }
+    ASSERT_EQ(spans, expected) << "[" << lo << ", " << hi << ")";
   }
 }
 

@@ -99,33 +99,6 @@ TEST(PostingListTest, AppendToEmitsPredicateIds) {
   EXPECT_EQ(out, (std::vector{PredicateId(1), PredicateId(4)}));
 }
 
-TEST(PostingListTest, IntersectGallopsCompactedList) {
-  PostingList list;
-  for (std::uint32_t i = 0; i < 1000; ++i) list.add(i * 7);
-  list.compact();
-  const std::vector<std::uint32_t> probe = {0, 3, 14, 700, 701, 6993};
-  std::vector<std::uint32_t> out;
-  list.intersect_into(probe, out);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 14, 700, 6993}));
-}
-
-TEST(PostingListTest, IntersectDirtyAndInlineLists) {
-  PostingList dirty;
-  for (std::uint32_t i = 0; i < 100; ++i) dirty.add(i);
-  dirty.remove(50);  // tombstone → dirty path
-  const std::vector<std::uint32_t> probe = {10, 50, 99};
-  std::vector<std::uint32_t> out;
-  dirty.intersect_into(probe, out);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{10, 99}));
-
-  PostingList tiny;
-  tiny.add(50);
-  tiny.add(10);
-  out.clear();
-  tiny.intersect_into(probe, out);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{10, 50}));
-}
-
 TEST(PostingListTest, RandomizedChurnAgainstStdSet) {
   Pcg32 rng(77);
   PostingList list;
@@ -152,32 +125,6 @@ TEST(PostingListTest, RandomizedChurnAgainstStdSet) {
   }
   EXPECT_EQ(contents(list),
             std::vector<std::uint32_t>(reference.begin(), reference.end()));
-}
-
-TEST(PostingListTest, RandomizedIntersectAgainstReference) {
-  Pcg32 rng(123);
-  for (int trial = 0; trial < 30; ++trial) {
-    PostingList list;
-    std::set<std::uint32_t> in_list;
-    const std::uint32_t n = 1 + rng.bounded(800);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t id = rng.bounded(5000);
-      if (in_list.insert(id).second) list.add(id);
-    }
-    if (rng.chance(0.5)) list.compact();
-    std::set<std::uint32_t> probe_set;
-    const std::uint32_t m = rng.bounded(300);
-    for (std::uint32_t i = 0; i < m; ++i) probe_set.insert(rng.bounded(5000));
-    const std::vector<std::uint32_t> probe(probe_set.begin(), probe_set.end());
-
-    std::vector<std::uint32_t> expected;
-    for (const std::uint32_t v : probe) {
-      if (in_list.contains(v)) expected.push_back(v);
-    }
-    std::vector<std::uint32_t> got;
-    list.intersect_into(probe, got);
-    EXPECT_EQ(got, expected) << "trial " << trial;
-  }
 }
 
 TEST(PostingListTest, MoveTransfersOwnership) {

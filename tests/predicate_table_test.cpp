@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/contracts.h"
 #include "event/schema.h"
+#include "storage/serializer.h"
 
 namespace ncps {
 namespace {
@@ -87,6 +91,23 @@ TEST_F(PredicateTableTest, GetOnDeadIdViolatesContract) {
   EXPECT_THROW((void)table_.get(id), ContractViolation);
   EXPECT_THROW(table_.add_ref(id), ContractViolation);
   EXPECT_THROW((void)table_.get(PredicateId(99)), ContractViolation);
+}
+
+// A snapshot is hostile input. The parser never yields a NaN operand, but a
+// snapshot can carry one, and the phase-1 index cannot order it: a `> NaN`
+// filed beside `> 5` was stabbed with it. Loading must refuse it.
+TEST_F(PredicateTableTest, SnapshotWithNanOperandIsRejected) {
+  (void)table_.intern(make("x", Operator::Gt, Value(5)));
+  (void)table_.intern(make(
+      "x", Operator::Gt, Value(std::numeric_limits<double>::quiet_NaN())));
+  (void)table_.intern(make("x", Operator::Gt, Value(20)));
+  storage::Writer w;
+  table_.save_state(w);
+
+  const std::vector<AttributeId> remap{attrs_.intern("x")};
+  storage::Reader r(w.bytes());
+  PredicateTable restored;
+  EXPECT_THROW(restored.load_state(r, remap), StorageError);
 }
 
 TEST_F(PredicateTableTest, ForEachVisitsOnlyLive) {
