@@ -374,10 +374,16 @@ TEST_F(AttributeIndexTest, RandomizedAgainstBruteForce) {
   constexpr double kMax = std::numeric_limits<double>::max();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr std::int64_t kIntMax = std::numeric_limits<std::int64_t>::max();
-  const std::vector<Value> bounds = {
-      Value(-kInf),  Value(-kMax), Value(-kIntMax), Value(std::int64_t{-7}),
-      Value(0.0),    Value(std::int64_t{3}),        Value(3.5),
-      Value(kIntMax), Value(kMax), Value(kInf)};
+  const std::vector<Value> bounds = {Value(-kInf),
+                                     Value(-kMax),
+                                     Value(-kIntMax),
+                                     Value(std::int64_t{-7}),
+                                     Value(0.0),
+                                     Value(std::int64_t{3}),
+                                     Value(3.5),
+                                     Value(kIntMax),
+                                     Value(kMax),
+                                     Value(kInf)};
   static constexpr Operator kRangeOps[] = {Operator::Lt, Operator::Le,
                                            Operator::Gt, Operator::Ge};
   std::map<std::pair<Operator, double>, std::vector<PredicateId>> on_bound;
@@ -405,15 +411,13 @@ TEST_F(AttributeIndexTest, RandomizedAgainstBruteForce) {
     }
   };
   check_ranges("added");
-  std::size_t crowded = 0;
+  ASSERT_EQ(on_bound.size(), std::size(kRangeOps) * bounds.size());
   for (const auto& [key, ids] : on_bound) {
     ASSERT_GE(ids.size(), 2u);  // every pair is shared
-    ++crowded;
     const PredicateId id = ids[ids.size() / 2];
     EXPECT_TRUE(index_.remove(id, table_.get(id)));
     all_.erase(std::find(all_.begin(), all_.end(), id));
   }
-  EXPECT_EQ(crowded, std::size(kRangeOps) * bounds.size());
   check_ranges("removed one per bound");
 }
 
