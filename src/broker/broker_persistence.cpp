@@ -436,14 +436,6 @@ void ShardedBroker::checkpoint() {
                 "snapshot fence violated: shard lags issue generation");
   }
 
-  // Run every deferred reclamation now: no batch is in flight and no reader
-  // is pinned (the publish lock is held), so the epoch domains may free
-  // unconditionally. prepare_snapshot/compact below then see the canonical
-  // quarantine-free shape save_state() expects.
-  for (auto& shard : shards_) {
-    shard->epochs->flush_reclaim();
-  }
-
   storage::Writer payload;
   write_snapshot_payload(payload);
   storage::write_snapshot_file(*vfs_, storage_.directory, payload.bytes());

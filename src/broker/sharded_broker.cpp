@@ -70,7 +70,6 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
     shard->engine = make_engine(config.engine, shard->table);
     shards_.push_back(std::move(shard));
   }
-  callbacks_.store(std::make_shared<const CallbackMap>());
   if (config.metrics && obs::kMetricsEnabled) {
     cells_ = std::make_unique<obs::BrokerMetrics>(registry_);
   }
@@ -93,12 +92,9 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
   }
   merge_scratch_.resize(workers);
   // One epoch domain per shard, one reader slot per worker: match tasks pin
-  // their worker's slot, mutators close the write gate. The engines route
-  // their internal deferred frees (forest quarantine, posting-block
-  // collapse) onto it.
+  // their worker's slot, mutators close the write gate.
   for (auto& shard : shards_) {
     shard->epochs = std::make_unique<EpochDomain>(workers);
-    shard->engine->set_epoch_domain(shard->epochs.get());
   }
   shard_match_stats_.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -1129,11 +1125,6 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
         "ncps_control_queue_depth", labels,
         static_cast<double>(
             shard.queued_commands.load(std::memory_order_relaxed)));
-    // Epoch-reclaim backlog: retired entries (forest nodes, posting blocks)
-    // whose grace period has not yet passed. Persistent growth here means a
-    // reader is pinning an epoch far longer than one chunk should take.
-    snap.add_gauge("ncps_epoch_reclaim_deferred", labels,
-                   static_cast<double>(shard.epochs->deferred_count()));
     snap.add_gauge("ncps_shard_subscriptions", labels,
                    static_cast<double>(subs));
   }

@@ -109,6 +109,7 @@
 #include "common/generation_fence.h"
 #include "common/ids.h"
 #include "common/mpsc_queue.h"
+#include "common/snapshot_ptr.h"
 #include "common/work_stealing_pool.h"
 #include "engine/engine.h"
 #include "delivery/delivery_plane.h"
@@ -311,10 +312,10 @@ class ShardedBroker {
   /// Point-in-time telemetry snapshot: every registry cell (publish/latency
   /// counters and histograms, the control-apply-latency histogram, delivery
   /// and journal cells) plus sampled values — per-shard match stats and
-  /// subscription counts, control-plane apply lag and queue depth,
-  /// epoch-reclaim deferred counts, outbox gauges. Thread-safe and
-  /// concurrent with publishing; it takes no shard mutex (every per-shard
-  /// value is a relaxed atomic), so an inline delivery callback may call it.
+  /// subscription counts, control-plane apply lag and queue depth, outbox
+  /// gauges. Thread-safe and concurrent with publishing; it takes no shard
+  /// mutex (every per-shard value is a relaxed atomic), so an inline
+  /// delivery callback may call it.
   /// Render with to_prometheus() / to_json().
   [[nodiscard]] obs::MetricsSnapshot metrics() const;
 
@@ -424,12 +425,9 @@ class ShardedBroker {
     std::atomic<std::size_t> subscriptions{0};
     GenerationFence fence;
     std::shared_mutex mutex;
-    /// Epoch read-gate + deferred reclamation over this shard's
-    /// reader-visible state (engine structures, to_global/owner_of). One
-    /// reader slot per worker (the seed broker's one is the publishing
-    /// thread). Declared last so its destructor — which runs every deferred
-    /// deleter — executes while the engine, forest and table those deleters
-    /// touch are still alive.
+    /// Epoch read-gate over this shard's reader-visible state (engine
+    /// structures, to_global/owner_of). One reader slot per worker (the
+    /// seed broker's one is the publishing thread).
     std::unique_ptr<EpochDomain> epochs;
   };
 
@@ -481,19 +479,14 @@ class ShardedBroker {
   /// already holds shard.mutex (exclusive against other mutators); enter()
   /// additionally closes the shard's epoch gate — blocking new match
   /// readers and waiting out pinned ones, a wait bounded by one in-flight
-  /// chunk — and installs the domain as the thread's reclamation target so
-  /// engine-internal free sites defer instead of deleting. Lazy: a drain
-  /// that finds nothing queued never calls enter() and never pays a grace
-  /// period. Destruction reopens the gate and reclaims what the grace period
-  /// proved unreachable.
+  /// chunk — so the mutation may free and reuse memory in place. Lazy: a
+  /// drain that finds nothing queued never calls enter() and never pays a
+  /// grace period. Destruction reopens the gate.
   class ShardWriteGuard {
    public:
     explicit ShardWriteGuard(Shard& shard) : shard_(&shard) {}
     ~ShardWriteGuard() {
-      if (entered_) {
-        scope_.reset();  // restore the previous TLS reclaim target first
-        shard_->epochs->writer_exit();
-      }
+      if (entered_) shard_->epochs->writer_exit();
     }
     ShardWriteGuard(const ShardWriteGuard&) = delete;
     ShardWriteGuard& operator=(const ShardWriteGuard&) = delete;
@@ -502,13 +495,11 @@ class ShardedBroker {
     void enter() {
       if (entered_) return;
       shard_->epochs->writer_enter();
-      scope_.emplace(*shard_->epochs);
       entered_ = true;
     }
 
    private:
     Shard* shard_;
-    std::optional<ReclaimScope> scope_;
     bool entered_ = false;
   };
 
@@ -682,7 +673,7 @@ class ShardedBroker {
 
   /// Immutable snapshot of subscriber callbacks; swapped copy-on-write by
   /// the control plane, loaded once per batch by the publisher.
-  std::atomic<std::shared_ptr<const CallbackMap>> callbacks_;
+  SnapshotPtr<CallbackMap> callbacks_;
 
   // ---- apply thread (pool brokers only; see apply_loop in the .cpp) ----
   /// Drains every shard whenever a control command is queued, concurrently

@@ -19,14 +19,13 @@
 //     section (one event chunk in the broker) — then mutates with genuine
 //     exclusivity, and finally drops the flag. Writer preference is
 //     structural: readers that lose the entry race retreat and wait.
-//   - retire() defers destruction of unlinked nodes/blocks: an object
-//     retired at epoch R is destroyed only once no reader pins an epoch
-//     <= R (writer_exit and try_reclaim check). Today's appliers mutate
-//     under the writer gate, so retirement is belt-and-braces for the
-//     structures themselves — what it buys is (a) shorter writer critical
-//     sections (frees happen after readers resume) and (b) a forest node
-//     slot / posting block lifecycle that stays correct even for reads
-//     that run outside any pin (see shared_forest.h's quarantine reroute).
+//
+// The gate alone keeps readers safe, frees included: writer_enter()
+// returns only once every slot is unpinned, so no reader can hold a
+// pointer into the structures while the writer mutates them, and a reader
+// that pins after writer_exit() walks the already-mutated structure.
+// Memory a writer unlinks may therefore be freed (or reused) in place,
+// inside its critical section; there is no deferred-reclamation list.
 //
 // The store-then-load entry/gate protocol is the classic Dekker/store-buffer
 // pattern and needs seq_cst on both sides: the reader's pin store and flag
@@ -39,22 +38,17 @@
 // Threading contract: any number of concurrent readers, each on its own
 // slot (one thread per slot at a time — the broker indexes by pool worker
 // id). Writers must be externally serialised (the broker's per-shard mutex
-// does this); retire()/try_reclaim() are internally locked and callable
-// from writers and tests alike.
+// does this).
 //
 // EpochSet (epoch_set.h) is unrelated per-context *scratch* versioning;
 // GenerationFence (generation_fence.h) tracks *command* application. This
-// class is about memory: who may read a structure, and when memory that
-// left it may be freed.
+// class is about who may read a structure while it is being mutated.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <new>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -68,11 +62,6 @@ class EpochDomain {
   explicit EpochDomain(std::size_t reader_slots) : slots_(reader_slots) {
     NCPS_EXPECTS(reader_slots >= 1);
   }
-
-  /// Runs every pending deleter. Callers guarantee no reader is pinned and
-  /// no writer is active (the broker destroys the domain only after all
-  /// threads have been joined).
-  ~EpochDomain() { flush_reclaim(); }
 
   EpochDomain(const EpochDomain&) = delete;
   EpochDomain& operator=(const EpochDomain&) = delete;
@@ -140,10 +129,6 @@ class EpochDomain {
     NCPS_DASSERT(writer_.load(std::memory_order_relaxed) == 0 &&
                  "writers must be externally serialised");
     writer_.store(1, std::memory_order_seq_cst);
-    // Advance before waiting: anything retired during (or before) this
-    // critical section is stamped strictly below any epoch a post-exit
-    // reader can pin, so the `retired < min pinned` reclamation rule holds
-    // with plain integer comparison.
     epoch_.fetch_add(2, std::memory_order_acq_rel);
     for (Slot& slot : slots_) {
       std::uint64_t v;
@@ -155,91 +140,14 @@ class EpochDomain {
     }
   }
 
-  /// Reopen the gate to readers, then reclaim whatever the grace period
-  /// proved unreachable.
+  /// Reopen the gate to readers.
   void writer_exit() {
     NCPS_DASSERT(writer_.load(std::memory_order_relaxed) == 1);
     writer_.store(0, std::memory_order_release);
     notify_u32(writer_);
-    try_reclaim();
   }
 
-  // ---- deferred reclamation ----
-
-  /// Defer `delete p` (via `deleter`) until no reader pins an epoch at or
-  /// below the current one. Callable with or without the writer gate held.
-  void retire(void* p, void (*deleter)(void*)) {
-    retire_fn([p, deleter] { deleter(p); });
-  }
-
-  template <typename T>
-  void retire(T* p) {
-    retire(p, [](void* q) { delete static_cast<T*>(q); });
-  }
-
-  /// General form: run `fn` once the grace condition holds (used where the
-  /// deferred action is not a plain delete — e.g. returning a forest node
-  /// slot to its free list).
-  void retire_fn(std::function<void()> fn) {
-    const std::uint64_t epoch = current_epoch();
-    const std::lock_guard<std::mutex> lock(retired_mutex_);
-    retired_.push_back(Retired{epoch, std::move(fn)});
-    deferred_.store(retired_.size(), std::memory_order_relaxed);
-  }
-
-  /// Run the deleters of every entry retired strictly before the oldest
-  /// pinned epoch (all of them when nothing is pinned). Returns how many
-  /// ran. Safe concurrently with readers; serialise against other
-  /// reclaimers the same way as writers.
-  std::size_t try_reclaim() {
-    std::uint64_t min_pinned = ~std::uint64_t{0};
-    for (const Slot& slot : slots_) {
-      const std::uint64_t v = slot.pinned.load(std::memory_order_acquire);
-      if (v != 0 && v < min_pinned) min_pinned = v;
-    }
-    std::vector<Retired> ready;
-    {
-      const std::lock_guard<std::mutex> lock(retired_mutex_);
-      std::size_t kept = 0;
-      for (Retired& r : retired_) {
-        if (r.epoch < min_pinned) {
-          ready.push_back(std::move(r));
-        } else {
-          retired_[kept++] = std::move(r);
-        }
-      }
-      retired_.resize(kept);
-      deferred_.store(retired_.size(), std::memory_order_relaxed);
-    }
-    // Deleters run outside the list lock: they may touch arbitrary
-    // structures (forest free lists) and must not deadlock against a
-    // concurrent retire() from the same callback chain.
-    for (Retired& r : ready) r.fn();
-    return ready.size();
-  }
-
-  /// Run every pending deleter unconditionally. Only legal when no reader
-  /// is pinned (asserted) — checkpoint holds every broker lock with no
-  /// batch in flight, which is exactly that state.
-  std::size_t flush_reclaim() {
-    NCPS_DASSERT(pinned_readers() == 0);
-    std::vector<Retired> ready;
-    {
-      const std::lock_guard<std::mutex> lock(retired_mutex_);
-      ready.swap(retired_);
-      deferred_.store(0, std::memory_order_relaxed);
-    }
-    for (Retired& r : ready) r.fn();
-    return ready.size();
-  }
-
-  // ---- introspection (telemetry, tests) ----
-
-  /// Entries retired but not yet reclaimed (the
-  /// ncps_epoch_reclaim_deferred gauge).
-  [[nodiscard]] std::size_t deferred_count() const {
-    return deferred_.load(std::memory_order_relaxed);
-  }
+  // ---- introspection (tests) ----
 
   /// Currently pinned reader slots (racy snapshot; exact when quiescent).
   [[nodiscard]] std::size_t pinned_readers() const {
@@ -265,11 +173,6 @@ class EpochDomain {
   struct alignas(kSlotAlign) Slot {
     /// 0 = unpinned; otherwise the (even, non-zero) epoch pinned at entry.
     std::atomic<std::uint64_t> pinned{0};
-  };
-
-  struct Retired {
-    std::uint64_t epoch = 0;
-    std::function<void()> fn;
   };
 
   [[nodiscard]] std::uint64_t current_epoch() const {
@@ -309,54 +212,6 @@ class EpochDomain {
   std::atomic<std::uint64_t> epoch_{2};
   std::atomic<std::uint32_t> writer_{0};
   std::vector<Slot> slots_;
-
-  mutable std::mutex retired_mutex_;
-  std::vector<Retired> retired_;
-  std::atomic<std::size_t> deferred_{0};
 };
-
-namespace epoch_detail {
-/// Thread-local reclamation target installed by ReclaimScope. A raw
-/// pointer, not ownership: the scope's lifetime is bounded by the writer
-/// critical section that installed it.
-inline thread_local EpochDomain* tls_reclaim_domain = nullptr;
-}  // namespace epoch_detail
-
-/// Installs `domain` as the calling thread's deferred-reclamation target
-/// for the scope's lifetime. Deep structures (posting lists, forest
-/// internals) call retire_or_delete() at their free sites without any
-/// plumbing: under an apply-path writer section the free is deferred past
-/// the grace period; anywhere else (teardown, standalone engines, tests)
-/// it degrades to an immediate delete.
-class ReclaimScope {
- public:
-  explicit ReclaimScope(EpochDomain& domain)
-      : previous_(epoch_detail::tls_reclaim_domain) {
-    epoch_detail::tls_reclaim_domain = &domain;
-  }
-  ~ReclaimScope() { epoch_detail::tls_reclaim_domain = previous_; }
-  ReclaimScope(const ReclaimScope&) = delete;
-  ReclaimScope& operator=(const ReclaimScope&) = delete;
-
- private:
-  EpochDomain* previous_;
-};
-
-[[nodiscard]] inline EpochDomain* current_reclaim_domain() {
-  return epoch_detail::tls_reclaim_domain;
-}
-
-/// Free `p` through the thread's reclaim domain when one is installed,
-/// immediately otherwise. The deferred path keeps the memory valid for any
-/// reader whose pin predates the retire.
-template <typename T>
-void retire_or_delete(T* p) {
-  if (p == nullptr) return;
-  if (EpochDomain* domain = current_reclaim_domain()) {
-    domain->retire(p);
-  } else {
-    delete p;
-  }
-}
 
 }  // namespace ncps

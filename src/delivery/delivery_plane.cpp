@@ -23,7 +23,6 @@ DeliveryPlane::DeliveryPlane(DeliveryOptions options,
       metrics_(metrics),
       executor_(default_threads(options.threads)) {
   NCPS_EXPECTS(options.outbox_capacity >= 1);
-  outboxes_.store(std::make_shared<const OutboxMap>());
 }
 
 void DeliveryPlane::add_subscriber(SubscriberId subscriber, NotifyFn callback,

@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/snapshot_ptr.h"
 #include "delivery/delivery.h"
 #include "delivery/delivery_executor.h"
 #include "delivery/outbox.h"
@@ -135,7 +136,7 @@ class DeliveryPlane {
   DeliveryOptions options_;
   obs::DeliveryMetrics* metrics_;
   DeliveryProgress progress_;
-  std::atomic<std::shared_ptr<const OutboxMap>> outboxes_;
+  SnapshotPtr<OutboxMap> outboxes_;
   // Declared after the state the workers touch, so destruction joins the
   // workers before any of it goes away.
   DeliveryExecutor executor_;

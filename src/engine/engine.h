@@ -35,14 +35,21 @@
 // An engine's state therefore splits into two classes:
 //   - reader-visible: everything the const match path traverses — the
 //     phase-1 index, predicate table entries, the forest/tree/counting
-//     structures, per-subscription records. Mutated only inside the write
-//     gate; memory leaving these structures is retired to the engine's
-//     EpochDomain (retire_or_delete), never freed in place.
+//     structures, per-subscription records. Mutated, and freed, only inside
+//     the shard's write gate: B+ tree nodes, spilled posting blocks and
+//     forest node slots are deleted or reused in place, and dense vectors
+//     regrow in place, because the gate has already waited out every
+//     pinned reader and admits the next one only after the mutation.
 //   - apply-side: bookkeeping only mutators touch (use counts, free lists,
 //     bulk-load queues). Guarded by the broker's per-shard mutex alone;
 //     readers never look at it.
-// Engines that cache the domain (set_epoch_domain) route deferred frees
-// onto it; standalone engines (no domain) free immediately.
+// The rule has a second half: no MatchContext keeps a pointer or node id
+// into engine structures across match_range calls. Every id a context
+// holds (forest frontier, rank buckets, leaf bitmap, hit and truth arrays,
+// the phase-1 fulfilled set) is written and consumed within one event or
+// one call, and epoch-stamped scratch trusts no value from an earlier
+// stamp, so a slot the gate let a writer free or reuse is never read
+// through a stale context.
 #pragma once
 
 #include <cstddef>
@@ -230,7 +237,7 @@ class FilterEngine {
   /// re-adds them through the bulk path on recovery.
   [[nodiscard]] virtual bool supports_state_snapshot() const { return false; }
 
-  /// Fold transient slack (quarantines, free-list fragmentation) into a
+  /// Fold transient slack (free-list fragmentation, dead arena slices) into a
   /// canonical shape before save_state() so derived structure needs no
   /// encoding. Must be called under the same exclusivity add() requires.
   virtual void prepare_snapshot() {}
@@ -265,25 +272,6 @@ class FilterEngine {
     return false;
   }
 
-  // ---- epoch domain (concurrent-reader reclamation; see header comment) --
-
-  /// Attach (or detach, with nullptr) the epoch domain governing this
-  /// engine's reader-visible state. The broker installs its shard's domain
-  /// right after construction; appliers then wrap mutations in the domain's
-  /// writer gate plus a ReclaimScope, so the engine's internal free sites
-  /// (retire_or_delete) defer reclamation past every pinned reader.
-  /// Engines with their own deferred-free machinery (the shared forest's
-  /// node quarantine) reroute it in on_epoch_domain_changed. Call only
-  /// under the same exclusivity add() requires.
-  void set_epoch_domain(EpochDomain* domain) {
-    epoch_domain_ = domain;
-    on_epoch_domain_changed(domain);
-  }
-
-  /// The attached domain, or nullptr for standalone engines (every free is
-  /// then immediate — the pre-epoch behaviour).
-  [[nodiscard]] EpochDomain* epoch_domain() const { return epoch_domain_; }
-
  protected:
   /// Phase-2 body — what engines actually implement. Const: all scratch and
   /// all counters live in `ctx` (engines downcast to the type their
@@ -294,11 +282,6 @@ class FilterEngine {
                                      std::size_t event_index,
                                      const Event& event, MatchSink& sink,
                                      MatchContext& ctx) const = 0;
-
-  /// Hook for engines whose internals hold their own deferred-free lists:
-  /// called from set_epoch_domain so they can reroute those lists onto the
-  /// domain (NonCanonicalEngine points its forest's quarantine at it).
-  virtual void on_epoch_domain_changed(EpochDomain* domain) { (void)domain; }
 
   /// Take an engine-owned reference to a live predicate; the first
   /// engine-local use registers it with the phase-1 index. Index membership
@@ -350,8 +333,6 @@ class FilterEngine {
   std::vector<std::uint32_t> use_count_;  // engine-local uses per predicate id
 
  private:
-  EpochDomain* epoch_domain_ = nullptr;
-
   // Bulk-load state: predicates whose first engine-local use happened while
   // bulk_loading_ (index registration deferred to finish_bulk_load).
   bool bulk_loading_ = false;
@@ -364,8 +345,7 @@ class FilterEngine {
 /// (blocking only while an applier is inside its write gate); destruction
 /// unpins, exceptions included. While the view lives, every reader-visible
 /// structure the const match path traverses is guaranteed stable: appliers
-/// wait out the pin before mutating, and memory unlinked before the pin was
-/// taken is retired — not freed — until the pin drops. Only the const,
+/// wait out the pin before mutating or freeing anything. Only the const,
 /// context-taking match_range is exposed.
 class EngineView {
  public:

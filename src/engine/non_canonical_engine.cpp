@@ -30,11 +30,6 @@ void NonCanonicalEngine::validate(const ast::Node& expression,
 }
 
 SubscriptionId NonCanonicalEngine::add(const ast::Node& expression) {
-  // Node slots released by earlier removals become reusable here: add() is
-  // ordered after any matching that could still walk them (engines are
-  // serialised per shard; see shared_forest.h).
-  forest_.reclaim_quarantine();
-
   // intern() checks limits before any mutation, so an oversized
   // expression throws here with no state change. Commuted spellings of an
   // existing root land on it here, by identity.
@@ -97,11 +92,6 @@ bool NonCanonicalEngine::remove(SubscriptionId id) {
   subs_[id.value()] = SubRecord{};
   free_ids_.push_back(id);
   --live_count_;
-  // Hand freshly quarantined nodes to the epoch domain now rather than
-  // waiting for the next add(): under churn-during-match the retire path is
-  // what makes slot reuse grace-safe, and deferring it to the next add would
-  // let the quarantine grow unboundedly on unsubscribe-heavy workloads.
-  forest_.reclaim_quarantine();
   return true;
 }
 

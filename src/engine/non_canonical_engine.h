@@ -33,9 +33,9 @@
 //     pre-filter would save nothing (DESIGN.md §1c).
 //
 // Unsubscription releases the root reference; the forest cascades refcount
-// decrements and quarantines fully released node slots until the next add()
-// (see shared_forest.h for why that, combined with the broker's shard
-// serialisation and generation-fence quarantine, means concurrent matching
+// decrements and frees fully released node slots for the next add() to
+// reuse (see shared_forest.h for why that, combined with the broker's
+// shard write gate and global-id quarantine, means concurrent matching
 // never observes a recycled node).
 #pragma once
 
@@ -94,14 +94,6 @@ class NonCanonicalEngine final : public FilterEngine {
   /// next match on it wraps the epoch counter (regression surface for
   /// stale-truth leaks across the wrap). `ctx` must come from make_context().
   static void force_scratch_epoch_wrap(MatchContext& ctx);
-
- protected:
-  /// Route the forest's quarantine through the broker's epoch domain: node
-  /// slots retired by remove() re-enter the free list only after every
-  /// reader pinned at retirement time has unpinned (shared_forest.h).
-  void on_epoch_domain_changed(EpochDomain* domain) override {
-    forest_.set_reclaim_domain(domain);
-  }
 
  private:
   using NodeId = SharedForest::NodeId;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/epoch_domain.h"
-
 namespace ncps {
 
 namespace {
@@ -94,11 +92,7 @@ void PostingList::collapse_excluding(std::uint32_t excluded, bool skip_one) {
     gather(v);
   });
   for (const std::uint32_t v : rep->tail) gather(v);
-  // The spilled block may still be referenced by a reader whose pin predates
-  // this mutation; defer the free past the grace period when a reclaim scope
-  // is active (broker apply path), free immediately otherwise (teardown,
-  // single-threaded use).
-  retire_or_delete(rep);
+  delete rep;
   count_ = n;
   for (std::uint32_t i = 0; i < n; ++i) store_.ids[i] = keep[i];
 }

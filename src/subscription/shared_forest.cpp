@@ -5,7 +5,6 @@
 #include <ranges>
 #include <utility>
 
-#include "common/epoch_domain.h"
 #include "common/hash.h"
 #include "storage/serializer.h"
 
@@ -278,7 +277,7 @@ void SharedForest::release(NodeId id) {
   NCPS_DASSERT(m.parent0 == kNoNode && ((m.packed >> 30) & 0x1u) == 0);
   m = Meta{};
   m.parent0 = kNoNode;
-  quarantine_.push_back(id);
+  free_nodes_.push_back(id);
 }
 
 ast::NodePtr SharedForest::to_ast(NodeId id) const {
@@ -301,32 +300,7 @@ ast::NodePtr SharedForest::to_ast(NodeId id) const {
   NCPS_ASSERT(false && "unreachable");
 }
 
-void SharedForest::reclaim_quarantine() {
-  if (quarantine_.empty()) return;
-  if (reclaim_domain_ != nullptr) {
-    // Epoch mode: slots become allocatable only after the grace period.
-    // The callback runs from the domain's reclaim passes, which execute on
-    // threads holding the shard's write side — the same exclusivity every
-    // other free_nodes_ mutation has.
-    retire_quarantine_batch(*reclaim_domain_, std::move(quarantine_));
-    quarantine_.clear();  // moved-from: restore a definite empty state
-    return;
-  }
-  free_nodes_.insert(free_nodes_.end(), quarantine_.begin(),
-                     quarantine_.end());
-  quarantine_.clear();
-}
-
-void SharedForest::retire_quarantine_batch(EpochDomain& domain,
-                                           std::vector<NodeId> batch) {
-  domain.retire_fn([this, batch = std::move(batch)]() mutable {
-    free_nodes_.insert(free_nodes_.end(), batch.begin(), batch.end());
-  });
-}
-
 void SharedForest::compact_storage() {
-  reclaim_quarantine();
-
   // Rewrite the child arena with only live slices (NodeIds are untouched).
   std::vector<NodeId> compacted;
   std::size_t live_slots = 0;
@@ -356,14 +330,11 @@ void SharedForest::compact_storage() {
   next_.shrink_to_fit();
   leaf_by_pred_.shrink_to_fit();
   free_nodes_.shrink_to_fit();
-  quarantine_.shrink_to_fit();
   intern_stack_.shrink_to_fit();
   for (auto& entry : extra_parents_) entry.second.shrink_to_fit();
 }
 
 void SharedForest::save_state(storage::Writer& w) const {
-  NCPS_EXPECTS(quarantine_.empty() &&
-               "compact_storage() must precede save_state()");
   w.varint(metas_.size());
   w.varint(live_count_);
   for (NodeId id = 0; id < metas_.size(); ++id) {
@@ -591,8 +562,7 @@ MemoryBreakdown SharedForest::memory() const {
     parent_bytes += vector_bytes(entry.second);
   }
   mem.add("parent_overflow", parent_bytes);
-  mem.add("free_lists",
-          vector_bytes(free_nodes_) + vector_bytes(quarantine_));
+  mem.add("free_lists", vector_bytes(free_nodes_));
   mem.add("intern_scratch", vector_bytes(intern_stack_));
   return mem;
 }

@@ -28,24 +28,15 @@
 //
 // Lifecycle: intern() returns a root holding one caller-owned reference;
 // every interior node owns one reference per child occurrence. release()
-// drops a reference and, at zero, unlinks the node and cascades to its
-// children. Fully released node slots are *quarantined*, not reused
-// immediately: a slot only returns to the free list via
-// reclaim_quarantine() — the engines call it around add()/remove(), so
-// within one control command a released NodeId is never re-interned as a
-// different subtree. How the quarantine empties depends on
-// set_reclaim_domain():
-//   - with an epoch domain attached (every broker shard),
-//     reclaim_quarantine() *retires* the batch to the domain, and
-//     the slots reach the free list only once no reader pins an epoch from
-//     before the release — the grace period. Slot reuse is thereby ordered
-//     after every read-side section that could have held the node, by the
-//     domain itself rather than by command ordering;
-//   - without one (standalone engines), slots move to the free list
-//     immediately — the legacy quarantine-until-next-add behaviour, correct
-//     because matching and mutation are then strictly serialised.
-// The broker-level quarantine of retired global ids (sharded_broker.h)
-// additionally fences match records that outlive the removal.
+// drops a reference and, at zero, unlinks the node, cascades to its
+// children and returns the slot straight to the free list, so the next
+// intern() may reuse it. That is safe because every mutation — release()
+// and intern() alike — runs under the owner's exclusivity: in the broker,
+// the shard's epoch write gate, which waits out every pinned matcher before
+// the first change and admits new ones only after the last; standalone
+// engines match and mutate strictly in turn. No match context keeps a
+// NodeId across match calls. The broker-level quarantine of retired global
+// ids (sharded_broker.h) fences match records that outlive the removal.
 //
 // Limits: child count <= 32767 per node, tree depth <= 4095 (both far above
 // the paper's 256-predicate assumption); validate_limits() checks them
@@ -67,8 +58,6 @@
 #include "subscription/ast.h"
 
 namespace ncps {
-
-class EpochDomain;
 
 namespace storage {
 class Writer;
@@ -115,8 +104,7 @@ class SharedForest {
   InternResult intern(const ast::Node& expression);
 
   /// Drop one reference; at zero the node is unlinked, child references are
-  /// released recursively, and the slot is quarantined for reuse after the
-  /// next reclaim_quarantine().
+  /// released recursively, and the slot returns to the free list.
   void release(NodeId id);
 
   /// Throw exactly what intern() would throw for `expression`, touching
@@ -192,24 +180,6 @@ class SharedForest {
   [[nodiscard]] std::size_t live_nodes() const { return live_count_; }
   /// One past the largest NodeId ever allocated — dense-array bound.
   [[nodiscard]] std::size_t node_bound() const { return metas_.size(); }
-  [[nodiscard]] std::size_t quarantined_nodes() const {
-    return quarantine_.size();
-  }
-
-  /// Route quarantined slots through `domain`: reclaim_quarantine() then
-  /// retires them (free-list insertion deferred past every pinned reader)
-  /// instead of freeing in place. nullptr restores the immediate mode.
-  /// The owning engine wires this from on_epoch_domain_changed.
-  void set_reclaim_domain(EpochDomain* domain) { reclaim_domain_ = domain; }
-
-  /// Empty the quarantine. Without a reclaim domain, slots move to the free
-  /// list now — call only from a context ordered after any matching that
-  /// could still walk the released nodes (the engines call it around
-  /// add()/remove() under the broker's write gate). With a domain, the
-  /// batch is retired and the free-list insertion happens at the first
-  /// reclaim pass whose grace period covers the release — safe to call
-  /// whenever the caller holds the write side.
-  void reclaim_quarantine();
 
   /// Rewrite the child arena without dead slices, resize the intern table
   /// to the live population and release vector growth slack. NodeIds are
@@ -222,9 +192,9 @@ class SharedForest {
   /// children). Ranks, static truth, the decided_by_flips flag, parent
   /// edges, the intern table and the leaf index are all derivable and are
   /// NOT stored — load_state() recomputes them, so a corrupted snapshot
-  /// cannot smuggle in an inconsistent derived structure. Call compact_storage() first (the
-  /// engines' prepare_snapshot() does) so the quarantine and free lists are
-  /// empty and need no encoding.
+  /// cannot smuggle in an inconsistent derived structure. Free slots are
+  /// not stored either: load_state() rebuilds the free list from the dead
+  /// ids below node_bound().
   void save_state(storage::Writer& w) const;
 
   /// Rebuild from save_state() bytes into an empty forest. NodeIds survive
@@ -271,10 +241,6 @@ class SharedForest {
   void add_parent(NodeId child, NodeId parent);
   void remove_parent(NodeId child, NodeId parent);
 
-  /// Out-of-line so this header needs only a forward declaration of
-  /// EpochDomain (the .cpp includes it).
-  void retire_quarantine_batch(EpochDomain& domain, std::vector<NodeId> batch);
-
   [[nodiscard]] std::uint64_t leaf_hash(PredicateId pred) const;
   template <typename Ids>
   [[nodiscard]] static std::uint64_t interior_hash(ast::NodeKind kind,
@@ -297,13 +263,9 @@ class SharedForest {
   // Extra parents beyond the inline parent0 (multi-shared nodes only).
   std::unordered_map<NodeId, std::vector<NodeId>> extra_parents_;
   std::vector<NodeId> free_nodes_;      // reusable slots
-  std::vector<NodeId> quarantine_;      // released, not yet reusable
   // intern() scratch: the child keys of every interior node on the current
   // recursion path, stacked, so interning allocates nothing once warm.
   std::vector<ChildKey> intern_stack_;
-  /// Deferred-reclamation target for quarantined slots (see
-  /// set_reclaim_domain); not owned. Null = immediate reclaim.
-  EpochDomain* reclaim_domain_ = nullptr;
   std::size_t live_count_ = 0;
 };
 

@@ -468,20 +468,15 @@ TEST_F(NonCanonicalTest, ChainLengthCountsCandidatesThroughRemovalAndReload) {
 }
 
 TEST_F(NonCanonicalTest, NodeSlotsAreReclaimedPromptlyOnRemove) {
-  // PR 10: remove() reclaims its quarantine batch immediately. Without an
-  // epoch domain attached (the standalone/single-threaded configuration
-  // here) the slots go straight back to the free list; with one, the same
-  // call retires them for free-list insertion after the grace period —
-  // either way the quarantine is empty when remove() returns, so it can no
-  // longer grow unboundedly on unsubscribe-heavy streams.
+  // remove() frees the released node slots before it returns, so unsubscribe-
+  // heavy streams cannot park them, and the next add() reuses them.
   const SubscriptionId s = subscribe("q1 == 1 and q2 == 2");
   const std::size_t live_before = engine_.forest().live_nodes();
+  const std::size_t bound_before = engine_.forest().node_bound();
   EXPECT_TRUE(engine_.remove(s));
-  EXPECT_EQ(engine_.forest().quarantined_nodes(), 0u);
   EXPECT_EQ(engine_.forest().live_nodes(), live_before - 3u);
-  // The freed slots are reusable by the next add().
   subscribe("q3 == 3");
-  EXPECT_EQ(engine_.forest().quarantined_nodes(), 0u);
+  EXPECT_EQ(engine_.forest().node_bound(), bound_before);
 }
 
 TEST_F(NonCanonicalTest, OversizedExpressionsAreRejectedBeforeMutation) {

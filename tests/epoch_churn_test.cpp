@@ -1,10 +1,10 @@
 // Churn concurrent with matching under the epoch-based read side (PR 10).
 //
-// These tests exist primarily as a TSan surface: a publisher thread pumps
-// batches through epoch-pinned match tasks while a control thread
-// subscribes/unsubscribes against the same shards, so the apply path
-// (shard mutex + write gate + deferred reclamation) races the lock-free
-// readers in exactly the configuration the refactor introduces. The CI
+// These tests exist primarily as a TSan/ASan surface: a publisher thread
+// pumps batches through epoch-pinned match tasks while a control thread
+// subscribes/unsubscribes against the same shards, so the apply path (shard
+// mutex + write gate, freeing memory in place) races the lock-free readers
+// in exactly the configuration the refactor introduces. The CI
 // sanitizer job runs this binary under -fsanitize=thread (filter regex
 // includes "epoch").
 //
@@ -53,8 +53,8 @@ TEST(EpochChurnTest, ChurnAppliesConcurrentlyWithMatching) {
 
   // Every subscription matches every event through its left disjunct; the
   // unique right disjunct forces distinct forest roots and predicate-table
-  // entries, so unsubscribes continually quarantine and retire node slots
-  // while match tasks traverse.
+  // entries, so unsubscribes continually free and reuse node slots while
+  // match tasks traverse.
   const auto text = [](int k) {
     return "attr0 >= 0 or attr1 == " + std::to_string(k);
   };
@@ -77,7 +77,7 @@ TEST(EpochChurnTest, ChurnAppliesConcurrentlyWithMatching) {
   // Churn: each round replaces the oldest subscription with a fresh text,
   // so the live set rotates through the forest's free list while the
   // publisher matches. Occasional metrics() calls race the sampling path
-  // (shared shard lock + deferred-reclaim gauge) against everything else.
+  // against everything else.
   int next_k = 32;
   for (int round = 0; round < 400; ++round) {
     const SubscriptionId victim = live.front();
@@ -148,21 +148,110 @@ TEST(EpochChurnTest, WaitAppliedIsSelfDrivingWithoutPublishes) {
   EXPECT_EQ(broker.subscription_count(), ids.size());
 }
 
-TEST(EpochChurnTest, DeferredReclaimGaugeIsExposed) {
+// The frees the write gate has to cover beyond forest slots: spilled
+// posting blocks (PostingList::collapse_excluding) and B+ tree leaves
+// (split on insert, merged on erase), each freed in place while a 4-shard
+// pool broker publishes events whose stabs walk exactly those structures.
+//   - Spill and collapse: `attr2 != a` predicates share one per-attribute
+//     scan list per shard. Pairs of subscriptions share a value, and a
+//     window of 16 keeps ~8 values live, a few per shard, so each shard's
+//     list keeps crossing PostingList::kInlineCapacity in both directions.
+//     (An equality list holds one predicate id per value: subscriptions
+//     sharing `attr == v` share its predicate, so only the scan list spills.)
+//   - Split and merge: `attr3 > b` predicates, pairs sharing a bound, fill
+//     one range tree per shard with several leaves of up to 32 entries.
+//     Each round adds a bound above every live one and drops the lowest,
+//     so the right edge splits and the left edge borrows and merges.
+// The event carries attr2 and attr3, so every stab walks the scan list and
+// every range leaf; the left disjunct makes every subscription match.
+TEST(EpochChurnTest, ChurnFreesPostingBlocksAndRangeLeavesDuringMatching) {
   AttributeRegistry attrs;
   ShardedBroker broker(attrs, ShardedBrokerConfig{
-                                  .shard_count = 2,
+                                  .shard_count = 4,
                                   .engine = EngineKind::NonCanonical});
+
+  std::atomic<bool> probing{false};
+  std::atomic<std::size_t> concurrent_notifications{0};
+  std::vector<std::uint32_t> probe_log;
   const SubscriberId session =
-      broker.register_subscriber([](const Notification&) {});
-  const SubscriptionId id = broker.subscribe(session, "attr0 exists");
-  ASSERT_TRUE(broker.unsubscribe(id));
+      broker.register_subscriber([&](const Notification& n) {
+        if (probing.load(std::memory_order_relaxed)) {
+          probe_log.push_back(n.subscription.value());
+        } else {
+          concurrent_notifications.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+
+  const auto scan_text = [](int k) {
+    return "attr0 >= 0 or attr2 != " + std::to_string(k / 2);
+  };
+  const auto range_text = [](int k) {
+    return "attr0 >= 0 or attr3 > " + std::to_string(k / 2);
+  };
+  constexpr int kScanWindow = 16;
+  constexpr int kRangeWindow = 320;
+  std::vector<SubscriptionId> scan_live;
+  std::vector<SubscriptionId> range_live;
+  int next_scan = 0;
+  int next_range = 0;
+  while (next_scan < kScanWindow) {
+    scan_live.push_back(broker.subscribe(session, scan_text(next_scan++)));
+  }
+  while (next_range < kRangeWindow) {
+    range_live.push_back(broker.subscribe(session, range_text(next_range++)));
+  }
+
+  const Event event = EventBuilder(attrs)
+                          .set("attr0", 7)
+                          .set("attr2", -1)
+                          .set("attr3", 1000000)
+                          .build();
+  std::vector<Event> batch(64, event);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> pumped{0};
+  std::thread publisher([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      broker.publish_batch(std::span<const Event>(batch.data(), batch.size()));
+      pumped.fetch_add(1, std::memory_order_release);
+    }
+  });
+
+  // 600 rounds move the range window by 300 bounds, about twice its width,
+  // so every leaf present at the start is merged away. Every 20 rounds the
+  // churn waits for a whole batch, so matching and frees interleave however
+  // fast either side runs.
+  for (int round = 0; round < 600; ++round) {
+    ASSERT_TRUE(broker.unsubscribe(scan_live.front()));
+    scan_live.erase(scan_live.begin());
+    scan_live.push_back(broker.subscribe(session, scan_text(next_scan++)));
+    ASSERT_TRUE(broker.unsubscribe(range_live.front()));
+    range_live.erase(range_live.begin());
+    range_live.push_back(broker.subscribe(session, range_text(next_range++)));
+    if (round % 20 == 0) {
+      broker.wait_applied(broker.control_generation());
+      const std::uint64_t mark = pumped.load(std::memory_order_acquire);
+      while (pumped.load(std::memory_order_acquire) < mark + 2) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  publisher.join();
   broker.quiesce();
 
-  const obs::MetricsSnapshot snap = broker.metrics();
-  // Pool brokers run per-shard epoch domains; the gauge must be present
-  // (value is workload-dependent — often zero after quiesce).
-  EXPECT_TRUE(snap.gauge_value("ncps_epoch_reclaim_deferred").has_value());
+  std::vector<std::uint32_t> expected;
+  for (const SubscriptionId id : scan_live) expected.push_back(id.value());
+  for (const SubscriptionId id : range_live) expected.push_back(id.value());
+  ASSERT_EQ(broker.subscription_count(), expected.size());
+
+  // Exactly the survivors: a stale id in a collapsed posting list or a
+  // merged-away leaf would notify a removed subscription here.
+  probing.store(true, std::memory_order_release);
+  ASSERT_EQ(broker.publish(event), expected.size());
+  std::sort(expected.begin(), expected.end());
+  std::sort(probe_log.begin(), probe_log.end());
+  EXPECT_EQ(probe_log, expected);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
-// Unit suite for the epoch read-gate + deferred reclamation domain
-// (src/common/epoch_domain.h): pin/unpin bookkeeping, writer grace periods
-// under reader contention, reclamation ordering relative to pinned epochs,
-// the ReclaimScope TLS shim, and exception safety of the RAII pin.
+// Unit suite for the epoch read-gate (src/common/epoch_domain.h): pin/unpin
+// bookkeeping, writer grace periods under reader contention, frees inside
+// the writer section, writer preference, and exception safety of the RAII
+// pin.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -101,12 +100,13 @@ TEST(EpochDomainTest, ReaderBlockedWhileWriterActive) {
   EXPECT_TRUE(reader_in.load(std::memory_order_acquire));
 }
 
-// The core memory-safety property under real contention: objects a writer
-// unlinks and retires are never destroyed while any reader that could still
-// see them is pinned. Readers repeatedly pin, read a published pointer's
-// payload, and unpin; the writer swaps the pointer, retires the old node,
-// and cycles the gate. A use-after-free here is what ASan/TSan jobs watch
-// for; the test itself asserts every node is destroyed exactly once.
+// The core memory-safety property under real contention: a writer may free
+// what it unlinks inside its critical section, because the grace period has
+// already waited out every reader that could still see it. Readers
+// repeatedly pin, read a published pointer's payload, and unpin; the writer
+// swaps the pointer and deletes the old node before reopening the gate. A
+// use-after-free here is what the ASan/TSan jobs watch for; the test itself
+// asserts every node is destroyed exactly once.
 TEST(EpochDomainTest, GracePeriodUnderContention) {
   struct Node {
     explicit Node(std::atomic<int>& counter, int v)
@@ -123,7 +123,9 @@ TEST(EpochDomainTest, GracePeriodUnderContention) {
   constexpr int kWriterCycles = 200;
   EpochDomain domain(kReaders);
   std::atomic<int> destroyed{0};
-  std::atomic<Node*> published{new Node(destroyed, 0)};
+  // A plain pointer: the gate alone orders the writer's swap against every
+  // reader's load, so TSan reports a race here if the gate leaks.
+  Node* published = new Node(destroyed, 0);
   std::atomic<bool> stop{false};
 
   std::vector<std::thread> readers;
@@ -132,7 +134,7 @@ TEST(EpochDomainTest, GracePeriodUnderContention) {
     readers.emplace_back([&, r] {
       while (!stop.load(std::memory_order_acquire)) {
         EpochDomain::ReaderPin pin(domain, static_cast<std::size_t>(r));
-        const Node* node = published.load(std::memory_order_acquire);
+        const Node* node = published;
         // A reclaimed-too-early node would read -1 (or fault outright).
         ASSERT_GE(node->value, 0);
       }
@@ -141,146 +143,16 @@ TEST(EpochDomainTest, GracePeriodUnderContention) {
 
   for (int cycle = 1; cycle <= kWriterCycles; ++cycle) {
     domain.writer_enter();
-    Node* old = published.exchange(new Node(destroyed, cycle),
-                                   std::memory_order_acq_rel);
-    domain.retire(old);
+    Node* old = published;
+    published = new Node(destroyed, cycle);
+    delete old;
     domain.writer_exit();
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
-  delete published.load(std::memory_order_acquire);
-  domain.flush_reclaim();
+  delete published;
   EXPECT_EQ(destroyed.load(std::memory_order_relaxed), kWriterCycles + 1);
-}
-
-TEST(EpochDomainTest, ReclamationWaitsForOlderPin) {
-  EpochDomain domain(2);
-  std::atomic<int> destroyed{0};
-  struct Flag {
-    explicit Flag(std::atomic<int>& c) : counter(c) {}
-    ~Flag() { counter.fetch_add(1, std::memory_order_relaxed); }
-    std::atomic<int>& counter;
-  };
-
-  // Reader pins the current epoch, then the object is retired at that same
-  // epoch: `retired < min pinned` is false, so it must stay deferred.
-  domain.reader_enter(0);
-  domain.retire(new Flag(destroyed));
-  EXPECT_EQ(domain.deferred_count(), 1u);
-  EXPECT_EQ(domain.try_reclaim(), 0u);
-  EXPECT_EQ(destroyed.load(), 0);
-
-  // Unpinning releases it on the next reclaim pass.
-  domain.reader_exit(0);
-  EXPECT_EQ(domain.try_reclaim(), 1u);
-  EXPECT_EQ(destroyed.load(), 1);
-  EXPECT_EQ(domain.deferred_count(), 0u);
-}
-
-TEST(EpochDomainTest, WriterExitReclaimsPriorCycleRetirees) {
-  EpochDomain domain(1);
-  std::atomic<int> destroyed{0};
-  struct Flag {
-    explicit Flag(std::atomic<int>& c) : counter(c) {}
-    ~Flag() { counter.fetch_add(1, std::memory_order_relaxed); }
-    std::atomic<int>& counter;
-  };
-
-  domain.writer_enter();
-  domain.retire(new Flag(destroyed));
-  // writer_exit's built-in reclaim pass frees it: no reader is pinned, so
-  // the grace condition holds immediately.
-  domain.writer_exit();
-  EXPECT_EQ(destroyed.load(), 1);
-  EXPECT_EQ(domain.deferred_count(), 0u);
-}
-
-TEST(EpochDomainTest, RetireFnRunsArbitraryCallback) {
-  EpochDomain domain(1);
-  bool ran = false;
-  domain.retire_fn([&ran] { ran = true; });
-  EXPECT_EQ(domain.deferred_count(), 1u);
-  EXPECT_EQ(domain.try_reclaim(), 1u);
-  EXPECT_TRUE(ran);
-}
-
-TEST(EpochDomainTest, FlushReclaimRunsEverythingWhenQuiescent) {
-  EpochDomain domain(2);
-  int ran = 0;
-  domain.retire_fn([&ran] { ++ran; });
-  domain.retire_fn([&ran] { ++ran; });
-  EXPECT_EQ(domain.flush_reclaim(), 2u);
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(domain.deferred_count(), 0u);
-}
-
-TEST(EpochDomainTest, DestructorFlushesPendingRetirees) {
-  std::atomic<int> destroyed{0};
-  struct Flag {
-    explicit Flag(std::atomic<int>& c) : counter(c) {}
-    ~Flag() { counter.fetch_add(1, std::memory_order_relaxed); }
-    std::atomic<int>& counter;
-  };
-  {
-    EpochDomain domain(1);
-    domain.reader_enter(0);
-    domain.retire(new Flag(destroyed));
-    EXPECT_EQ(domain.try_reclaim(), 0u);
-    domain.reader_exit(0);
-    // No explicit flush: the destructor must not leak the deferred entry.
-  }
-  EXPECT_EQ(destroyed.load(), 1);
-}
-
-TEST(ReclaimScopeTest, RetireOrDeleteDefersInsideScope) {
-  EpochDomain domain(1);
-  std::atomic<int> destroyed{0};
-  struct Flag {
-    explicit Flag(std::atomic<int>& c) : counter(c) {}
-    ~Flag() { counter.fetch_add(1, std::memory_order_relaxed); }
-    std::atomic<int>& counter;
-  };
-
-  EXPECT_EQ(current_reclaim_domain(), nullptr);
-  {
-    ReclaimScope scope(domain);
-    EXPECT_EQ(current_reclaim_domain(), &domain);
-    retire_or_delete(new Flag(destroyed));
-    // Deferred, not freed: the scope routes it onto the domain.
-    EXPECT_EQ(destroyed.load(), 0);
-    EXPECT_EQ(domain.deferred_count(), 1u);
-  }
-  EXPECT_EQ(current_reclaim_domain(), nullptr);
-  EXPECT_EQ(domain.try_reclaim(), 1u);
-  EXPECT_EQ(destroyed.load(), 1);
-}
-
-TEST(ReclaimScopeTest, RetireOrDeleteImmediateOutsideScope) {
-  std::atomic<int> destroyed{0};
-  struct Flag {
-    explicit Flag(std::atomic<int>& c) : counter(c) {}
-    ~Flag() { counter.fetch_add(1, std::memory_order_relaxed); }
-    std::atomic<int>& counter;
-  };
-  retire_or_delete(new Flag(destroyed));
-  EXPECT_EQ(destroyed.load(), 1);
-  retire_or_delete(static_cast<Flag*>(nullptr));  // no-op, no crash
-}
-
-TEST(ReclaimScopeTest, ScopesNestAndRestore) {
-  EpochDomain outer(1);
-  EpochDomain inner(1);
-  {
-    ReclaimScope a(outer);
-    EXPECT_EQ(current_reclaim_domain(), &outer);
-    {
-      ReclaimScope b(inner);
-      EXPECT_EQ(current_reclaim_domain(), &inner);
-    }
-    EXPECT_EQ(current_reclaim_domain(), &outer);
-  }
-  EXPECT_EQ(current_reclaim_domain(), nullptr);
 }
 
 // Writer-preference liveness: with readers continuously cycling on every

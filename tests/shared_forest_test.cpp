@@ -1,5 +1,5 @@
 // SharedForest unit tests: hash-cons identity, refcount lifecycle, parent
-// edges, static truth, quarantine and compaction — the invariants the
+// edges, static truth, slot reuse and compaction — the invariants the
 // forest-backed NonCanonicalEngine builds on.
 #include "subscription/shared_forest.h"
 
@@ -89,7 +89,6 @@ TEST_F(SharedForestTest, ReleaseCascadesAndFiresLeafHooks) {
   EXPECT_EQ(released_.size(), 3u);
   EXPECT_EQ(testing::sorted_values(created_),
             testing::sorted_values(released_));
-  EXPECT_EQ(forest_.quarantined_nodes(), 5u);
 }
 
 TEST_F(SharedForestTest, SharedSubtreeSurvivesPartialRelease) {
@@ -181,25 +180,19 @@ TEST_F(SharedForestTest, ToAstRoundTrips) {
   EXPECT_TRUE(ast::equal(*back, *forest_.to_ast(root)));
 }
 
-TEST_F(SharedForestTest, QuarantinedSlotsReuseAfterReclaim) {
+TEST_F(SharedForestTest, ReleasedSlotIsReusedByNextIntern) {
   const ast::Expr e1 = parse("a == 1 and b == 2");
   const NodeId r1 = forest_.intern(e1.root()).id;
-  forest_.release(r1);
-  EXPECT_EQ(forest_.quarantined_nodes(), 3u);
   const std::size_t bound_before = forest_.node_bound();
+  forest_.release(r1);
 
-  // Without reclaim, new interns must not reuse the quarantined slots.
-  const ast::Expr e2 = parse("c == 3");
+  // release() returns the three slots straight to the free list, so the
+  // next intern recycles them instead of growing the arena.
+  const ast::Expr e2 = parse("d == 4 and e == 5");
   const NodeId r2 = forest_.intern(e2.root()).id;
-  EXPECT_GE(r2, bound_before);
-  EXPECT_EQ(forest_.quarantined_nodes(), 3u);
-
-  forest_.reclaim_quarantine();
-  EXPECT_EQ(forest_.quarantined_nodes(), 0u);
-  const ast::Expr e3 = parse("d == 4 and e == 5");
-  const NodeId r3 = forest_.intern(e3.root()).id;
-  EXPECT_LT(r3, bound_before);  // recycled slot
-  EXPECT_EQ(forest_.node_bound(), bound_before + 1);  // only r2 grew it
+  EXPECT_LT(r2, bound_before);  // recycled slot
+  EXPECT_EQ(forest_.node_bound(), bound_before);
+  EXPECT_EQ(forest_.live_nodes(), 3u);
 }
 
 TEST_F(SharedForestTest, CompactionPreservesStructure) {
@@ -317,7 +310,6 @@ TEST_F(SortedForestTest, IdentityIsStableAcrossReleaseAndReintern) {
       parse("c == 3 and (b == 2 or a == 1) and (y == 8 or x == 9)");
   const NodeId first = forest_.intern(written.root()).id;
   forest_.release(first);
-  forest_.reclaim_quarantine();
   // Interleave another expression so slot assignment shifts.
   const ast::Expr other = parse("z == 7 and w == 6");
   const NodeId keep = forest_.intern(other.root()).id;
@@ -390,16 +382,16 @@ TEST_F(SharedForestTest, ValidateLimitsRejectsOversizedTrees) {
   EXPECT_THROW(SharedForest::validate_limits(*deep), ForestLimitError);
 }
 
-// ---- Quarantine lifecycle under concurrent matching --------------------
+// ---- Node-slot reuse under concurrent matching --------------------------
 //
 // Unsubscribe + immediate re-subscribe of a structurally identical filter
-// makes the engine release a root into quarantine and re-intern the same
-// structure on the next add — the exact window where a recycled node slot
+// makes the engine free a root's slots and re-intern the same structure
+// into them on the next add — the exact window where a recycled node slot
 // could leak truth across the removal fence. A publisher hammers
 // match_batch the whole time (run this under TSan: the CI concurrency job
 // includes this binary); the assertions check that a fenced subscription
 // id is never notified after its removal generation has applied.
-TEST(QuarantineReuseRace, UnsubResubIdenticalFilterDuringMatchBatch) {
+TEST(NodeSlotReuseRace, UnsubResubIdenticalFilterDuringMatchBatch) {
   AttributeRegistry attrs;
   ShardedBroker broker(attrs,
                        ShardedBrokerConfig{.shard_count = 2,
@@ -449,7 +441,7 @@ TEST(QuarantineReuseRace, UnsubResubIdenticalFilterDuringMatchBatch) {
     broker.quiesce();
     fenced.store(true, std::memory_order_release);
     // Let the publisher push several whole batches through the fenced
-    // window while the quarantined forest slots await reclamation.
+    // window while the freed forest slots sit on the free list.
     const std::uint64_t mark = pumped.load(std::memory_order_acquire);
     while (pumped.load(std::memory_order_acquire) < mark + 4) {
       std::this_thread::yield();
@@ -461,9 +453,8 @@ TEST(QuarantineReuseRace, UnsubResubIdenticalFilterDuringMatchBatch) {
     // replacement, so the callback can never see fenced == true together
     // with a replacement notification.
     fenced.store(false, std::memory_order_release);
-    // Structurally identical re-subscribe: the engine reclaims the
-    // quarantined slots of the removal above while the publisher is
-    // mid-batch.
+    // Structurally identical re-subscribe: the engine reuses the slots
+    // freed by the removal above while the publisher is mid-batch.
     const SubscriptionId replacement =
         broker.subscribe(session, kTexts[round % 2]);
     ASSERT_TRUE(broker.unsubscribe(replacement));
