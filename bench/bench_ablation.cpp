@@ -9,6 +9,9 @@
 //      phase-1 index choice.
 //   4. Registration cost: direct encoding vs forest interning vs
 //      DNF-transforming registration.
+//   5. Phase-2 cost on the e2e `paper` population shape, shared forest
+//      against the unshared tree engine, over fulfilled sets stabbed from
+//      real events.
 //
 // Previously written against Google Benchmark, which emitted no JsonRow
 // output and left BENCH_ablation.json empty; now hand-timed like the other
@@ -313,6 +316,74 @@ void registration_study(int count) {
   });
 }
 
+// ---- 5. Phase 2 on the e2e paper shape -------------------------------------
+
+/// 5k subscriptions of the e2e `paper` workload's shape (ANDs of three
+/// two-way ORs over unique predicates; 50 attributes, values in [0, 1e9))
+/// in both engines over one predicate table. Each event's fulfilled set is
+/// stabbed once from the forest engine's PredicateIndex; only phase 2 is
+/// timed, over the whole event list, best of five.
+void phase2_paper_study(std::size_t event_count) {
+  AttributeRegistry attrs;
+  PredicateTable table;
+  PaperWorkloadConfig config;
+  config.predicates_per_subscription = 6;
+  config.attribute_count = 50;
+  config.domain_size = 1'000'000'000;
+  config.seed = 1;
+  PaperWorkload workload(config, attrs, table);
+  NonCanonicalEngine forest_engine(table);
+  NonCanonicalTreeEngine tree_engine(table);
+  constexpr int kSubscriptions = 5000;
+  for (int i = 0; i < kSubscriptions; ++i) {
+    const ast::Expr expr = workload.next_subscription();
+    forest_engine.add(expr.root());
+    tree_engine.add(expr.root());
+  }
+  std::vector<std::vector<PredicateId>> fulfilled(event_count);
+  for (std::vector<PredicateId>& set : fulfilled) {
+    forest_engine.predicate_index().match(workload.next_event(), table, set);
+  }
+
+  const auto run = [&](const char* engine_name, FilterEngine& engine) {
+    std::vector<SubscriptionId> out;
+    const auto ctx = engine.make_context();
+    MatchStats total;
+    const double seconds = time_seconds([&] {
+      total.reset();
+      for (const std::vector<PredicateId>& set : fulfilled) {
+        out.clear();
+        match_predicates(engine, set, *ctx, out);
+        total.node_evaluations += ctx->stats.node_evaluations;
+        total.tree_evaluations += ctx->stats.tree_evaluations;
+        total.matches += ctx->stats.matches;
+      }
+    });
+    const auto n = static_cast<double>(event_count);
+    std::printf(
+        "phase2_paper,%s,%.1f us/event,%.0f node evals/event,%.0f tree "
+        "evals/event,%.1f matches/event\n",
+        engine_name, seconds / n * 1e6,
+        static_cast<double>(total.node_evaluations) / n,
+        static_cast<double>(total.tree_evaluations) / n,
+        static_cast<double>(total.matches) / n);
+    JsonRow("ablation")
+        .field("study", "phase2_paper")
+        .field("engine", engine_name)
+        .field("subscriptions", static_cast<std::size_t>(kSubscriptions))
+        .field("events", event_count)
+        .field("us_per_event", seconds / n * 1e6)
+        .field("node_evals_per_event",
+               static_cast<double>(total.node_evaluations) / n)
+        .field("tree_evals_per_event",
+               static_cast<double>(total.tree_evaluations) / n)
+        .field("matches_per_event", static_cast<double>(total.matches) / n)
+        .emit();
+  };
+  run("non-canonical", forest_engine);
+  run("non-canonical-tree", tree_engine);
+}
+
 }  // namespace
 
 int main() {
@@ -324,5 +395,6 @@ int main() {
   sharing_study();
   range_index_study();
   registration_study(registrations);
+  phase2_paper_study(scale == Scale::kQuick ? 1024 : 4096);
   return 0;
 }

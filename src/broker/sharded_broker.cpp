@@ -1,8 +1,10 @@
 #include "broker/sharded_broker.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <mutex>
+#include <numeric>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -39,22 +41,44 @@ constexpr std::size_t kMaxChunkEvents = 512;
 /// attaching the owning subscriber (so delivery never reads control-plane
 /// maps). Runs inside the task's epoch pin (EngineView): to_global and
 /// owner_of are only mutated inside the shard's write gate, which waits out
-/// every pin first, and the buffer belongs to this task alone.
+/// every pin first, and the buffer belongs to this task alone. Per-event
+/// counts and the largest id accumulate on the task's own stack and reach
+/// the TaskMatches once, in finish(): counted in place, next to other
+/// tasks' slots, they would bounce cache lines between workers.
 class ShardedBroker::ChunkSink final : public MatchSink {
  public:
-  ChunkSink(Shard& shard, std::vector<ShardMatch>& out)
-      : shard_(&shard), out_(&out) {}
+  ChunkSink(Shard& shard, TaskMatches& out, std::size_t first_event,
+            std::size_t event_count)
+      : shard_(&shard),
+        out_(&out),
+        first_event_(first_event),
+        event_count_(event_count) {
+    NCPS_DASSERT(event_count <= kMaxChunkEvents);
+    out.matches.clear();
+  }
 
   void on_match(std::size_t event_index, const Event& /*event*/,
                 SubscriptionId local) override {
-    out_->push_back(ShardMatch{static_cast<std::uint32_t>(event_index),
-                               shard_->to_global[local.value()],
-                               shard_->owner_of[local.value()]});
+    const SubscriptionId global = shard_->to_global[local.value()];
+    out_->matches.push_back(
+        ShardMatch{global, shard_->owner_of[local.value()]});
+    ++counts_[event_index - first_event_];
+    max_id_ = std::max(max_id_, global.value());
+  }
+
+  void finish() {
+    out_->event_counts.assign(counts_.begin(),
+                              counts_.begin() + event_count_);
+    out_->max_id = max_id_;
   }
 
  private:
   Shard* shard_;
-  std::vector<ShardMatch>* out_;
+  TaskMatches* out_;
+  std::size_t first_event_;
+  std::size_t event_count_;
+  std::uint32_t max_id_ = 0;
+  std::array<std::uint32_t, kMaxChunkEvents> counts_{};
 };
 
 ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
@@ -692,7 +716,6 @@ void ShardedBroker::run_match_tasks(std::span<const Event> events) {
 
   const std::size_t task_count = shard_count * chunk_count_;
   if (match_buffers_.size() < task_count) match_buffers_.resize(task_count);
-  for (std::size_t t = 0; t < task_count; ++t) match_buffers_[t].clear();
 
   // Phase B — matching: task t is chunk (t % chunk_count_) of shard
   // (t / chunk_count_). Shard-major, so the contiguous slices the pool
@@ -710,8 +733,9 @@ void ShardedBroker::run_match_tasks(std::span<const Event> events) {
     ctx.stats.reset();
     {
       const EngineView view(*shard.engine, *shard.epochs, worker);
-      ChunkSink sink(shard, match_buffers_[task]);
+      ChunkSink sink(shard, match_buffers_[task], first, last - first);
       view.match_range(events, first, last, sink, ctx);
+      sink.finish();
     }
     shard_match_stats_[s]->add(ctx.stats);
   };
@@ -730,20 +754,23 @@ void ShardedBroker::run_match_tasks(std::span<const Event> events) {
 }
 
 void ShardedBroker::merge_all(std::span<const Event> events) {
-  // Per-event slice bounds first: one counting pass over every task buffer
-  // (cheap — an increment per match), prefix-summed into event_offsets_.
-  // Each event then has a fixed destination slice in merged_, so the
-  // per-event-range merge tasks write disjoint ranges with no
-  // coordination. The same pass finds the largest global id, which sizes
-  // the merge workers' bitmaps.
+  // Per-event slice bounds first: the tasks' per-event counts,
+  // prefix-summed into event_offsets_ (shards × events additions, however
+  // many matches there are). Each event then has a fixed destination slice
+  // in merged_, so the per-event-range merge tasks write disjoint ranges
+  // with no coordination. The tasks' largest global id sizes the merge
+  // workers' bitmaps.
   const std::size_t event_count = events.size();
   event_offsets_.assign(event_count + 1, 0);
   std::uint32_t max_id = 0;
-  const std::size_t task_count = shards_.size() * chunk_count_;
-  for (std::size_t t = 0; t < task_count; ++t) {
-    for (const ShardMatch& match : match_buffers_[t]) {
-      ++event_offsets_[match.event_index + 1];
-      max_id = std::max(max_id, match.subscription.value());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    for (std::size_t c = 0; c < chunk_count_; ++c) {
+      const TaskMatches& task = match_buffers_[s * chunk_count_ + c];
+      max_id = std::max(max_id, task.max_id);
+      std::size_t* const offsets = &event_offsets_[c * chunk_events_ + 1];
+      for (std::size_t i = 0; i < task.event_counts.size(); ++i) {
+        offsets[i] += task.event_counts[i];
+      }
     }
   }
   for (std::size_t e = 0; e < event_count; ++e) {
@@ -780,21 +807,19 @@ void ShardedBroker::merge_event_range(std::size_t first, std::size_t last,
   auto& [bits, words, rank, cursor] = scratch;
   cursor.resize(shard_count);
   // Each task buffer is ordered by event index (a chunk's events are
-  // processed in order), so within one chunk a cursor per shard walks the
-  // range; the cursors start at lower_bound(first event of the overlap).
+  // processed in order), and its per-event counts delimit each event's
+  // run: a cursor per shard starts at the sum of the counts before the
+  // first event of the overlap and advances one run per event.
   for (std::size_t c = first / chunk_events_;
        c < chunk_count_ && c * chunk_events_ < last; ++c) {
     const std::size_t chunk_begin = c * chunk_events_;
     const std::size_t e0 = std::max(first, chunk_begin);
     const std::size_t e1 = std::min(last, chunk_begin + chunk_events_);
     for (std::size_t s = 0; s < shard_count; ++s) {
-      const auto& buffer = match_buffers_[s * chunk_count_ + c];
-      cursor[s] = static_cast<std::size_t>(
-          std::lower_bound(buffer.begin(), buffer.end(), e0,
-                           [](const ShardMatch& m, std::size_t e) {
-                             return m.event_index < e;
-                           }) -
-          buffer.begin());
+      const auto& counts = match_buffers_[s * chunk_count_ + c].event_counts;
+      cursor[s] = std::accumulate(counts.begin(),
+                                  counts.begin() + (e0 - chunk_begin),
+                                  std::size_t{0});
     }
     // Ascending global id, so the merged order is independent of shard
     // count, chunking and steal interleaving. A match's rank is the count
@@ -804,10 +829,11 @@ void ShardedBroker::merge_event_range(std::size_t first, std::size_t last,
     // could carry its old subscription has delivered), so no bit is shared.
     for (std::size_t e = e0; e < e1; ++e) {
       for (std::size_t s = 0; s < shard_count; ++s) {
-        const auto& buffer = match_buffers_[s * chunk_count_ + c];
-        for (std::size_t i = cursor[s];
-             i < buffer.size() && buffer[i].event_index == e; ++i) {
-          const std::uint32_t id = buffer[i].subscription.value();
+        const TaskMatches& task = match_buffers_[s * chunk_count_ + c];
+        const std::size_t end =
+            cursor[s] + task.event_counts[e - chunk_begin];
+        for (std::size_t i = cursor[s]; i < end; ++i) {
+          const std::uint32_t id = task.matches[i].subscription.value();
           NCPS_DASSERT((bits[id / 64] >> (id % 64) & 1) == 0);
           bits[id / 64] |= std::uint64_t{1} << (id % 64);
           words[id / 4096] |= std::uint64_t{1} << (id / 64 % 64);
@@ -822,13 +848,14 @@ void ShardedBroker::merge_event_range(std::size_t first, std::size_t last,
         }
       }
       for (std::size_t s = 0; s < shard_count; ++s) {
-        const auto& buffer = match_buffers_[s * chunk_count_ + c];
-        for (std::size_t& i = cursor[s];
-             i < buffer.size() && buffer[i].event_index == e; ++i) {
-          const std::uint32_t id = buffer[i].subscription.value();
+        const TaskMatches& task = match_buffers_[s * chunk_count_ + c];
+        const std::size_t end =
+            cursor[s] + task.event_counts[e - chunk_begin];
+        for (std::size_t& i = cursor[s]; i < end; ++i) {
+          const std::uint32_t id = task.matches[i].subscription.value();
           const std::uint64_t lower = (std::uint64_t{1} << (id % 64)) - 1;
           merged_[event_offsets_[e] + rank[id / 64] +
-                  std::popcount(bits[id / 64] & lower)] = buffer[i];
+                  std::popcount(bits[id / 64] & lower)] = task.matches[i];
         }
       }
       for (std::size_t sw = 0; sw < words.size(); ++sw) {

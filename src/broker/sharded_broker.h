@@ -357,16 +357,25 @@ class ShardedBroker {
 
  private:
   struct ShardMatch {
-    std::uint32_t event_index;
     SubscriptionId subscription;  // global id
     SubscriberId owner;
+  };
+
+  /// One (shard × chunk) match task's output: its matches in event order,
+  /// how many belong to each of the chunk's events, and the largest global
+  /// id among them. The task writes the counts and the id once, when it
+  /// ends (ChunkSink::finish).
+  struct TaskMatches {
+    std::vector<ShardMatch> matches;
+    std::vector<std::uint32_t> event_counts;
+    std::uint32_t max_id = 0;
   };
 
   /// One merge worker's ranking scratch, all-zero between events: `bits`
   /// holds one bit per global subscription id, `words` one bit per
   /// non-zero `bits` word (so touched words are found in ascending order
   /// without scanning the id range), `rank` each touched word's first rank
-  /// within the event, `cursor` the next unmerged match per shard.
+  /// within the event, `cursor` each shard's first match of the event.
   struct MergeScratch {
     std::vector<std::uint64_t> bits;
     std::vector<std::uint64_t> words;
@@ -595,9 +604,10 @@ class ShardedBroker {
   /// seed broker).
   void run_match_tasks(std::span<const Event> events);
   /// Phase C part 1: merge match_buffers_ into merged_ / event_offsets_ —
-  /// per event, ascending global subscription id. The per-event-range merge
-  /// tasks run on the pool (an event is merged by exactly one task, into
-  /// its precomputed slice of merged_).
+  /// per event, ascending global subscription id. Slice bounds come from
+  /// the tasks' per-event counts; the per-event-range merge tasks run on
+  /// the pool (an event is merged by exactly one task, into its slice of
+  /// merged_).
   void merge_all(std::span<const Event> events);
   /// Events [first, last): gather each event's matches from the buffers of
   /// the chunks covering it and rank them into merged_'s slice by global id
@@ -702,9 +712,9 @@ class ShardedBroker {
   /// Events per chunk and chunks per shard for the in-flight batch.
   std::size_t chunk_events_ = 0;
   std::size_t chunk_count_ = 0;
-  /// One buffer per (shard × chunk) match task, indexed
+  /// One output per (shard × chunk) match task, indexed
   /// shard * chunk_count_ + chunk; capacity persists across batches.
-  std::vector<std::vector<ShardMatch>> match_buffers_;
+  std::vector<TaskMatches> match_buffers_;
   /// Merged batch output: merged_[event_offsets_[e] .. event_offsets_[e+1])
   /// is event e's matches, ascending global subscription id.
   std::vector<ShardMatch> merged_;

@@ -47,7 +47,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <new>
 #include <thread>
 #include <vector>
 
@@ -164,12 +163,10 @@ class EpochDomain {
  private:
   // One cache line per slot: a reader's pin/unpin touches memory no other
   // reader writes, so entry costs no coherence traffic between workers.
-#ifdef __cpp_lib_hardware_interference_size
-  static constexpr std::size_t kSlotAlign =
-      std::hardware_destructive_interference_size;
-#else
+  // A fixed 64 bytes, not std::hardware_destructive_interference_size:
+  // that value may differ between compilers and tuning flags, and the slot
+  // layout must not.
   static constexpr std::size_t kSlotAlign = 64;
-#endif
   struct alignas(kSlotAlign) Slot {
     /// 0 = unpinned; otherwise the (even, non-zero) epoch pinned at entry.
     std::atomic<std::uint64_t> pinned{0};

@@ -131,29 +131,64 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
 #ifndef NDEBUG
   // Scratch-reset invariant: the previous event must have drained every
   // rank bucket it filled, whatever shape it had (a tall tree followed by
-  // a leaf-only event must not replay stale high-rank nodes), and cleared
-  // every leaf bit it set.
+  // a leaf-only event must not replay stale high-rank nodes), emptied the
+  // flip stack and cleared every leaf bit it set.
   for (const auto& bucket : ctx.rank_buckets) NCPS_DASSERT(bucket.empty());
+  NCPS_DASSERT(ctx.stack.empty());
   for (const std::uint64_t w : ctx.leaf_words) NCPS_DASSERT(w == 0);
   for (const std::uint64_t w : ctx.leaf_bits) NCPS_DASSERT(w == 0);
 #endif
 
+  // A touched node's truth: a count-decided node's follows from its flip
+  // count, a leaf's or NOT-bearing node's was written to `value`.
+  const auto touched_truth = [&](NodeId n) {
+    const std::uint32_t threshold = forest_.flip_threshold(n);
+    if (threshold != 0) return ctx.flips[n] >= threshold;
+    return ctx.value[n] != 0;
+  };
+  // At its first touch a result root joins the frontier. chain_head_ is
+  // sized by attach(): nodes above the highest root id (fresh interior
+  // nodes) simply are not roots. Read, never resize — the match path must
+  // not mutate engine state.
+  const auto first_touch = [&](NodeId n) {
+    if (n < chain_head_.size() && chain_head_[n] != kNoSub) {
+      ctx.frontier.push_back(n);
+    }
+  };
+
   // A node *flips* when its truth differs from its static (all-false)
   // truth. Only a flipped child can change a parent's value, so each parent
-  // edge counts one flip, and the first flip touches the parent.
+  // edge counts one flip, and the first flip touches the parent. A
+  // count-decided parent flips in turn the moment its count reaches its
+  // threshold (OR: the first flip, AND: all child edges); the count only
+  // rises within an event, so that is the value it ends with. A NOT-bearing
+  // parent waits in its rank bucket for every child to settle.
   const auto flip = [&](NodeId n) {
-    forest_.for_each_parent(n, [&](NodeId parent) {
-      if (!ctx.touched.insert(parent)) {
-        ++ctx.flips[parent];
-        return;
-      }
-      ctx.flips[parent] = 1;
-      ctx.frontier.push_back(parent);
-      const std::uint32_t r = forest_.rank(parent);
-      if (r >= ctx.rank_buckets.size()) ctx.rank_buckets.resize(r + 1);
-      ctx.rank_buckets[r].push_back(parent);
-      ctx.max_rank_touched = std::max(ctx.max_rank_touched, r);
-    });
+    ctx.stack.push_back(n);
+    while (!ctx.stack.empty()) {
+      const NodeId child = ctx.stack.back();
+      ctx.stack.pop_back();
+      forest_.for_each_parent(child, [&](NodeId parent) {
+        std::uint32_t count;
+        if (ctx.touched.insert(parent)) {
+          ++ctx.stats.node_evaluations;
+          count = ctx.flips[parent] = 1;
+          first_touch(parent);
+        } else {
+          count = ++ctx.flips[parent];
+        }
+        const std::uint32_t threshold = forest_.flip_threshold(parent);
+        if (threshold == 0) {
+          if (count > 1) return;  // already in its bucket
+          const std::uint32_t r = forest_.rank(parent);
+          if (r >= ctx.rank_buckets.size()) ctx.rank_buckets.resize(r + 1);
+          ctx.rank_buckets[r].push_back(parent);
+          ctx.max_rank_touched = std::max(ctx.max_rank_touched, r);
+        } else if (count == threshold) {
+          ctx.stack.push_back(parent);
+        }
+      });
+    }
   };
 
   // Seed: fulfilled leaves go into the bitmap, then flip in ascending node
@@ -173,33 +208,29 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
         const auto leaf = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
         ctx.touched.insert(leaf);
         ctx.value[leaf] = 1;
-        ctx.frontier.push_back(leaf);
+        first_touch(leaf);
         flip(leaf);
       }
     }
   }
 
-  // Evaluate the touched interior nodes bottom-up (rank order is a
-  // topological order: children rank strictly below parents, so a node's
-  // flip count is final before its bucket runs). An untouched child still
-  // has its static truth: none of its children flipped.
+  // Evaluate the touched NOT-bearing nodes bottom-up. Rank order is a
+  // topological order: by the time bucket r runs, every node below rank r
+  // has settled (leaves at the seed, count-decided nodes at their last
+  // flip, which comes from a lower rank, NOT-bearing nodes in their own
+  // lower bucket). An untouched child still has its static truth: none of
+  // its children flipped.
   const auto value_of = [&](NodeId n) {
     ++ctx.stats.truth_lookups;
     if (!ctx.touched.contains(n)) return forest_.static_truth(n);
-    return ctx.value[n] != 0;
+    return touched_truth(n);
   };
   const auto eval_node = [&](NodeId n) {
-    ++ctx.stats.node_evaluations;
     const ast::NodeKind kind = forest_.kind(n);
     NCPS_DASSERT(kind != ast::NodeKind::Leaf);
     // A touched NOT's only child flipped, so the NOT flips too.
     if (kind == ast::NodeKind::Not) return !forest_.static_truth(n);
-    // Every child is false unless it flipped: decided by the count alone.
-    if (forest_.decided_by_flips(n)) {
-      return kind == ast::NodeKind::Or ||
-             ctx.flips[n] == forest_.child_count(n);
-    }
-    // A statically-true child (NOT-bearing structure): scan the children.
+    // A statically-true child: scan the children.
     const std::span<const NodeId> kids = forest_.children(n);
     if (kind == ast::NodeKind::And) {
       return std::all_of(kids.begin(), kids.end(), value_of);
@@ -217,8 +248,8 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
     ctx.rank_buckets[r].clear();
   }
 
-  // Emit: every touched result root whose memoized value is true notifies
-  // all subscriptions chained on it...
+  // Emit: every touched result root whose truth is true notifies all
+  // subscriptions chained on it...
   const auto emit_chain = [&](std::uint32_t head) {
     ctx.stats.candidates += subs_[head].chain_length;
     ctx.stats.matches += subs_[head].chain_length;
@@ -226,14 +257,9 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
       emit(SubscriptionId(s));
     }
   };
-  // chain_head_ is sized by attach(): nodes above the highest root id
-  // (fresh interior nodes) simply are not roots. Read, never resize — the
-  // match path must not mutate engine state.
   for (const NodeId n : ctx.frontier) {
-    const std::uint32_t head =
-        n < chain_head_.size() ? chain_head_[n] : kNoSub;
-    if (head == kNoSub) continue;
-    if (ctx.value[n] != 0) {
+    const std::uint32_t head = chain_head_[n];
+    if (touched_truth(n)) {
       emit_chain(head);
     } else {
       // Candidates examined but refuted: the chain is counted, not walked.
@@ -243,7 +269,7 @@ void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
   // ...plus the always-candidate roots nothing touched: with no flipped
   // child their static truth (true) stands.
   for (const NodeId root : always_roots_) {
-    if (ctx.touched.contains(root)) continue;  // evaluated above
+    if (ctx.touched.contains(root)) continue;  // in the frontier
     emit_chain(chain_head_[root]);
   }
 }

@@ -17,13 +17,14 @@
 //     in ascending node id, and a node is touched only when one of its
 //     children *flips* — takes a value other than its static (all-false)
 //     truth. Each parent edge of a flipped node bumps the parent's flip
-//     count; touched nodes are evaluated exactly once each, in topological
-//     (rank) order, memoized in an epoch-stamped array. An AND/OR with no
-//     statically-true child is decided from its flip count alone (OR: any,
-//     AND: all); only NOT-bearing nodes scan their children. An untouched
-//     node keeps its static truth, so the climb stops at the first node
-//     whose value does not move. A subtree shared by 10k subscriptions
-//     costs one evaluation per event instead of 10k;
+//     count. An AND/OR with no statically-true child is decided by that
+//     count alone and settles the moment it decides (OR: first flip, AND:
+//     all edges flipped), flipping its own parents in the same cascade;
+//     only NOT-bearing nodes wait in rank buckets for a bottom-up pass
+//     that scans their children. Every touched node is evaluated once. An
+//     untouched node keeps its static truth, so the climb stops at the
+//     first node whose value does not move. A subtree shared by 10k
+//     subscriptions costs one evaluation per event instead of 10k;
 //   - roots whose expression is satisfiable with zero fulfilled predicates
 //     (static truth = true, e.g. `not a == 1`) live on an always-candidate
 //     list and match whenever nothing touches (and refutes) them;
@@ -99,23 +100,29 @@ class NonCanonicalEngine final : public FilterEngine {
   using NodeId = SharedForest::NodeId;
   static constexpr std::uint32_t kNoSub = 0xffffffffu;
 
-  /// Per-thread match scratch (epoch-cleared / rank-bucketed,
-  /// allocation-free once warm). One per matching thread; the const match
-  /// path touches nothing outside its context.
+  /// Per-thread match scratch (epoch-cleared, allocation-free once warm).
+  /// One per matching thread; the const match path touches nothing outside
+  /// its context.
   struct ForestContext final : MatchContext {
     // Touched = a fulfilled leaf, or a node with a flipped child this event.
     EpochSet touched;                  // by node id
-    std::vector<std::uint8_t> value;   // node truth, valid iff touched
+    // Truth of a touched leaf or NOT-bearing node (a count-decided node's
+    // truth is read from `flips`); valid iff touched.
+    std::vector<std::uint8_t> value;
     std::vector<std::uint16_t> flips;  // flipped child edges, iff touched
-    std::vector<NodeId> frontier;      // touched nodes, discovery order
+    std::vector<NodeId> frontier;      // touched result roots
+    // Flipped nodes whose parent edges are still to count (explicit
+    // stack: a flip cascades up through count-decided nodes at once).
+    std::vector<NodeId> stack;
     // Fulfilled leaves as a two-level bitmap (one bit per node id, one
     // summary bit per non-zero word), walked in ascending id and left
     // clean for the next event.
     std::vector<std::uint64_t> leaf_bits;
     std::vector<std::uint64_t> leaf_words;
-    // Topological order by counting sort: touched interior nodes bucketed
-    // by rank (ranks are tree heights — single digits on real workloads,
-    // so this beats sorting (rank, node) keys per event).
+    // Topological order by counting sort: touched NOT-bearing nodes (NOTs,
+    // and AND/ORs with a statically-true child) bucketed by rank (ranks
+    // are tree heights — single digits on real workloads, so this beats
+    // sorting (rank, node) keys per event).
     std::vector<std::vector<NodeId>> rank_buckets;
     std::uint32_t max_rank_touched = 0;
   };

@@ -141,6 +141,15 @@ class SharedForest {
   [[nodiscard]] bool decided_by_flips(NodeId id) const {
     return (metas_[id].packed >> 31) != 0;
   }
+  /// For a decided_by_flips node, the flip count at which it flips: 1 for
+  /// an OR, child_count for an AND. 0 for every other node (a leaf, or a
+  /// NOT-bearing node whose truth needs its children).
+  [[nodiscard]] std::uint32_t flip_threshold(NodeId id) const {
+    if (!decided_by_flips(id)) return 0;
+    return kind(id) == ast::NodeKind::Or
+               ? 1
+               : static_cast<std::uint32_t>(child_count(id));
+  }
   /// Height of the node (leaves are 0); children always have strictly
   /// smaller rank, so sorting a frontier by rank is a topological order.
   [[nodiscard]] std::uint32_t rank(NodeId id) const {

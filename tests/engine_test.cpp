@@ -519,16 +519,22 @@ class FlipSemanticsTest : public NonCanonicalTest {
   }
 
   /// Every assignment of a, b, c to {match, mismatch, absent}.
-  std::vector<Event> abc_assignments() {
+  std::vector<Event> abc_assignments() { return assignments({"a", "b", "c"}); }
+
+  /// Every assignment of `names` (the i-th matching at value i + 1) to
+  /// {match, mismatch, absent}.
+  std::vector<Event> assignments(const std::vector<std::string>& names) {
+    int codes = 1;
+    for (std::size_t i = 0; i < names.size(); ++i) codes *= 3;
     std::vector<Event> events;
-    for (int code = 0; code < 27; ++code) {
+    for (int code = 0; code < codes; ++code) {
       EventBuilder builder(attrs_);
-      builder.set("zz", 0);  // never empty, even with a, b, c all absent
+      builder.set("zz", 0);  // never empty, even with every name absent
       int rest = code;
-      for (const auto& [name, value] :
-           {std::pair{"a", 1}, std::pair{"b", 2}, std::pair{"c", 3}}) {
-        if (rest % 3 == 0) builder.set(name, value);
-        if (rest % 3 == 1) builder.set(name, value + 10);
+      for (std::size_t i = 0; i < names.size(); ++i) {
+        const int value = static_cast<int>(i) + 1;
+        if (rest % 3 == 0) builder.set(names[i], value);
+        if (rest % 3 == 1) builder.set(names[i], value + 10);
         rest /= 3;
       }
       events.push_back(builder.build());
@@ -560,6 +566,76 @@ TEST_F(FlipSemanticsTest, MixedStaticTruthMatchesOracle) {
                  "((not b == 2 and c == 3) or a == 1) and not c == 3",
                  "a == 1 and b == 2 and c == 3"},
                 abc_assignments());
+}
+
+TEST_F(FlipSemanticsTest, CascadeAndBucketInterplayMatchesOracle) {
+  // Count-decided nodes settle the moment their flip count decides them;
+  // NOT-bearing nodes wait for their rank bucket. Mix the two both ways,
+  // repeat children and give one subtree several parents, then check the
+  // match sets and the exact work counts (the values of the rank-ordered
+  // evaluator this rule replaced, which evaluated every touched node once).
+  const std::vector<std::string> texts = {
+      // decided above NOT-bearing
+      "(not a == 1 or b == 2) and (c == 3 or d == 4)",
+      "((not a == 1 and b == 2) or c == 3) and d == 4",
+      // NOT-bearing above decided
+      "not ((a == 1 and b == 2) or c == 3)",
+      "not (a == 1 or b == 2) or (c == 3 and d == 4)",
+      // repeated children, decided and NOT-bearing
+      "(a == 1 or b == 2) and (a == 1 or b == 2)",
+      "(c == 3 and d == 4) or (c == 3 and d == 4)",
+      "not a == 1 and not a == 1",
+      // one subtree, several parents
+      "(a == 1 and b == 2) or c == 3",
+      "(a == 1 and b == 2) and d == 4",
+      "not (a == 1 and b == 2) and c == 3",
+      "((a == 1 and b == 2) or c == 3) and not d == 4"};
+  std::vector<ast::Expr> exprs;
+  std::vector<std::pair<SubscriptionId, const ast::Node*>> subs;
+  for (const std::string& text : texts) {
+    exprs.push_back(parse_subscription(text, attrs_, table_));
+  }
+  for (const ast::Expr& expr : exprs) {
+    subs.emplace_back(engine_.add(expr.root()), &expr.root());
+  }
+  const auto ctx = engine_.make_context();
+  MatchStats total;
+  for (const Event& event : assignments({"a", "b", "c", "d"})) {
+    EXPECT_EQ(testing::match_event(engine_, event, *ctx),
+              testing::oracle_match(subs, table_, event))
+        << event.to_display_string(attrs_);
+    total.node_evaluations += ctx->stats.node_evaluations;
+    total.truth_lookups += ctx->stats.truth_lookups;
+    total.candidates += ctx->stats.candidates;
+    total.matches += ctx->stats.matches;
+  }
+  EXPECT_EQ(total.node_evaluations, 858u);
+  EXPECT_EQ(total.truth_lookups, 475u);
+  EXPECT_EQ(total.candidates, 575u);
+  EXPECT_EQ(total.matches, 327u);
+
+  // The forest really holds both stackings and a repeated child.
+  const SharedForest& forest = engine_.forest();
+  bool decided_over_scanned = false;
+  bool scanned_over_decided = false;
+  bool repeated = false;
+  for (SharedForest::NodeId n = 0; n < forest.node_bound(); ++n) {
+    if (!forest.is_live(n) || forest.kind(n) == ast::NodeKind::Leaf) continue;
+    const std::span<const SharedForest::NodeId> kids = forest.children(n);
+    for (const SharedForest::NodeId kid : kids) {
+      if (forest.kind(kid) == ast::NodeKind::Leaf) continue;
+      if (forest.decided_by_flips(n) && !forest.decided_by_flips(kid)) {
+        decided_over_scanned = true;
+      }
+      if (!forest.decided_by_flips(n) && forest.decided_by_flips(kid)) {
+        scanned_over_decided = true;
+      }
+    }
+    if (kids.size() == 2 && kids[0] == kids[1]) repeated = true;
+  }
+  EXPECT_TRUE(decided_over_scanned);
+  EXPECT_TRUE(scanned_over_decided);
+  EXPECT_TRUE(repeated);
 }
 
 TEST_F(FlipSemanticsTest, RefutedInnerAndStopsTheClimb) {
