@@ -16,8 +16,7 @@
 // own callbacks (publish timestamp of the event's batch to callback
 // entry), and p50/p99/p999 from the broker's telemetry histogram
 // (ncps_publish_notify_latency_seconds — publish_batch entry to
-// notification emit, both delivery paths merged). The percentile columns
-// read 0 when the library is built with NCPS_METRICS=OFF.
+// notification emit, both delivery paths merged).
 //
 // The async outbox capacity is deliberately smaller than the batch count so
 // the drop policies actually shed load and Block actually throttles; the
@@ -78,7 +77,7 @@ struct CellResult {
   std::size_t dropped = 0;
   double mean_latency_us = 0;
   double max_latency_us = 0;
-  // From the broker's publish→notify histogram (0 under NCPS_METRICS=OFF).
+  // From the broker's publish→notify histogram.
   double p50_latency_us = 0;
   double p99_latency_us = 0;
   double p999_latency_us = 0;

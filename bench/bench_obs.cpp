@@ -4,11 +4,10 @@
 // Two brokers with identical subscription populations differ only in the
 // runtime telemetry gate (ShardedBrokerConfig::metrics) — the off side
 // allocates no cells, so every instrumentation site reduces to one null
-// check, the closest one binary gets to an NCPS_METRICS=OFF build. The same
-// event stream is published through both in interleaved repetitions
-// (on/off/on/off..., so thermal drift and frequency scaling hit both sides
-// alike) and each side keeps its best run, the least-noise estimator the
-// other benches use.
+// check. The same event stream is published through both in interleaved
+// repetitions (on/off/on/off..., so thermal drift and frequency scaling hit
+// both sides alike) and each side keeps its best run, the least-noise
+// estimator the other benches use.
 //
 // One JSON row per shard count with both throughputs, the relative
 // `overhead_pct`, and `snapshot_us` — the mean cost of one full
@@ -89,10 +88,9 @@ int main() {
   std::printf(
       "# Telemetry overhead: metrics on vs off, snapshot cost "
       "(scale=%s, %zu subscribers, %zu events, batch=%zu, reps=%d, "
-      "compiled=%s, hw threads=%u)\n",
+      "hw threads=%u)\n",
       to_string(scale), sizes.subscribers, sizes.events, sizes.batch_size,
-      sizes.repetitions, obs::kMetricsEnabled ? "on" : "off",
-      std::thread::hardware_concurrency());
+      sizes.repetitions, std::thread::hardware_concurrency());
 
   AttributeRegistry attrs;
   std::vector<Event> events;
@@ -145,7 +143,6 @@ int main() {
         .field("subscribers", sizes.subscribers)
         .field("events", sizes.events)
         .field("batch_size", sizes.batch_size)
-        .field("metrics_compiled", obs::kMetricsEnabled ? "on" : "off")
         .field("on_events_per_sec",
                static_cast<double>(sizes.events) / best_on)
         .field("off_events_per_sec",

@@ -18,11 +18,11 @@ int main() {
 
   BrokerNetwork net;
 
-  //            core
-  //           /    \
-  //        west     east
-  //        /  \     /  \
-  //      sea  sfo  nyc  bos        (leaf brokers host subscribers)
+  /*          core
+             /    \
+          west     east
+          /  \     /  \
+        sea  sfo  nyc  bos        (leaf brokers host subscribers) */
   const BrokerId core = net.add_broker();
   const BrokerId west = net.add_broker();
   const BrokerId east = net.add_broker();

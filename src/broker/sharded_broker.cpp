@@ -94,7 +94,7 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
     shard->engine = make_engine(config.engine, shard->table);
     shards_.push_back(std::move(shard));
   }
-  if (config.metrics && obs::kMetricsEnabled) {
+  if (config.metrics) {
     cells_ = std::make_unique<obs::BrokerMetrics>(registry_);
   }
   // The publishing thread matches beside the spawned threads, so the
@@ -135,7 +135,8 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
   }
   // Last, so it never observes a half-constructed broker: the dedicated
   // apply thread keeps control commands flowing while batches match. Seed
-  // brokers (no pool) skip it — their commands always apply inline.
+  // brokers (no pool) skip it: their callers drain their own commands, and
+  // a command queued behind the publisher's drain waits for the next batch.
   if (pool_ != nullptr) {
     apply_thread_ = std::thread([this] { apply_loop(); });
   }
@@ -287,110 +288,48 @@ SubscriptionId ShardedBroker::allocate_global_locked() {
 
 SubscriptionId ShardedBroker::subscribe(SubscriberId subscriber,
                                         std::string_view text) {
-  // Phase one of the parse runs on the calling thread so ParseError is
-  // synchronous and leaves no trace; only attribute names are interned
-  // (idempotent, thread-safe).
+  // Parse and validate on the calling thread before touching any broker
+  // state: ParseError (and, for the counting engines, DnfExplosionError /
+  // SubscriptionTooLargeError) is synchronous and registers nothing, and
+  // the command can no longer fail wherever it is applied. Only attribute
+  // names are interned (idempotent, thread-safe). validate() touches no
+  // mutable engine state and depends only on the engine's configuration,
+  // identical across shards, so shard 0 stands in for the routed shard.
   parser_detail::RawNodePtr raw = parse_raw(text, *attrs_);
+  {
+    PredicateTable scratch;
+    const ast::Expr expr = intern_tree(*raw, scratch);
+    shards_[0]->engine->validate(expr.root(), scratch);
+  }
 
   const std::lock_guard<std::mutex> lock(control_mutex_);
   NCPS_EXPECTS(subscriptions_by_subscriber_.contains(subscriber));
-  const std::uint32_t s = router_.route(subscriber, subscribe_sequence_);
-  Shard& shard = *shards_[s];
-
-  SubscriptionId global;
-  const std::uint64_t generation =
-      issue_generation_.load(std::memory_order_relaxed) + 1;
-  const std::uint64_t issue_tick = cells_ == nullptr ? 0 : obs::now_ticks();
-  std::unique_lock<std::shared_mutex> shard_lock(shard.mutex,
-                                                 std::try_to_lock);
-  if (shard_lock.owns_lock()) {
-    // No other mutator holds the shard: apply inline (after anything
-    // already queued, preserving command order). The write gate is entered
-    // only around the actual mutations — a wait bounded by the in-flight
-    // chunks, not the batch. The engine's add() validates as it registers,
-    // so a failure (e.g. DNF explosion in a counting engine) propagates
-    // here with no broker state change — the seed broker's exact semantics.
-    ShardWriteGuard gate(shard);
-    drain_shard(shard, gate);
-    if (journal_ != nullptr) {
-      // Journal-commit-before-apply requires the apply to be infallible
-      // once the record is durable, so run the queued branch's
-      // pre-validation here too before anything is written.
-      PredicateTable scratch;
-      const ast::Expr expr = intern_tree(*raw, scratch);
-      shard.engine->validate(expr.root(), scratch);
-    }
-    global = allocate_global_locked();
-    if (journal_ != nullptr) {
-      storage::JournalRecord record;
-      record.type = storage::JournalRecord::Type::Subscribe;
-      record.subscriber = subscriber.value();
-      record.global = global.value();
-      record.text = std::string(text);
-      try {
-        journal_commit_locked(std::move(record));
-      } catch (...) {
-        free_globals_.push_back(global);  // nothing was registered
-        throw;
-      }
-    }
+  const SubscriptionId global = allocate_global_locked();
+  if (journal_ != nullptr) {
+    storage::JournalRecord record;
+    record.type = storage::JournalRecord::Type::Subscribe;
+    record.subscriber = subscriber.value();
+    record.global = global.value();
+    record.text = std::string(text);
     try {
-      gate.enter();
-      apply_subscribe(shard, global, subscriber, *raw);
+      journal_commit_locked(std::move(record));
     } catch (...) {
       free_globals_.push_back(global);  // nothing was registered
       throw;
     }
-    issue_generation_.store(generation, std::memory_order_release);
-    shard.fence.advance(generation);
-    record_apply_latency(issue_tick);
-  } else {
-    // Shard busy with a batch: pre-validate everything that could fail at
-    // application time, then hand the command to the shard's queue. The
-    // engine's own validate() (a no-op for non-canonical, the add()-time
-    // canonicalisation checks for the counting family) surfaces
-    // DnfExplosionError / SubscriptionTooLargeError synchronously, so a
-    // queued command can no longer fail; it touches no mutable engine
-    // state, so calling it while the engine matches is safe.
-    {
-      PredicateTable scratch;
-      const ast::Expr expr = intern_tree(*raw, scratch);
-      shard.engine->validate(expr.root(), scratch);
-    }
-    global = allocate_global_locked();
-    if (journal_ != nullptr) {
-      storage::JournalRecord record;
-      record.type = storage::JournalRecord::Type::Subscribe;
-      record.subscriber = subscriber.value();
-      record.global = global.value();
-      record.text = std::string(text);
-      try {
-        journal_commit_locked(std::move(record));
-      } catch (...) {
-        free_globals_.push_back(global);
-        throw;
-      }
-    }
-    ShardCommand command;
-    command.kind = ShardCommand::Kind::Subscribe;
-    command.global = global;
-    command.owner = subscriber;
-    command.raw = std::move(raw);
-    command.generation = generation;
-    command.enqueue_tick = issue_tick;
-    shard.queued_commands.fetch_add(1, std::memory_order_relaxed);
-    shard.commands.push(std::move(command));
-    // Publish the generation only after the push: a drain that snapshots
-    // issue_generation_ must find every command at or below its snapshot
-    // already linked in the queue.
-    issue_generation_.store(generation, std::memory_order_release);
-    signal_apply();
+    record_text_locked(global, text);
   }
-
+  const std::uint32_t s = router_.route(subscriber, subscribe_sequence_);
   ++subscribe_sequence_;
   routes_[global.value()] = Route{s, subscriber, /*live=*/true};
   subscriptions_by_subscriber_[subscriber].push_back(global);
-  if (journal_ != nullptr) record_text_locked(global, text);
+
+  ShardCommand command;
+  command.kind = ShardCommand::Kind::Subscribe;
+  command.global = global;
+  command.owner = subscriber;
+  command.raw = std::move(raw);
+  issue_command_locked(*shards_[s], std::move(command));
   if (cells_ != nullptr) cells_->subscribe_ops.add();
   return global;
 }
@@ -400,11 +339,8 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
   std::vector<SubscriptionId> out;
   if (texts.empty()) return out;
 
-  // Parse and validate everything on the calling thread before touching any
-  // broker state: a ParseError (or DNF-explosion error from a canonicalising
-  // engine) is synchronous and registers nothing. validate() depends only on
-  // the engine's configuration, identical across shards, so shard 0 stands
-  // in for whichever shard each subscription lands on.
+  // Parse and validate everything first, exactly as subscribe() does, so a
+  // throw registers nothing.
   std::vector<parser_detail::RawNodePtr> raws;
   raws.reserve(texts.size());
   for (const std::string& text : texts) raws.push_back(parse_raw(text, *attrs_));
@@ -416,20 +352,24 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
     }
   }
 
+  const auto trees =
+      std::make_shared<const std::vector<parser_detail::RawNodePtr>>(
+          std::move(raws));
+
   const std::lock_guard<std::mutex> lock(control_mutex_);
   NCPS_EXPECTS(subscriptions_by_subscriber_.contains(subscriber));
 
   // Route every subscription and commit the control-plane bookkeeping up
-  // front — application can no longer fail, exactly as for queued commands.
+  // front; application can no longer fail.
   std::vector<std::vector<BulkSubscribeItem>> per_shard(shards_.size());
   out.reserve(texts.size());
-  for (parser_detail::RawNodePtr& raw : raws) {
+  for (const parser_detail::RawNodePtr& raw : *trees) {
     const std::uint32_t s = router_.route(subscriber, subscribe_sequence_);
     ++subscribe_sequence_;
     const SubscriptionId global = allocate_global_locked();
     routes_[global.value()] = Route{s, subscriber, /*live=*/true};
     subscriptions_by_subscriber_[subscriber].push_back(global);
-    per_shard[s].push_back(BulkSubscribeItem{global, subscriber, std::move(raw)});
+    per_shard[s].push_back(BulkSubscribeItem{global, subscriber, raw.get()});
     out.push_back(global);
   }
 
@@ -463,64 +403,45 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
     }
   }
 
-  // One temporary pool serves every shard applied inline from this call; it
-  // exists only while large batches are being built. The broker's own pool_
-  // may be mid-run_tasks on the data plane, and run_tasks is not reentrant.
-  // This thread builds beside the pool's, so min(hw, 8) builders means one
-  // fewer spawned.
-  std::unique_ptr<WorkStealingPool> build_pool;
-  const auto build_pool_for = [&](std::size_t items) -> WorkStealingPool* {
-    if (items < kBulkBuildParallelThreshold) return nullptr;
-    if (build_pool == nullptr) {
-      const std::size_t hw = std::thread::hardware_concurrency();
-      build_pool = std::make_unique<WorkStealingPool>(
-          std::min<std::size_t>(hw == 0 ? 1 : hw, 8) - 1);
-    }
-    return build_pool.get();
-  };
-
+  // One command per shard carries that shard's whole share, so the shard
+  // builds its phase-1 index in one bulk-load window (apply_command).
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (per_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    const std::uint64_t generation =
-        issue_generation_.load(std::memory_order_relaxed) + 1;
-    const std::uint64_t issue_tick = cells_ == nullptr ? 0 : obs::now_ticks();
-    std::unique_lock<std::shared_mutex> shard_lock(shard.mutex,
-                                                   std::try_to_lock);
-    if (shard_lock.owns_lock()) {
-      ShardWriteGuard gate(shard);
-      drain_shard(shard, gate);
-      gate.enter();
-      // Pre-size the shard's predicate table for the incoming batch (a few
-      // predicates per subscription; over-reserving only rounds up to what
-      // vector growth would have allocated anyway).
-      shard.table.reserve(shard.table.id_bound() + per_shard[s].size() * 4);
-      shard.engine->begin_bulk_load();
-      for (const BulkSubscribeItem& item : per_shard[s]) {
-        apply_subscribe(shard, item.global, item.owner, *item.raw);
-      }
-      shard.engine->finish_bulk_load(build_pool_for(per_shard[s].size()));
-      issue_generation_.store(generation, std::memory_order_release);
-      shard.fence.advance(generation);
-      record_apply_latency(issue_tick);
-    } else {
-      // Another mutator holds the shard: one command carries the whole
-      // batch; the next drain applies it with the same bulk-load window
-      // (sequential build — the drainer may be the apply thread or a pool
-      // worker inside run_tasks, which is not reentrant).
-      ShardCommand command;
-      command.kind = ShardCommand::Kind::BulkSubscribe;
-      command.bulk = std::move(per_shard[s]);
-      command.generation = generation;
-      command.enqueue_tick = issue_tick;
-      shard.queued_commands.fetch_add(1, std::memory_order_relaxed);
-      shard.commands.push(std::move(command));
-      issue_generation_.store(generation, std::memory_order_release);
-      signal_apply();
-    }
+    ShardCommand command;
+    command.kind = ShardCommand::Kind::BulkSubscribe;
+    command.bulk = std::move(per_shard[s]);
+    command.trees = trees;
+    issue_command_locked(*shards_[s], std::move(command));
   }
   if (cells_ != nullptr) cells_->subscribe_ops.add(out.size());
   return out;
+}
+
+std::uint64_t ShardedBroker::issue_command_locked(Shard& shard,
+                                                  ShardCommand command) {
+  const std::uint64_t generation =
+      issue_generation_.load(std::memory_order_relaxed) + 1;
+  command.generation = generation;
+  command.enqueue_tick = cells_ == nullptr ? 0 : obs::now_ticks();
+  shard.queued_commands.fetch_add(1, std::memory_order_relaxed);
+  shard.commands.push(std::move(command));
+  // Publish the generation only after the push: a drain that snapshots
+  // issue_generation_ must find every command at or below its snapshot
+  // already linked in the queue.
+  issue_generation_.store(generation, std::memory_order_release);
+  // No other mutator holds the shard: drain it here, this command last, so
+  // a sequential caller sees it applied on return (the seed broker's
+  // semantics). Otherwise the holder, the apply thread or the next batch
+  // applies it.
+  std::unique_lock<std::shared_mutex> shard_lock(shard.mutex,
+                                                 std::try_to_lock);
+  if (shard_lock.owns_lock()) {
+    ShardWriteGuard gate(shard);
+    drain_shard(shard, gate);
+  } else {
+    signal_apply();
+  }
+  return generation;
 }
 
 void ShardedBroker::issue_unsubscribe_locked(SubscriptionId global,
@@ -529,46 +450,19 @@ void ShardedBroker::issue_unsubscribe_locked(SubscriptionId global,
     texts_[global.value()].clear();
     texts_[global.value()].shrink_to_fit();
   }
-  Shard& shard = *shards_[route.shard];
+  ShardCommand command;
+  command.kind = ShardCommand::Kind::Unsubscribe;
+  command.global = global;
   const std::uint64_t generation =
-      issue_generation_.load(std::memory_order_relaxed) + 1;
-  const std::uint64_t issue_tick = cells_ == nullptr ? 0 : obs::now_ticks();
-  std::unique_lock<std::shared_mutex> shard_lock(shard.mutex,
-                                                 std::try_to_lock);
-  if (shard_lock.owns_lock()) {
-    ShardWriteGuard gate(shard);
-    drain_shard(shard, gate);
-    gate.enter();
-    apply_unsubscribe(shard, global);
-    issue_generation_.store(generation, std::memory_order_release);
-    shard.fence.advance(generation);
-    record_apply_latency(issue_tick);
-    // The engine no longer knows the id — but a batch mid-delivery may
-    // still hold it in buffered match records (or, async mode, in pending
-    // outbox batches), and immediate reuse would relabel those stale
-    // notifications as the new subscription. Reuse inline only when no
-    // batch is in flight and no accepted delivery is pending (always true
-    // for sequential inline callers, preserving the seed's LIFO ids);
-    // otherwise quarantine.
-    if (publish_idle_probe() && (delivery_ == nullptr || delivery_->idle())) {
-      free_globals_.push_back(global);
-    } else {
-      retired_globals_.push_back(
-          RetiredGlobal{global, route.shard, route.owner, generation});
-    }
-  } else {
-    ShardCommand command;
-    command.kind = ShardCommand::Kind::Unsubscribe;
-    command.global = global;
-    command.generation = generation;
-    command.enqueue_tick = issue_tick;
-    shard.queued_commands.fetch_add(1, std::memory_order_relaxed);
-    shard.commands.push(std::move(command));
-    issue_generation_.store(generation, std::memory_order_release);
-    signal_apply();
-    retired_globals_.push_back(
-        RetiredGlobal{global, route.shard, route.owner, generation});
-  }
+      issue_command_locked(*shards_[route.shard], std::move(command));
+  // Even once the engine has forgotten the id, a batch mid-delivery may
+  // still hold it in buffered match records (or, async mode, in pending
+  // outbox batches), and reusing it would relabel those stale notifications
+  // as the new subscription. allocate_global_locked reclaims it as soon as
+  // that cannot happen: for a sequential caller, at the next allocation,
+  // which keeps the seed broker's LIFO ids.
+  retired_globals_.push_back(
+      RetiredGlobal{global, route.shard, route.owner, generation});
 }
 
 bool ShardedBroker::unsubscribe(SubscriptionId subscription) {
@@ -628,27 +522,38 @@ void ShardedBroker::apply_command(Shard& shard, ShardCommand&& command) {
     case ShardCommand::Kind::Unsubscribe:
       apply_unsubscribe(shard, command.global);
       break;
-    case ShardCommand::Kind::BulkSubscribe:
+    case ShardCommand::Kind::BulkSubscribe: {
+      // Pre-size the shard's predicate table for the incoming batch (a few
+      // predicates per subscription; over-reserving only rounds up to what
+      // vector growth would have allocated anyway).
+      shard.table.reserve(shard.table.id_bound() + command.bulk.size() * 4);
       shard.engine->begin_bulk_load();
       for (const BulkSubscribeItem& item : command.bulk) {
         apply_subscribe(shard, item.global, item.owner, *item.raw);
       }
-      shard.engine->finish_bulk_load(nullptr);
+      // A large batch builds on a temporary pool, whichever thread drains
+      // it: the broker's own pool_ may be mid-run_tasks on the data plane,
+      // and run_tasks is not reentrant. The draining thread builds beside
+      // the pool's, so min(hw, 8) builders means one fewer spawned.
+      std::unique_ptr<WorkStealingPool> build_pool;
+      if (command.bulk.size() >= kBulkBuildParallelThreshold) {
+        const std::size_t hw = std::thread::hardware_concurrency();
+        build_pool = std::make_unique<WorkStealingPool>(
+            std::min<std::size_t>(hw == 0 ? 1 : hw, 8) - 1);
+      }
+      shard.engine->finish_bulk_load(build_pool.get());
       break;
+    }
   }
   shard.fence.advance(command.generation);
-  // Queue-residency latency (issue → applied): the recorded distribution
-  // is exactly what the epoch refactor is meant to shrink — a command used
-  // to sit behind the whole in-flight batch, now at most behind the chunks
-  // in flight plus apply-thread wakeup.
-  record_apply_latency(command.enqueue_tick);
-}
-
-void ShardedBroker::record_apply_latency(std::uint64_t issue_tick) {
-  if (cells_ == nullptr || issue_tick == 0) return;
-  const std::uint64_t now = obs::now_ticks();
-  cells_->control_apply_latency.record(now > issue_tick ? now - issue_tick
-                                                        : 0);
+  // Issue → applied, for every control op: how long the command sat behind
+  // other mutators and the chunks in flight (plus apply-thread wakeup when
+  // it was queued).
+  if (cells_ != nullptr && command.enqueue_tick != 0) {
+    const std::uint64_t now = obs::now_ticks();
+    cells_->control_apply_latency.record(
+        now > command.enqueue_tick ? now - command.enqueue_tick : 0);
+  }
 }
 
 SubscriptionId ShardedBroker::apply_subscribe(
@@ -688,7 +593,7 @@ void ShardedBroker::run_match_tasks(std::span<const Event> events) {
   // contract). The apply thread usually leaves these queues empty; an empty
   // drain is a mutex round-trip plus a fence advance, no grace period.
   // Commands arriving *after* this point may still land mid-batch — the
-  // apply thread or an inline control op takes the write gate between
+  // apply thread or the issuing control call takes the write gate between
   // chunks — which is the design: apply latency is bounded by the chunk
   // cap, not the batch.
   for (auto& shard : shards_) {
@@ -986,12 +891,12 @@ bool ShardedBroker::publish_idle_probe() {
 }
 
 void ShardedBroker::wait_applied(std::uint64_t generation) {
-  // Kick the apply thread first: an inline-applied command advances only
-  // its own shard's fence, so idle shards may sit below `generation` with
-  // nothing queued and no batch coming to drain them. One drain pass
-  // advances every fence to the issued generation. Seed brokers (single
-  // shard, no pool) have no apply thread and no lag either: every command
-  // applies inline and advances the only fence before returning.
+  // Kick the apply thread first: a control call that drains its own
+  // command advances only that shard's fence, so idle shards may sit below
+  // `generation` with nothing queued and no batch coming to drain them.
+  // One drain pass advances every fence to the issued generation. Seed
+  // brokers (single shard, no pool) have no apply thread: a command their
+  // caller could not drain waits for the next batch or quiesce().
   signal_apply();
   for (auto& shard : shards_) shard->fence.wait_until(generation);
 }

@@ -22,13 +22,13 @@
 // (common/epoch_domain.h), and control-plane mutation closes that domain's
 // write gate (waiting out the pinned chunks, never a whole batch) for
 // exactly the duration of the mutation. The shard mutex survives only to
-// serialise *mutators* against each other — drains, inline applies, bulk
-// loads, checkpoint — never to admit readers. Each task streams matches
-// into its own (shard, chunk) buffer via the engines' MatchSink interface,
-// and the buffers are merged deterministically (per event, ascending global
-// subscription id — byte-identical regardless of shard count, chunking or
-// steal interleaving) by parallel per-event-range merge tasks on the same
-// pool. In the default inline delivery mode callbacks run on the publishing
+// serialise *mutators* against each other — drains and checkpoint — never
+// to admit readers. Each task streams matches into its own (shard, chunk)
+// buffer via the engines' MatchSink interface, and the buffers are merged
+// deterministically (per event, ascending global subscription id —
+// byte-identical regardless of shard count, chunking or steal
+// interleaving) by parallel per-event-range merge tasks on the same pool.
+// In the default inline delivery mode callbacks run on the publishing
 // thread, never concurrently; with DeliveryOptions::mode == Async the
 // merged matches are deposited into per-subscriber bounded outboxes and
 // callbacks run on the delivery executor's threads
@@ -37,21 +37,22 @@
 // the broker.
 //
 // The control plane (register/subscribe/unsubscribe) may be called from any
-// number of threads concurrently with publishing. Every control operation is
-// turned into a command for the owning shard:
+// number of threads concurrently with publishing. Every control operation
+// takes one path: it is validated on the calling thread (so it can no
+// longer fail once issued), journalled when storage is on, and pushed as a
+// command onto the owning shard's lock-free MPSC queue. Commands are
+// applied only by draining that queue, in push order:
 //
-//   - if no other mutator holds the shard's mutex, the command — after any
-//     commands already queued for the shard — is applied inline: the
-//     applier enters the shard's epoch write gate, waits out the chunks
-//     currently pinned (bounded by the chunk cap, NOT by the batch), and
-//     mutates. Single-threaded callers observe the exact seed-broker
-//     semantics: a subscription is matchable the instant subscribe()
-//     returns;
-//   - if another mutator holds the mutex, the command is pushed onto the
-//     shard's lock-free MPSC queue and applied by whichever mutator next
-//     drains the shard — the dedicated apply thread (woken by the push),
-//     the publishing thread at the start of the next batch, or quiesce().
-//     The publisher never takes the control-plane lock.
+//   - if no other mutator holds the shard's mutex, the caller drains the
+//     shard itself, its own command last: it enters the shard's epoch write
+//     gate, waits out the chunks currently pinned (bounded by the chunk
+//     cap, NOT by the batch), and mutates. Single-threaded callers observe
+//     the exact seed-broker semantics: a subscription is matchable the
+//     instant subscribe() returns;
+//   - if another mutator holds the mutex, the command is left to whichever
+//     mutator next drains the shard — the dedicated apply thread (woken by
+//     the caller), the publishing thread at the start of the next batch, or
+//     quiesce(). The publisher never takes the control-plane lock.
 //
 // Commands therefore apply *concurrently with matching*: a long batch no
 // longer gates the control plane (the old design parked commands until the
@@ -77,10 +78,10 @@
 // phases: the calling thread runs parse_raw (so ParseError is synchronous
 // and nothing is registered on failure), and the thread applying the command
 // interns the raw tree into the shard's table (predicates live, and are
-// refcounted, exactly where the subscription's engine lives). For the
-// counting engines a deferred subscribe is additionally pre-canonicalised on
-// the calling thread, so DNF-explosion errors are also synchronous and a
-// queued command can no longer fail.
+// refcounted, exactly where the subscription's engine lives). Every
+// subscribe is additionally pre-validated on the calling thread (for the
+// counting engines, pre-canonicalised), so DNF-explosion errors are also
+// synchronous and an issued command can no longer fail.
 //
 // Every broker's publishing thread matches. With a pool it is the pool's
 // last worker, taking a slice of the match and merge tasks beside the
@@ -159,11 +160,10 @@ struct ShardedBrokerConfig {
   /// the full subscription state from the storage directory. Default off:
   /// byte-for-byte the in-memory-only behaviour.
   storage::StorageOptions storage{};
-  /// Runtime telemetry gate. When false no metric cells are allocated and
-  /// every instrumentation site reduces to one null check — the same
-  /// observable behaviour as compiling with NCPS_METRICS=OFF, which removes
-  /// even that check. metrics() still works, reporting only values sampled
-  /// from existing structures (per-shard match stats, gauges).
+  /// Telemetry gate. When false no metric cells are allocated and every
+  /// instrumentation site reduces to one null check. metrics() still works,
+  /// reporting only values sampled from existing structures (per-shard
+  /// match stats, gauges).
   bool metrics = true;
 };
 
@@ -216,17 +216,18 @@ class ShardedBroker {
   /// each shard builds its phase-1 index in bulk: predicate registration is
   /// deferred across the shard's whole batch and handed to
   /// PredicateIndex::bulk_load, partitioned by attribute and (for large
-  /// batches applied inline) built on a temporary thread pool. Shards busy
-  /// with a batch receive one queued BulkSubscribe command instead of N
-  /// Subscribe commands. Thread-safe. Returns the new ids in input order.
+  /// batches) built on a temporary thread pool. Each shard receives one
+  /// BulkSubscribe command instead of N Subscribe commands. Thread-safe.
+  /// Returns the new ids in input order.
   std::vector<SubscriptionId> subscribe_bulk(
       SubscriberId subscriber, std::span<const std::string> texts);
 
   /// Remove one subscription. Returns false if unknown or already removed.
   /// Thread-safe. On return the removal is issued: batches starting after
   /// every shard passes control_generation() (see wait_applied/quiesce)
-  /// deliver no further notifications for it; with no batch in flight the
-  /// removal has already been applied when this returns.
+  /// deliver no further notifications for it; when no other mutator holds
+  /// the shard (always, for a sequential caller) the removal has already
+  /// been applied when this returns.
   bool unsubscribe(SubscriptionId subscription);
 
   /// Match an event against every shard and notify all matching
@@ -383,11 +384,12 @@ class ShardedBroker {
     std::vector<std::size_t> cursor;
   };
 
-  /// One subscription of a bulk registration bound for one shard.
+  /// One subscription of a bulk registration bound for one shard. `raw`
+  /// points into the owning command's `trees`.
   struct BulkSubscribeItem {
     SubscriptionId global;
     SubscriberId owner;
-    parser_detail::RawNodePtr raw;
+    const parser_detail::RawNode* raw;
   };
 
   /// A control-plane operation bound for one shard's engine.
@@ -398,18 +400,24 @@ class ShardedBroker {
     SubscriberId owner;                    // Subscribe
     parser_detail::RawNodePtr raw;         // Subscribe: pre-parsed tree
     std::vector<BulkSubscribeItem> bulk;   // BulkSubscribe
+    /// BulkSubscribe: every tree of the subscribe_bulk call, shared by its
+    /// per-shard commands, so they are freed together once the whole call
+    /// is applied. Freeing one shard's trees before the next shard builds
+    /// scatters that shard's index nodes into their holes: ~10% slower
+    /// set-up on the e2e `selective` population.
+    std::shared_ptr<const std::vector<parser_detail::RawNodePtr>> trees;
     std::uint64_t generation = 0;          // broker-wide issue generation
     /// obs::now_ticks() when the control call issued the op (0 when metrics
-    /// are off): the ncps_control_apply_latency histogram records
-    /// issue → applied, i.e. how long a command sat behind the data plane.
-    /// Inline applies record the same interval without a ShardCommand, so
-    /// the histogram covers every control op (record_apply_latency).
+    /// are off): apply_command records issue → applied into the
+    /// ncps_control_apply_latency histogram, i.e. how long the command sat
+    /// behind other mutators and the data plane. Every control op is a
+    /// command, so the histogram covers them all.
     std::uint64_t enqueue_tick = 0;
   };
 
   /// One engine shard: exclusive table + engine + its command queue.
-  /// `mutex` serialises *mutators* — control-command application, drains,
-  /// bulk loads, snapshots hold it exclusive; memory accounting takes it
+  /// `mutex` serialises *mutators* — drains (the only place commands are
+  /// applied) and snapshots hold it exclusive; memory accounting takes it
   /// shared. Match workers take no lock: they read the engine (and
   /// to_global/owner_of) inside an epoch-pinned EngineView on `epochs`, and
   /// every mutator additionally closes that domain's write gate (via
@@ -474,9 +482,9 @@ class ShardedBroker {
 
   static constexpr std::uint64_t kAcceptedUnset = ~std::uint64_t{0};
 
-  /// Inline bulk-subscribe batches at least this large build their phase-1
-  /// index on a temporary thread pool; smaller ones build sequentially
-  /// (thread spin-up would cost more than it saves).
+  /// Bulk-subscribe commands at least this large build their phase-1 index
+  /// on a temporary thread pool; smaller ones build sequentially (thread
+  /// spin-up would cost more than it saves).
   static constexpr std::size_t kBulkBuildParallelThreshold = 512;
 
   class ChunkSink;
@@ -566,6 +574,12 @@ class ShardedBroker {
   };
 
   SubscriptionId allocate_global_locked();
+  /// The one path every control operation takes once validated (and
+  /// journalled): stamp `command` with the next issue generation, push it
+  /// onto `shard`'s queue, publish the generation, then drain the shard on
+  /// the calling thread if no other mutator holds it, else wake the apply
+  /// thread. Caller holds control_mutex_. Returns the generation.
+  std::uint64_t issue_command_locked(Shard& shard, ShardCommand command);
   void issue_unsubscribe_locked(SubscriptionId global, const Route& route);
   // ---- persistence internals (broker_persistence.cpp) ----
   /// Recover snapshot + journal tail into a freshly constructed broker,
@@ -584,13 +598,9 @@ class ShardedBroker {
   /// lazily before the first command applies, so an empty drain is just a
   /// fence advance. Returns the number of commands applied.
   std::size_t drain_shard(Shard& shard, ShardWriteGuard& gate);
+  /// Apply one command, advance the shard's fence to its generation and
+  /// record its apply latency. Only drain_shard calls it.
   void apply_command(Shard& shard, ShardCommand&& command);
-  /// Record issue tick → applied into ncps_control_apply_latency_seconds
-  /// (no-op when metrics are off / the tick is 0). Called for queued
-  /// commands at fence advance and for inline applies before the control
-  /// call returns, so the histogram covers every control op and its
-  /// percentiles do not jump between populations as contention varies.
-  void record_apply_latency(std::uint64_t issue_tick);
   SubscriptionId apply_subscribe(Shard& shard, SubscriptionId global,
                                  SubscriberId owner,
                                  const parser_detail::RawNode& raw);
@@ -689,7 +699,7 @@ class ShardedBroker {
   /// Drains every shard whenever a control command is queued, concurrently
   /// with match tasks: this is what decouples control-op apply latency from
   /// batch size. Joined first in the destructor; never started for seed
-  /// brokers, whose commands always apply inline.
+  /// brokers, whose control callers drain their own commands.
   std::thread apply_thread_;
   std::mutex apply_cv_mutex_;
   std::condition_variable apply_cv_;
@@ -697,8 +707,8 @@ class ShardedBroker {
   /// Level-triggered wake request, guarded by apply_cv_mutex_. Set by
   /// signal_apply(), cleared by the apply loop before each drain pass.
   /// Needed beyond apply_pending() because wait_applied() kicks the loop to
-  /// advance *idle* shards' fences past an inline-applied generation — a
-  /// state with nothing queued anywhere.
+  /// advance *idle* shards' fences past a generation its caller drained on
+  /// another shard — a state with nothing queued anywhere.
   bool apply_kick_ = false;
   void apply_loop();
   /// Request one apply-loop drain pass (no-op without an apply thread):

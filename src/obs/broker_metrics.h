@@ -47,9 +47,8 @@ struct DeliveryMetrics {
 };
 
 /// Every registry-backed cell the (sharded) broker writes. Constructed only
-/// when the broker's runtime `metrics` flag is on; a null BrokerMetrics*
-/// is the "runtime off" state that bench_obs uses to approximate the
-/// NCPS_METRICS=OFF baseline in one binary.
+/// when the broker's `metrics` flag is on; a null BrokerMetrics* is the
+/// "off" state that bench_obs measures the cells' overhead against.
 struct BrokerMetrics {
   explicit BrokerMetrics(MetricsRegistry& registry)
       : publish_batches(registry.counter("ncps_publish_batches_total")),

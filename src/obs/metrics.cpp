@@ -312,8 +312,6 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
-#if !defined(NCPS_METRICS_DISABLED)
-
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (Entry<Counter>& entry : counters_) {
@@ -355,7 +353,5 @@ void MetricsRegistry::snapshot_into(MetricsSnapshot& out) const {
     out.add_histogram(entry.name, entry.labels, entry.cell.snapshot());
   }
 }
-
-#endif  // !NCPS_METRICS_DISABLED
 
 }  // namespace ncps::obs

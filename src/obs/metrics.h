@@ -28,12 +28,6 @@
 // Quantiles interpolate linearly inside a bucket, so p99 is exact to ~25%
 // of the value — the right trade for a cell that is written millions of
 // times and read once a scrape.
-//
-// Compile-time removal: configuring with -DNCPS_METRICS=OFF defines
-// NCPS_METRICS_DISABLED, which swaps the hot-side cells for empty inline
-// stubs (no storage, no-op record) and makes now_ticks() return 0 — every
-// instrumentation site compiles to nothing. The cold side stays, so
-// Broker::metrics() still reports the sampled (zero-hot-cost) metrics.
 #pragma once
 
 #include <atomic>
@@ -50,16 +44,8 @@
 
 namespace ncps::obs {
 
-#if defined(NCPS_METRICS_DISABLED)
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
-
-/// Monotonic nanosecond tick for latency stamps (0 when metrics are
-/// compiled out, so stamps carried through data structures stay inert).
+/// Monotonic nanosecond tick for latency stamps.
 inline std::uint64_t now_ticks() {
-  if constexpr (!kMetricsEnabled) return 0;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -191,8 +177,6 @@ class MetricsSnapshot {
 
 // -------------------------------------------------------------- hot cells --
 
-#if !defined(NCPS_METRICS_DISABLED)
-
 /// Monotonic counter; relaxed — readers see a recent value, the snapshot
 /// sees everything recorded-before in the happens-before sense of whatever
 /// lock or fence the caller already holds.
@@ -282,47 +266,5 @@ class MetricsRegistry {
   std::deque<Entry<Gauge>> gauges_;
   std::deque<Entry<Histogram>> histograms_;
 };
-
-#else  // NCPS_METRICS_DISABLED ------------------------------------------
-
-// Storage-free stubs: every record call is an empty inline function the
-// optimiser deletes, and the registry hands out shared dummies. The
-// snapshot side above still compiles, so sampled metrics survive.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  [[nodiscard]] std::uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) {}
-  void add(std::int64_t) {}
-  [[nodiscard]] std::int64_t value() const { return 0; }
-};
-
-class Histogram {
- public:
-  void record(std::uint64_t) {}
-  void record_n(std::uint64_t, std::uint64_t) {}
-  [[nodiscard]] HistogramData snapshot() const { return {}; }
-};
-
-class MetricsRegistry {
- public:
-  Counter& counter(std::string_view, Labels = {}) { return counter_; }
-  Gauge& gauge(std::string_view, Labels = {}) { return gauge_; }
-  Histogram& histogram(std::string_view, Labels = {}) { return histogram_; }
-  void snapshot_into(MetricsSnapshot&) const {}
-
- private:
-  // Shared stubs are safe: they hold no state.
-  inline static Counter counter_{};
-  inline static Gauge gauge_{};
-  inline static Histogram histogram_{};
-};
-
-#endif  // NCPS_METRICS_DISABLED
 
 }  // namespace ncps::obs

@@ -156,8 +156,11 @@ TEST_P(BulkLoadTest, MalformedTextRegistersNothing) {
 
 TEST_P(BulkLoadTest, BulkSubscribeRacesPublishBatch) {
   // TSan target: a publisher thread drives publish_batch in a loop while the
-  // control thread issues bulk subscribes. Shards busy with a batch take the
-  // queued BulkSubscribe path; idle shards build inline.
+  // control thread issues bulk subscribes. Each shard's share is one
+  // BulkSubscribe command, drained by the control thread when the shard is
+  // free and otherwise by the publisher or the apply thread. The last wave
+  // gives every shard at least kBulkBuildParallelThreshold (512) texts, so
+  // its shares build on a temporary pool while batches run.
   const EngineKind kind = GetParam();
   AttributeRegistry attrs;
   ShardedBroker broker(
@@ -194,13 +197,30 @@ TEST_P(BulkLoadTest, BulkSubscribeRacesPublishBatch) {
     EXPECT_EQ(ids.size(), kPerWave);
     expected += kPerWave;
   }
+  constexpr std::size_t kBigWave = 2560;
+  {
+    // Placement is a pure function of (subscriber, sequence): check that
+    // the wave really gives every shard a parallel-build share.
+    const ShardRouter router(4, ShardPlacement::kSpread);
+    std::vector<std::size_t> share(4, 0);
+    for (std::size_t i = 0; i < kBigWave; ++i) {
+      ++share[router.route(owner, expected + i)];
+    }
+    for (const std::size_t n : share) ASSERT_GE(n, 512u);
+  }
+  std::vector<std::string> texts;
+  for (std::size_t i = 0; i < kBigWave; ++i) {
+    texts.push_back("price >= " + std::to_string(expected + i));
+  }
+  EXPECT_EQ(broker.subscribe_bulk(owner, texts).size(), kBigWave);
+  expected += kBigWave;
   stop.store(true, std::memory_order_relaxed);
   publisher.join();
   broker.quiesce();
   EXPECT_EQ(broker.subscription_count(), expected);
 
   // After the dust settles the bulk subscriptions all match: price >= n for
-  // n in [0, 320) against price == 150 -> 151 matches.
+  // n in [0, 2880) against price == 150 -> 151 matches.
   delivered.store(0);
   const Event probe = EventBuilder(attrs).set("price", 150).build();
   EXPECT_EQ(broker.publish(probe), 151u);

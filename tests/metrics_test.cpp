@@ -5,10 +5,6 @@
 // accumulation, metrics() from inside a delivery callback, the runtime
 // metrics=false gate, and a snapshot-while-publishing race the TSan CI job
 // hammers.
-//
-// The snapshot/exposition side compiles in both NCPS_METRICS settings, so
-// most tests run everywhere; tests that need live hot cells skip themselves
-// under NCPS_METRICS=OFF.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -217,7 +213,6 @@ TEST(SnapshotTest, JsonExposition) {
 // --------------------------------------------------------------- hot cells --
 
 TEST(RegistryTest, SameNameAndLabelsYieldsSameCell) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "NCPS_METRICS=OFF";
   obs::MetricsRegistry registry;
   obs::Counter& a = registry.counter("ncps_a_total", {{"shard", "0"}});
   obs::Counter& b = registry.counter("ncps_a_total", {{"shard", "0"}});
@@ -241,7 +236,6 @@ TEST(RegistryTest, SameNameAndLabelsYieldsSameCell) {
 }
 
 TEST(RegistryTest, HistogramCellMatchesBucketMath) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "NCPS_METRICS=OFF";
   obs::Histogram cell;
   const std::vector<std::uint64_t> values = {0, 1, 5, 1000, 123'456'789};
   std::uint64_t sum = 0;
@@ -266,7 +260,6 @@ TEST(RegistryTest, HistogramCellMatchesBucketMath) {
 // ------------------------------------------------------- broker accounting --
 
 TEST(BrokerMetricsTest, CountersMatchObservedTraffic) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "NCPS_METRICS=OFF";
   AttributeRegistry attrs;
   Broker broker(attrs);
   std::size_t callbacks = 0;
@@ -314,7 +307,6 @@ TEST(BrokerMetricsTest, CountersMatchObservedTraffic) {
 }
 
 TEST(BrokerMetricsTest, PublishStageSecondsSplitTheBatchWallTime) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "NCPS_METRICS=OFF";
   for (const std::size_t shard_count : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shard_count));
     AttributeRegistry attrs;
@@ -390,7 +382,7 @@ TEST(BrokerMetricsTest, MatchPhaseSecondsAdvancePerShard) {
     EXPECT_EQ(snap.counter_total("ncps_match_truth_lookups_total"), 0u);
     EXPECT_GT(snap.counter_total("ncps_match_node_evaluations_total"), 0u);
     // The seed broker matches inline, so its phases fit in the match stage.
-    if (obs::kMetricsEnabled && shard_count == 1) {
+    if (shard_count == 1) {
       EXPECT_LE(phases, snap.counter_value("ncps_publish_stage_seconds_total",
                                            {{"stage", "match"}})
                             .value_or(0));
@@ -445,9 +437,7 @@ TEST(BrokerMetricsTest, MatchStatsAccumulateAcrossPublishes) {
     // Every event visits every shard; the one match lives on one shard.
     EXPECT_EQ(snap.counter_total("ncps_match_events_total"), 3 * shard_count);
     EXPECT_EQ(snap.counter_total("ncps_match_matches_total"), 3u);
-    if (obs::kMetricsEnabled) {
-      EXPECT_GT(snap.counter_total("ncps_match_tasks_total"), 0u);
-    }
+    EXPECT_GT(snap.counter_total("ncps_match_tasks_total"), 0u);
   }
 }
 
@@ -455,7 +445,6 @@ TEST(BrokerMetricsTest, MatchStatsAccumulateAcrossPublishes) {
 // exposition's notifications_total must equal what subscriber callbacks
 // actually observed.
 TEST(BrokerMetricsTest, NotificationsTotalMatchesCallbacksEverywhere) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "NCPS_METRICS=OFF";
   for (const EngineKind kind : kAllEngineKinds) {
     for (const std::size_t shard_count : {std::size_t{1}, std::size_t{4}}) {
       for (const bool async : {false, true}) {
@@ -573,10 +562,8 @@ TEST(BrokerMetricsTest, SnapshotWhilePublishingIsRaceFree) {
   // its queue as drops, so only a lower bound is deterministic here.)
   EXPECT_GE(callbacks.load(), std::size_t{kBatches} * 8);
   const MetricsSnapshot snap = broker->metrics();
-  if (obs::kMetricsEnabled) {
-    EXPECT_GE(snap.counter_total("ncps_notifications_total"),
-              callbacks.load());
-  }
+  EXPECT_GE(snap.counter_total("ncps_notifications_total"),
+            callbacks.load());
   EXPECT_EQ(snap.gauge_value("ncps_outbox_pending_notifications"),
             std::optional<double>(0));
 }

@@ -98,7 +98,7 @@ TEST(PredicateTableReuseTest, IdReuseForgetsThePreviousPredicate) {
       // Distinct operand each round: reused slots hold *different*
       // predicates than their previous occupants.
       const Predicate p{x, Operator::Gt,
-                        Value(std::int64_t{round * kPerRound + i})};
+                        Value(std::int64_t{round * kPerRound + i}), Value()};
       const auto [id, newly_created] = table.intern(p);
       ASSERT_TRUE(newly_created);
       ids.push_back(id);
@@ -115,8 +115,11 @@ TEST(PredicateTableReuseTest, IdReuseForgetsThePreviousPredicate) {
       // The previous round's predicates are gone: find() must miss, and
       // the slots must now resolve to this round's predicates.
       const Predicate old{x, Operator::Gt,
-                          Value(std::int64_t{(round - 1) * kPerRound + i})};
-      if (round > 0) EXPECT_FALSE(table.find(old).has_value());
+                          Value(std::int64_t{(round - 1) * kPerRound + i}),
+                          Value()};
+      if (round > 0) {
+        EXPECT_FALSE(table.find(old).has_value());
+      }
       EXPECT_EQ(table.get(ids[i]).lo,
                 Value(std::int64_t{round * kPerRound + i}));
     }
@@ -131,7 +134,8 @@ TEST(PredicateTableReuseTest, IdReuseForgetsThePreviousPredicate) {
 TEST(PredicateTableReuseTest, SharedPredicateSurvivesPartialRelease) {
   AttributeRegistry attrs;
   PredicateTable table;
-  const Predicate p{attrs.intern("x"), Operator::Eq, Value(std::int64_t{7})};
+  const Predicate p{attrs.intern("x"), Operator::Eq, Value(std::int64_t{7}),
+                    Value()};
   const auto [id, first] = table.intern(p);
   ASSERT_TRUE(first);
   const auto [again, second] = table.intern(p);

@@ -350,6 +350,60 @@ TEST(ShardedBrokerTest, DefaultPoolCountsThePublishingThread) {
   EXPECT_GT(*publisher_busy, 0.0);
 }
 
+// Control operations re-entered from an inline delivery callback run on the
+// publishing thread while its batch is still delivering. The unsubscribed
+// id must stay quarantined until that batch is done (the batch's buffered
+// matches still carry it), the new subscription must be matched from the
+// next publish on, and the removed one never again.
+TEST(ShardedBrokerTest, ControlOpsReenteredFromInlineCallback) {
+  for (const std::size_t shard_count : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shard_count));
+    AttributeRegistry attrs;
+    ShardedBroker broker(attrs,
+                         ShardedBrokerConfig{.shard_count = shard_count});
+    std::vector<std::pair<SubscriptionId, int>> log;  // (subscription, batch)
+    int batch = 0;
+    SubscriptionId victim;
+    std::optional<SubscriptionId> added;
+    SubscriberId alice;
+    alice = broker.register_subscriber([&](const Notification& n) {
+      log.emplace_back(n.subscription, batch);
+      if (n.subscription == victim && !added.has_value()) {
+        EXPECT_TRUE(broker.unsubscribe(victim));
+        added = broker.subscribe(alice, "x == 7");
+      }
+    });
+    for (int i = 0; i < 8; ++i) {
+      broker.subscribe(alice, "x > " + std::to_string(i));
+    }
+    victim = broker.subscribe(alice, "x >= 0");
+    std::vector<Event> events;
+    for (int x = 1; x <= 8; ++x) {
+      events.push_back(EventBuilder(attrs).set("x", x).build());
+    }
+
+    batch = 1;
+    EXPECT_GT(broker.publish_batch(events), 0u);
+    ASSERT_TRUE(added.has_value());
+    EXPECT_NE(*added, victim);
+
+    batch = 2;
+    broker.publish(EventBuilder(attrs).set("x", 7).build());
+    batch = 3;
+    broker.publish_batch(events);
+    const auto count = [&](SubscriptionId id, int b) {
+      return std::count(log.begin(), log.end(), std::pair(id, b));
+    };
+    EXPECT_EQ(count(*added, 2), 1);
+    EXPECT_EQ(count(*added, 3), 1);
+    EXPECT_EQ(count(victim, 2), 0);
+    EXPECT_EQ(count(victim, 3), 0);
+
+    // With no batch left to carry it, the id is handed out again (LIFO).
+    EXPECT_EQ(broker.subscribe(alice, "x < 0"), victim);
+  }
+}
+
 TEST(ShardedBrokerTest, BrokerCreateFactory) {
   AttributeRegistry attrs;
   const std::unique_ptr<Broker> broker = Broker::create(attrs);
