@@ -11,12 +11,14 @@
 //      DNF-transforming registration.
 //   5. Phase-2 cost on the e2e `paper` population shape, shared forest
 //      against the unshared tree engine, over fulfilled sets stabbed from
-//      real events.
+//      real events; and the forest through match_range in 8- and 64-event
+//      chunks, where its block path evaluates each node once per chunk.
 //
 // Previously written against Google Benchmark, which emitted no JsonRow
 // output and left BENCH_ablation.json empty; now hand-timed like the other
 // benches (bench_util.h time_seconds) with one JSON row per case, and no
 // external benchmark dependency.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -322,7 +324,9 @@ void registration_study(int count) {
 /// two-way ORs over unique predicates; 50 attributes, values in [0, 1e9))
 /// in both engines over one predicate table. Each event's fulfilled set is
 /// stabbed once from the forest engine's PredicateIndex; only phase 2 is
-/// timed, over the whole event list, best of five.
+/// timed, over the whole event list, best of five. The per-event rows
+/// call match_predicates; the chunked rows run the same events through the
+/// forest's match_range and time phase 2 from the context's phase2_ns.
 void phase2_paper_study(std::size_t event_count) {
   AttributeRegistry attrs;
   PredicateTable table;
@@ -340,9 +344,11 @@ void phase2_paper_study(std::size_t event_count) {
     forest_engine.add(expr.root());
     tree_engine.add(expr.root());
   }
+  std::vector<Event> events;
   std::vector<std::vector<PredicateId>> fulfilled(event_count);
   for (std::vector<PredicateId>& set : fulfilled) {
-    forest_engine.predicate_index().match(workload.next_event(), table, set);
+    events.push_back(workload.next_event());
+    forest_engine.predicate_index().match(events.back(), table, set);
   }
 
   const auto run = [&](const char* engine_name, FilterEngine& engine) {
@@ -382,6 +388,47 @@ void phase2_paper_study(std::size_t event_count) {
   };
   run("non-canonical", forest_engine);
   run("non-canonical-tree", tree_engine);
+
+  const auto run_chunks = [&](std::size_t chunk) {
+    std::vector<SubscriptionId> out;
+    VectorSink sink(out);
+    const auto ctx = forest_engine.make_context();
+    double seconds = 1e300;
+    for (int rep = 0; rep < 5; ++rep) {
+      ctx->stats.reset();
+      for (std::size_t first = 0; first < event_count; first += chunk) {
+        out.clear();
+        forest_engine.match_range(events, first,
+                                  std::min(event_count, first + chunk), sink,
+                                  *ctx);
+      }
+      seconds = std::min(seconds, static_cast<double>(ctx->stats.phase2_ns) *
+                                      1e-9);
+    }
+    const MatchStats& total = ctx->stats;
+    const auto n = static_cast<double>(event_count);
+    const double block_share = static_cast<double>(total.block_events) / n;
+    std::printf(
+        "phase2_paper,non-canonical,%zu-event chunks,%.1f us/event,%.0f "
+        "node evals/event,%.1f matches/event,%.2f block share\n",
+        chunk, seconds / n * 1e6,
+        static_cast<double>(total.node_evaluations) / n,
+        static_cast<double>(total.matches) / n, block_share);
+    JsonRow("ablation")
+        .field("study", "phase2_paper")
+        .field("engine", "non-canonical")
+        .field("subscriptions", static_cast<std::size_t>(kSubscriptions))
+        .field("events", event_count)
+        .field("chunk_events", chunk)
+        .field("block_share", block_share)
+        .field("us_per_event", seconds / n * 1e6)
+        .field("node_evals_per_event",
+               static_cast<double>(total.node_evaluations) / n)
+        .field("matches_per_event", static_cast<double>(total.matches) / n)
+        .emit();
+  };
+  run_chunks(8);
+  run_chunks(64);
 }
 
 }  // namespace

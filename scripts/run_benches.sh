@@ -73,6 +73,20 @@ if [ -s "$sharing_json" ] && ! grep -q '"sharing_refinement"' "$sharing_json"; t
   status=1
 fi
 
+# Schema guard: bench_ablation's phase2_paper study must carry the forest's
+# match_range rows in 8- and 64-event chunks (the block path) beside the
+# per-event rows.
+ablation_json="$repo_root/BENCH_ablation.json"
+if [ -s "$ablation_json" ]; then
+  for chunk in 8 64; do
+    if ! grep '"study":"phase2_paper"' "$ablation_json" |
+        grep -q "\"chunk_events\":$chunk,"; then
+      echo "error: BENCH_ablation.json lacks the phase2_paper row in $chunk-event chunks" >&2
+      status=1
+    fi
+  done
+fi
+
 # Schema guard: bench_phase1 rows must carry the naive-vs-indexed speedup and
 # the posting-compression ratio — the two columns the phase-1 overhaul's
 # acceptance thresholds are scraped from — the interval-stab row that

@@ -1040,6 +1040,8 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
     snap.add_counter("ncps_match_counter_comparisons_total", labels,
                      stats.counter_comparisons);
     snap.add_counter("ncps_match_matches_total", labels, stats.matches);
+    snap.add_counter("ncps_match_block_events_total", labels,
+                     stats.block_events);
     snap.add_counter("ncps_match_phase_seconds_total",
                      {{"shard", std::to_string(s)}, {"phase", "1"}},
                      stats.phase1_ns);

@@ -533,6 +533,7 @@ class ShardedBroker {
     std::atomic<std::uint64_t> hit_increments{0};
     std::atomic<std::uint64_t> counter_comparisons{0};
     std::atomic<std::uint64_t> matches{0};
+    std::atomic<std::uint64_t> block_events{0};
     std::atomic<std::uint64_t> phase1_ns{0};
     std::atomic<std::uint64_t> phase2_ns{0};
 
@@ -550,6 +551,7 @@ class ShardedBroker {
       counter_comparisons.fetch_add(s.counter_comparisons,
                                     std::memory_order_relaxed);
       matches.fetch_add(s.matches, std::memory_order_relaxed);
+      block_events.fetch_add(s.block_events, std::memory_order_relaxed);
       phase1_ns.fetch_add(s.phase1_ns, std::memory_order_relaxed);
       phase2_ns.fetch_add(s.phase2_ns, std::memory_order_relaxed);
     }
@@ -567,6 +569,7 @@ class ShardedBroker {
       s.counter_comparisons =
           counter_comparisons.load(std::memory_order_relaxed);
       s.matches = matches.load(std::memory_order_relaxed);
+      s.block_events = block_events.load(std::memory_order_relaxed);
       s.phase1_ns = phase1_ns.load(std::memory_order_relaxed);
       s.phase2_ns = phase2_ns.load(std::memory_order_relaxed);
       return s;

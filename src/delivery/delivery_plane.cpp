@@ -100,7 +100,6 @@ std::size_t DeliveryPlane::commit_batch() {
     batch.publish_tick = batch_publish_tick_;
     const std::size_t accepted = it->second->push(std::move(batch));
     if (accepted > 0) {
-      progress_.accepted.fetch_add(accepted);
       accepted_total += accepted;
       if (it->second->try_schedule()) executor_.schedule(it->second);
     }

@@ -99,13 +99,6 @@ class DeliveryPlane {
   /// be live (never call from a delivery callback).
   void flush();
 
-  /// True when nothing accepted is still pending. With no concurrent
-  /// publisher this is exact.
-  [[nodiscard]] bool idle() const {
-    return progress_.completed.load(std::memory_order_acquire) >=
-           progress_.accepted.load(std::memory_order_acquire);
-  }
-
   /// Per-subscriber progress markers for external gating (the broker's
   /// retired-id quarantine): stale notifications for a subscription can
   /// only sit in its *owner's* outbox, so

@@ -33,12 +33,11 @@
 
 namespace ncps {
 
-/// Plane-wide accounting shared by all outboxes: how many notifications have
-/// been accepted into outboxes and how many have completed (delivered or
-/// dropped after acceptance). flush() waits for completed to catch up with a
-/// snapshot of accepted.
+/// Plane-wide wake-up shared by all outboxes: flush() sleeps on `cv` until
+/// each outbox's completed marker reaches its target, and every completion
+/// (delivered, or dropped after acceptance) bumps `completed` and wakes the
+/// waiters.
 struct DeliveryProgress {
-  std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> completed{0};
   std::mutex mutex;
   std::condition_variable cv;

@@ -32,6 +32,17 @@ void FilterEngine::match_range(std::span<const Event> events,
   ctx.offsets.clear();
   index_.match_batch(range, *table_, ctx.fulfilled, ctx.offsets);
   const auto phase1_end = std::chrono::steady_clock::now();
+  match_slice(range, first, sink, ctx);
+  const auto end = std::chrono::steady_clock::now();
+  ctx.stats.phase1_ns += static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(phase1_end - start).count());
+  ctx.stats.phase2_ns += static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(end - phase1_end).count());
+}
+
+void FilterEngine::match_slice(std::span<const Event> range,
+                               std::size_t first, MatchSink& sink,
+                               MatchContext& ctx) const {
   for (std::size_t i = 0; i < range.size(); ++i) {
     const std::span<const PredicateId> fulfilled(
         ctx.fulfilled.data() + ctx.offsets[i],
@@ -40,11 +51,6 @@ void FilterEngine::match_range(std::span<const Event> events,
     // different workers all address the same per-event merge buffers.
     match_predicates(fulfilled, first + i, range[i], sink, ctx);
   }
-  const auto end = std::chrono::steady_clock::now();
-  ctx.stats.phase1_ns += static_cast<std::uint64_t>(
-      std::chrono::nanoseconds(phase1_end - start).count());
-  ctx.stats.phase2_ns += static_cast<std::uint64_t>(
-      std::chrono::nanoseconds(end - phase1_end).count());
 }
 
 }  // namespace ncps

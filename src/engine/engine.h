@@ -9,10 +9,13 @@
 //
 // match_range(events, first, last, sink, ctx) runs both phases over a slice
 // of a batch: phase 1 once over the slice (index lookups and scratch buffers
-// amortise across events), then phase 2 per event, streaming matches into a
-// MatchSink. match_predicates(fulfilled, ..., ctx) enters at phase 2 with an
-// externally supplied fulfilled-predicate set, which is how the figure
-// benchmarks reproduce the paper's methodology (fulfilled counts of
+// amortise across events), then phase 2 over the slice through the
+// match_slice hook, streaming matches into a MatchSink in batch order. The
+// hook's default runs phase 2 per event; the forest engine may instead
+// evaluate its DAG once per block of up to 64 events (DESIGN.md §1c).
+// match_predicates(fulfilled, ..., ctx) enters at phase 2 for one event
+// with an externally supplied fulfilled-predicate set, which is how the
+// figure benchmarks reproduce the paper's methodology (fulfilled counts of
 // 5 000/10 000 are workload parameters there, not event outcomes). Both are
 // const and take a caller-owned MatchContext; there is no other match entry
 // point.
@@ -45,11 +48,11 @@
 //     readers never look at it.
 // The rule has a second half: no MatchContext keeps a pointer or node id
 // into engine structures across match_range calls. Every id a context
-// holds (forest frontier, rank buckets, leaf bitmap, hit and truth arrays,
-// the phase-1 fulfilled set) is written and consumed within one event or
-// one call, and epoch-stamped scratch trusts no value from an earlier
-// stamp, so a slot the gate let a writer free or reuse is never read
-// through a stale context.
+// holds (forest frontier, rank buckets, leaf bitmap, lane masks, hit and
+// truth arrays, the phase-1 fulfilled set) is written and consumed within
+// one event or one call, and epoch-stamped or re-zeroed scratch trusts no
+// value from before, so a slot the gate let a writer free or reuse is
+// never read through a stale context.
 #pragma once
 
 #include <cstddef>
@@ -86,6 +89,10 @@ struct MatchStats {
   std::uint64_t hit_increments = 0;       ///< counter bumps (counting family)
   std::uint64_t counter_comparisons = 0;  ///< hits-vs-required comparisons
   std::uint64_t matches = 0;              ///< subscriptions reported
+  /// Events whose phase 2 ran through the forest's block path; the forest
+  /// counts node_evaluations and candidates once per block there, not
+  /// once per event (DESIGN.md §1c).
+  std::uint64_t block_events = 0;
   /// Wall time in match_range, split at the phase boundary (three clock
   /// reads per call, none per event; match_predicates adds nothing).
   std::uint64_t phase1_ns = 0;
@@ -195,9 +202,10 @@ class FilterEngine {
   }
 
   /// Full pipeline over events[first, last), concurrent-safe: phase 1 once
-  /// over the sub-range through this engine's index, then phase 2 per event
-  /// streamed into `sink` with *batch-global* event indexes. This is the
-  /// unit of work a (shard × event-chunk) match task executes.
+  /// over the sub-range through this engine's index, then phase 2 over the
+  /// sub-range (match_slice) streamed into `sink` in batch order with
+  /// *batch-global* event indexes. This is the unit of work a (shard ×
+  /// event-chunk) match task executes.
   void match_range(std::span<const Event> events, std::size_t first,
                    std::size_t last, MatchSink& sink, MatchContext& ctx) const;
 
@@ -282,6 +290,14 @@ class FilterEngine {
                                      std::size_t event_index,
                                      const Event& event, MatchSink& sink,
                                      MatchContext& ctx) const = 0;
+
+  /// Phase 2 of match_range over its whole slice: `range` holds the
+  /// slice's events, `first` the batch index of range[0], and
+  /// ctx.fulfilled / ctx.offsets their phase-1 sets. Matches must reach
+  /// `sink` in batch order. The default calls match_predicates per event;
+  /// an override keeps the same const, context-only contract.
+  virtual void match_slice(std::span<const Event> range, std::size_t first,
+                           MatchSink& sink, MatchContext& ctx) const;
 
   /// Take an engine-owned reference to a live predicate; the first
   /// engine-local use registers it with the phase-1 index. Index membership

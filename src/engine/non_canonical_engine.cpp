@@ -112,6 +112,98 @@ void NonCanonicalEngine::match_predicates_impl(
              });
 }
 
+void NonCanonicalEngine::match_slice(std::span<const Event> range,
+                                     std::size_t first, MatchSink& sink,
+                                     MatchContext& ctx) const {
+  // Per block, the block path sweeps the node arena once per non-empty
+  // rank, plus once to reset the lane masks and scan for true roots; the
+  // per-event path costs about kSlotsPerFlip slots per fulfilled leaf. A
+  // single event has no other event to share a sweep with, so it runs
+  // exactly what match_predicates runs; a deep forest's many rank passes
+  // keep its slices per event.
+  const std::size_t blocks = (range.size() + kLanes - 1) / kLanes;
+  const std::size_t sweep =
+      blocks * (forest_.interior_ranks() + 1) * forest_.node_bound();
+  if (range.size() < 2 || ctx.fulfilled.size() * kSlotsPerFlip < sweep) {
+    FilterEngine::match_slice(range, first, sink, ctx);
+    return;
+  }
+  for (std::size_t begin = 0; begin < range.size(); begin += kLanes) {
+    match_block(range, first, begin, std::min(range.size(), begin + kLanes),
+                sink, static_cast<ForestContext&>(ctx));
+  }
+}
+
+void NonCanonicalEngine::match_block(std::span<const Event> range,
+                                     std::size_t first, std::size_t begin,
+                                     std::size_t end, MatchSink& sink,
+                                     ForestContext& ctx) const {
+  const std::size_t lanes = end - begin;
+  NCPS_DASSERT(lanes >= 1 && lanes <= kLanes);
+  const std::uint64_t all =
+      lanes == kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+  const std::size_t bound = forest_.node_bound();
+  if (ctx.lanes.size() < bound) ctx.lanes.resize(bound);
+  std::fill_n(ctx.lanes.begin(), bound, 0);
+
+  // Seed: lane i of a fulfilled leaf is event begin + i.
+  for (std::size_t i = 0; i < lanes; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    for (std::uint32_t k = ctx.offsets[begin + i];
+         k < ctx.offsets[begin + i + 1]; ++k) {
+      const NodeId leaf = forest_.leaf_of(ctx.fulfilled[k]);
+      if (leaf != SharedForest::kNoNode) ctx.lanes[leaf] |= bit;
+    }
+  }
+
+  // Every live interior node once, children first. Static truth needs no
+  // special case: a NOT over an all-false child is all-true.
+  std::uint64_t evaluated = 0;
+  forest_.for_each_interior_by_rank(
+      [&](NodeId n, ast::NodeKind kind, std::span<const NodeId> kids) {
+        std::uint64_t mask = 0;
+        if (kind == ast::NodeKind::And) {
+          mask = all;
+          for (const NodeId k : kids) mask &= ctx.lanes[k];
+        } else if (kind == ast::NodeKind::Or) {
+          for (const NodeId k : kids) mask |= ctx.lanes[k];
+        } else {
+          mask = ~ctx.lanes[kids.front()] & all;
+        }
+        ctx.lanes[n] = mask;
+        ++evaluated;
+      });
+
+  // Emit lane by lane, so the sink sees events in batch order. Buckets
+  // are emptied first: a sink that threw mid-block left them full.
+  ctx.lane_roots.resize(kLanes);
+  for (std::vector<NodeId>& bucket : ctx.lane_roots) bucket.clear();
+  for (NodeId n = 0; n < chain_head_.size(); ++n) {
+    if (chain_head_[n] == kNoSub) continue;
+    for (std::uint64_t m = ctx.lanes[n]; m != 0; m &= m - 1) {
+      ctx.lane_roots[std::countr_zero(m)].push_back(n);
+    }
+  }
+  for (std::size_t i = 0; i < lanes; ++i) {
+    const std::size_t event_index = first + begin + i;
+    const Event& event = range[begin + i];
+    for (const NodeId root : ctx.lane_roots[i]) {
+      const std::uint32_t head = chain_head_[root];
+      ctx.stats.matches += subs_[head].chain_length;
+      for (std::uint32_t s = head; s != kNoSub; s = subs_[s].next) {
+        sink.on_match(event_index, event, SubscriptionId(s));
+      }
+    }
+  }
+
+  ctx.stats.events += lanes;
+  ctx.stats.block_events += lanes;
+  ctx.stats.fulfilled_predicates +=
+      ctx.offsets[end] - ctx.offsets[begin];
+  ctx.stats.node_evaluations += evaluated;
+  ctx.stats.candidates += live_count_;
+}
+
 template <typename Emit>
 void NonCanonicalEngine::match_impl(std::span<const PredicateId> fulfilled,
                                     ForestContext& ctx, Emit&& emit) const {

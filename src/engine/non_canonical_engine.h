@@ -28,6 +28,12 @@
 //   - roots whose expression is satisfiable with zero fulfilled predicates
 //     (static truth = true, e.g. `not a == 1`) live on an always-candidate
 //     list and match whenever nothing touches (and refutes) them;
+//   - a match_range slice dense enough that flipping its fulfilled leaves
+//     would cost more than sweeping the forest takes the block path
+//     instead (DESIGN.md §1c): each fulfilled leaf sets its event's bit in
+//     a 64-bit lane mask, and every live interior node is evaluated once
+//     per block of up to 64 events, rank by rank, with one AND, OR or NOT
+//     word operation;
 //   - identity is the only sharing rule: a refinement `base and c` shares
 //     the base's children as nodes, but never borrows the base's truth.
 //     Its AND is decided from its own flip count in O(1), so a covering
@@ -125,6 +131,14 @@ class NonCanonicalEngine final : public FilterEngine {
     // sorting (rank, node) keys per event).
     std::vector<std::vector<NodeId>> rank_buckets;
     std::uint32_t max_rank_touched = 0;
+    // Block path: each node's truth in every event of the block, one bit
+    // per event, by node id. Zeroed over [0, node_bound) at the start of
+    // every block, so no value left by another engine or by a node slot's
+    // earlier life is ever read.
+    std::vector<std::uint64_t> lanes;
+    // Per lane, the result roots true in that event, filled by one walk
+    // over the roots after each block's passes (emptied just before).
+    std::vector<std::vector<NodeId>> lane_roots;
   };
 
   struct SubRecord {
@@ -138,6 +152,22 @@ class NonCanonicalEngine final : public FilterEngine {
 
     [[nodiscard]] bool live() const { return root != SharedForest::kNoNode; }
   };
+
+  /// Events per block: one bit of a lane mask each.
+  static constexpr std::size_t kLanes = 64;
+  /// The block path's selection weight: flipping one fulfilled leaf on the
+  /// per-event path costs about as much as one block pass sweeping this
+  /// many node slots (DESIGN.md §1c gives the measurement).
+  static constexpr std::size_t kSlotsPerFlip = 16;
+
+  /// Phase 2 of a match_range slice: the block path when the slice is
+  /// dense enough, else the per-event default.
+  void match_slice(std::span<const Event> range, std::size_t first,
+                   MatchSink& sink, MatchContext& ctx) const override;
+  /// The block path over events [begin, end) of the slice (at most kLanes).
+  void match_block(std::span<const Event> range, std::size_t first,
+                   std::size_t begin, std::size_t end, MatchSink& sink,
+                   ForestContext& ctx) const;
 
   SubscriptionId allocate_id();
   /// Chains `id` onto `root`, making `root` a result root if it was not.

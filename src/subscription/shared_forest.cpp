@@ -139,6 +139,16 @@ void SharedForest::free_children(std::uint32_t offset, std::size_t count) {
   child_free_[count].push_back(offset);
 }
 
+void SharedForest::count_rank(std::uint32_t rank) {
+  if (rank >= rank_live_.size()) rank_live_.resize(rank + 1, 0);
+  if (rank_live_[rank]++ == 0 && rank > 0) ++interior_ranks_;
+}
+
+void SharedForest::uncount_rank(std::uint32_t rank) {
+  NCPS_DASSERT(rank_live_[rank] > 0);
+  if (--rank_live_[rank] == 0 && rank > 0) --interior_ranks_;
+}
+
 void SharedForest::add_parent(NodeId child, NodeId parent) {
   Meta& cm = metas_[child];
   if (cm.parent0 == kNoNode) {
@@ -195,6 +205,7 @@ SharedForest::ChildKey SharedForest::intern_node(const ast::Node& node) {
                       pack(0, 0, ast::NodeKind::Leaf, /*static=*/false)};
     leaf_by_pred_[pid] = id;
     ++live_count_;
+    count_rank(0);
     bucket_insert(id, hash);
     if (on_leaf_created_) on_leaf_created_(node.pred);
     return {hash, id};
@@ -249,6 +260,7 @@ SharedForest::ChildKey SharedForest::intern_node(const ast::Node& node) {
                     pack(count, max_rank + 1, node.kind, stat, by_flips)};
   for (const NodeId k : stored) add_parent(k, id);
   ++live_count_;
+  count_rank(max_rank + 1);
   bucket_insert(id, hash);
   return {hash, id};
 }
@@ -260,6 +272,7 @@ void SharedForest::release(NodeId id) {
 
   bucket_remove(id, node_hash(id));
   --live_count_;
+  uncount_rank(rank(id));
   if (kind(id) == ast::NodeKind::Leaf) {
     leaf_by_pred_[m.data] = kNoNode;
     if (on_leaf_released_) on_leaf_released_(PredicateId(m.data));
@@ -330,6 +343,7 @@ void SharedForest::compact_storage() {
   next_.shrink_to_fit();
   leaf_by_pred_.shrink_to_fit();
   free_nodes_.shrink_to_fit();
+  rank_live_.shrink_to_fit();
   intern_stack_.shrink_to_fit();
   for (auto& entry : extra_parents_) entry.second.shrink_to_fit();
 }
@@ -512,6 +526,7 @@ void SharedForest::load_state(storage::Reader& r,
     }
   }
   live_count_ = live;
+  for (const NodeId id : order) count_rank(ranks[id]);
   for (std::uint32_t id = static_cast<std::uint32_t>(bound); id-- > 0;) {
     if (staged[id].refs == 0) free_nodes_.push_back(id);
   }
@@ -552,6 +567,7 @@ void SharedForest::load_state(storage::Reader& r,
 MemoryBreakdown SharedForest::memory() const {
   MemoryBreakdown mem;
   mem.add("node_arena", vector_bytes(metas_));
+  mem.add("rank_counts", vector_bytes(rank_live_));
   mem.add("child_arena", vector_bytes(child_arena_) +
                              nested_vector_bytes(child_free_));
   mem.add("intern_buckets", vector_bytes(buckets_));

@@ -189,6 +189,29 @@ class SharedForest {
   [[nodiscard]] std::size_t live_nodes() const { return live_count_; }
   /// One past the largest NodeId ever allocated — dense-array bound.
   [[nodiscard]] std::size_t node_bound() const { return metas_.size(); }
+  /// How many ranks above 0 hold a live node: the passes
+  /// for_each_interior_by_rank() makes over the node arena.
+  [[nodiscard]] std::size_t interior_ranks() const { return interior_ranks_; }
+
+  /// Invoke fn(id, kind, children) for every live interior node, rank by
+  /// rank from 1 upwards (a topological order: every child is visited
+  /// before its parents), ascending id within a rank. Each non-empty rank
+  /// is one pass over the node arena, which stops at the rank's last live
+  /// node.
+  template <typename Fn>
+  void for_each_interior_by_rank(Fn&& fn) const {
+    for (std::uint32_t r = 1; r < rank_live_.size(); ++r) {
+      std::uint32_t left = rank_live_[r];
+      for (NodeId id = 0; left != 0; ++id) {
+        // A dead slot's packed word is 0, so rank r >= 1 means live.
+        const std::uint32_t packed = metas_[id].packed;
+        if (((packed >> 15) & 0xfffu) != r) continue;
+        NCPS_DASSERT(metas_[id].refs > 0);
+        --left;
+        fn(id, kind(id), children(id));
+      }
+    }
+  }
 
   /// Rewrite the child arena without dead slices, resize the intern table
   /// to the live population and release vector growth slack. NodeIds are
@@ -247,6 +270,8 @@ class SharedForest {
   NodeId new_node();
   std::uint32_t alloc_children(std::size_t count);
   void free_children(std::uint32_t offset, std::size_t count);
+  void count_rank(std::uint32_t rank);
+  void uncount_rank(std::uint32_t rank);
   void add_parent(NodeId child, NodeId parent);
   void remove_parent(NodeId child, NodeId parent);
 
@@ -272,6 +297,9 @@ class SharedForest {
   // Extra parents beyond the inline parent0 (multi-shared nodes only).
   std::unordered_map<NodeId, std::vector<NodeId>> extra_parents_;
   std::vector<NodeId> free_nodes_;      // reusable slots
+  // Live nodes per rank, and how many ranks above 0 are non-empty.
+  std::vector<std::uint32_t> rank_live_;
+  std::size_t interior_ranks_ = 0;
   // intern() scratch: the child keys of every interior node on the current
   // recursion path, stacked, so interning allocates nothing once warm.
   std::vector<ChildKey> intern_stack_;

@@ -263,7 +263,6 @@ TEST(DeliveryPlaneTest, FlushWaitsForAllAccepted) {
   EXPECT_EQ(plane.commit_batch(), 64u);
   plane.flush();
   EXPECT_EQ(delivered.load(), 64);
-  EXPECT_TRUE(plane.idle());
 }
 
 TEST(DeliveryPlaneTest, UnknownSubscriberMatchesAreSkipped) {

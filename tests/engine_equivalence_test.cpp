@@ -10,7 +10,13 @@
 // regime therefore runs NOT-free.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <memory>
+#include <string>
+
 #include "engine/engine_factory.h"
+#include "subscription/parser.h"
 #include "test_util.h"
 #include "workload/paper_workload.h"
 #include "workload/random_workload.h"
@@ -235,6 +241,312 @@ TEST(EquivalencePhase2Test, PaperWorkloadFulfilledSets) {
     EXPECT_EQ(testing::match_predicates(tree, fulfilled), expected);
     EXPECT_EQ(testing::match_predicates(counting, fulfilled), expected);
     EXPECT_EQ(testing::match_predicates(variant, fulfilled), expected);
+  }
+}
+
+// ---- Block path --------------------------------------------------------
+// The forest's match_range evaluates a dense slice once per block of up to
+// 64 events (DESIGN.md §1c). Whichever path a slice takes, each event's
+// match set must equal the per-event match_predicates set and the oracle.
+
+/// Collects match_range output per event and checks that it arrives in
+/// batch order.
+class PerEventSink final : public MatchSink {
+ public:
+  explicit PerEventSink(std::size_t events) : sets_(events) {}
+
+  void on_match(std::size_t event_index, const Event& /*event*/,
+                SubscriptionId subscription) override {
+    EXPECT_GE(event_index, last_) << "events out of batch order";
+    last_ = event_index;
+    sets_[event_index].push_back(subscription);
+  }
+
+  std::vector<SubscriptionId> take(std::size_t event_index) {
+    return testing::sorted(std::move(sets_[event_index]));
+  }
+
+ private:
+  std::vector<std::vector<SubscriptionId>> sets_;
+  std::size_t last_ = 0;
+};
+
+class BlockPathTest : public ::testing::Test {
+ protected:
+  using Subs = std::vector<std::pair<SubscriptionId, const ast::Node*>>;
+
+  SubscriptionId add(ast::Expr expr) {
+    exprs_.push_back(std::move(expr));
+    const SubscriptionId id = engine_.add(exprs_.back().root());
+    subs_.emplace_back(id, &exprs_.back().root());
+    return id;
+  }
+  SubscriptionId add(std::string_view text) {
+    return add(parse_subscription(text, attrs_, table_));
+  }
+  void remove(SubscriptionId id) {
+    ASSERT_TRUE(engine_.remove(id));
+    std::erase_if(subs_, [&](const auto& sub) { return sub.first == id; });
+  }
+
+  /// Runs `events` through `engine` in `chunk`-event match_range slices on
+  /// `ctx` and checks every event against match_predicates and the oracle
+  /// over `subs`. Returns how many events took the block path.
+  std::uint64_t check(const NonCanonicalEngine& engine, const Subs& subs,
+                      const std::vector<Event>& events, std::size_t chunk,
+                      MatchContext& ctx) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    PerEventSink sink(events.size());
+    ctx.stats.reset();
+    for (std::size_t first = 0; first < events.size(); first += chunk) {
+      engine.match_range(events, first, std::min(events.size(), first + chunk),
+                         sink, ctx);
+    }
+    std::uint64_t fulfilled_total = 0;
+    std::uint64_t matches_total = 0;
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      std::vector<PredicateId> fulfilled;
+      engine.predicate_index().match(events[e], table_, fulfilled);
+      fulfilled_total += fulfilled.size();
+      const std::vector<SubscriptionId> expected =
+          testing::oracle_match(subs, table_, events[e]);
+      matches_total += expected.size();
+      EXPECT_EQ(sink.take(e), expected) << "event " << e;
+      EXPECT_EQ(testing::match_predicates(engine, fulfilled), expected)
+          << "event " << e;
+    }
+    // Per-event totals stay exact on either path.
+    EXPECT_EQ(ctx.stats.events, events.size());
+    EXPECT_EQ(ctx.stats.fulfilled_predicates, fulfilled_total);
+    EXPECT_EQ(ctx.stats.matches, matches_total);
+    return ctx.stats.block_events;
+  }
+
+  /// Every chunk length the suite covers: single events, a short chunk,
+  /// one full block, and two that cross the 64-event block boundary.
+  /// Returns the block-path events per chunk length.
+  std::vector<std::uint64_t> check_all_chunks(
+      const std::vector<Event>& events) {
+    std::vector<std::uint64_t> block;
+    for (const std::size_t chunk : {1, 7, 64, 65, 130}) {
+      block.push_back(check(engine_, subs_, events, chunk, *ctx_));
+    }
+    EXPECT_EQ(block.front(), 0u) << "single events take the flip path";
+    return block;
+  }
+
+  std::vector<Event> random_events(RandomWorkload& workload, int count) {
+    std::vector<Event> events;
+    for (int i = 0; i < count; ++i) events.push_back(workload.next_event());
+    return events;
+  }
+
+  AttributeRegistry attrs_;
+  PredicateTable table_;
+  NonCanonicalEngine engine_{table_};
+  // One context for the whole test, as a broker worker keeps its own.
+  std::unique_ptr<MatchContext> ctx_ = engine_.make_context();
+  std::deque<ast::Expr> exprs_;
+  Subs subs_;
+};
+
+TEST_F(BlockPathTest, RandomForestsWithNotAndRichOperators) {
+  RandomWorkloadConfig config = rich_total();
+  config.not_probability = 0.35;
+  RandomWorkload workload(config, attrs_, table_);
+  for (int i = 0; i < 150; ++i) add(workload.next_subscription());
+  const auto block = check_all_chunks(random_events(workload, 260));
+  EXPECT_GT(block[2], 0u);  // dense: full blocks take the block path
+}
+
+TEST_F(BlockPathTest, DeepRandomForestsAndHeavySharing) {
+  RandomWorkloadConfig deep = deep_trees();
+  RandomWorkload workload(deep, attrs_, table_);
+  for (int i = 0; i < 100; ++i) add(workload.next_subscription());
+  RandomWorkloadConfig shared = heavy_sharing();
+  RandomWorkload sharing(shared, attrs_, table_);
+  for (int i = 0; i < 150; ++i) add(sharing.next_subscription());
+  std::vector<Event> events = random_events(workload, 130);
+  for (Event& e : random_events(sharing, 130)) events.push_back(std::move(e));
+  const auto block = check_all_chunks(events);
+  EXPECT_GT(block[4], 0u);
+}
+
+TEST_F(BlockPathTest, EachSideOfTheSelectionRuleRuns) {
+  // Paper-shaped: every event fulfils a third of the leaves, so every
+  // multi-event chunk is dense enough for the block path.
+  PaperWorkloadConfig config;
+  config.predicates_per_subscription = 6;
+  config.attribute_count = 10;
+  config.domain_size = 1000;
+  config.seed = 77;
+  PaperWorkload workload(config, attrs_, table_);
+  for (int i = 0; i < 400; ++i) add(workload.next_subscription());
+  std::vector<Event> events;
+  for (int i = 0; i < 130; ++i) events.push_back(workload.next_event());
+  const auto dense = check_all_chunks(events);
+  for (std::size_t k = 1; k < dense.size(); ++k) EXPECT_GT(dense[k], 0u);
+
+  // Equality pairs: an event fulfils two of 2,000 leaves, far too few to
+  // pay for a sweep of the forest, even over a full block.
+  for (int i = 0; i < 1000; ++i) {
+    add("k == " + std::to_string(i) + " and m == " + std::to_string(i));
+  }
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    events[e] = EventBuilder(attrs_)
+                    .set("k", static_cast<std::int64_t>(e * 7 % 1000))
+                    .set("m", static_cast<std::int64_t>(e * 7 % 1000))
+                    .build();
+  }
+  for (const std::uint64_t b : check_all_chunks(events)) EXPECT_EQ(b, 0u);
+}
+
+TEST_F(BlockPathTest, SharedDuplicatedSingleAndStaticallyTrueRoots) {
+  const std::vector<std::string> texts = {
+      "a == 1",                                  // single-predicate root
+      "a == 1",                                  // ... duplicated
+      "not a == 1",                              // statically true root
+      "not (a == 1 and b == 2)",                 // statically true, shared
+      "(a == 1 and b == 2) or c == 3",           // shared subtree
+      "(a == 1 and b == 2) and not d == 4",
+      "(c == 3 or d == 4) and (c == 3 or d == 4)",  // repeated child
+      "(c == 3 or d == 4) and (c == 3 or d == 4)",  // duplicated root
+      "not (not a == 1 or not b == 2) or d == 4",
+      "((a == 1 or b == 2) and c == 3) or not (d == 4 or a == 1)"};
+  for (const std::string& text : texts) add(text);
+  // Every assignment of a..d to {match, mismatch, absent}, twice over.
+  std::vector<Event> events;
+  for (int round = 0; round < 2; ++round) {
+    for (int code = 0; code < 81; ++code) {
+      EventBuilder builder(attrs_);
+      builder.set("zz", 0);
+      int rest = code;
+      for (int i = 0; i < 4; ++i) {
+        const std::string name(1, static_cast<char>('a' + i));
+        if (rest % 3 == 0) builder.set(name, i + 1);
+        if (rest % 3 == 1) builder.set(name, i + 11);
+        rest /= 3;
+      }
+      events.push_back(builder.build());
+    }
+  }
+  const auto block = check_all_chunks(events);
+  EXPECT_EQ(block[2], events.size());
+}
+
+TEST_F(BlockPathTest, RemovalsThatReuseNodeSlots) {
+  RandomWorkloadConfig config = with_not();
+  RandomWorkload workload(config, attrs_, table_);
+  std::vector<SubscriptionId> ids;
+  for (int i = 0; i < 200; ++i) ids.push_back(add(workload.next_subscription()));
+  const std::vector<Event> events = random_events(workload, 260);
+  EXPECT_GT(check_all_chunks(events)[3], 0u);
+  const std::size_t bound = engine_.forest().node_bound();
+  for (std::size_t i = 0; i < ids.size(); i += 2) remove(ids[i]);
+  // Fresh subscriptions land in the freed slots, on the same context: an
+  // interior slot may now be a leaf, and parents may sit below their
+  // children in id order, which rank order must not mind.
+  for (int i = 0; i < 100; ++i) add(workload.next_subscription());
+  EXPECT_LE(engine_.forest().node_bound(), bound + bound / 4);
+  const SharedForest& forest = engine_.forest();
+  bool parent_below_child = false;
+  for (SharedForest::NodeId n = 0; n < forest.node_bound(); ++n) {
+    if (!forest.is_live(n) || forest.kind(n) == ast::NodeKind::Leaf) continue;
+    for (const SharedForest::NodeId kid : forest.children(n)) {
+      parent_below_child = parent_below_child || kid > n;
+    }
+  }
+  EXPECT_TRUE(parent_below_child);
+  EXPECT_GT(check_all_chunks(events)[3], 0u);
+}
+
+TEST_F(BlockPathTest, DeepSubscriptionSendsChunksPerEvent) {
+  PaperWorkloadConfig config;
+  config.attribute_count = 10;
+  config.domain_size = 1000;
+  config.seed = 78;
+  PaperWorkload workload(config, attrs_, table_);
+  for (int i = 0; i < 200; ++i) add(workload.next_subscription());
+  std::vector<Event> events;
+  for (int i = 0; i < 130; ++i) events.push_back(workload.next_event());
+  EXPECT_GT(check_all_chunks(events)[2], 0u);
+
+  // One subscription of the deepest legal shape makes every block pay
+  // 4,095 rank passes, so no chunk takes the block path.
+  const ast::Expr leaf = parse_subscription("deep == 1", attrs_, table_);
+  ast::NodePtr chain = ast::leaf(leaf.root().pred);
+  for (std::size_t d = 0; d < SharedForest::kMaxDepth; ++d) {
+    chain = ast::make_not(std::move(chain));
+  }
+  const SubscriptionId deep =
+      add(ast::Expr(std::move(chain), table_, ast::Expr::AddRefs{}));
+  EXPECT_EQ(engine_.forest().interior_ranks(), SharedForest::kMaxDepth);
+  for (const std::uint64_t b : check_all_chunks(events)) EXPECT_EQ(b, 0u);
+
+  remove(deep);
+  EXPECT_GT(check_all_chunks(events)[2], 0u);
+}
+
+TEST_F(BlockPathTest, SinkExceptionLeavesTheContextClean) {
+  // A sink that throws mid-block leaves lane masks and per-lane root
+  // buckets behind; the next block on the same context must not see them.
+  struct Thrown {};
+  class ThrowingSink final : public MatchSink {
+   public:
+    void on_match(std::size_t, const Event&, SubscriptionId) override {
+      if (++seen_ == 100) throw Thrown{};
+    }
+
+   private:
+    int seen_ = 0;
+  };
+  PaperWorkloadConfig config;
+  config.attribute_count = 10;
+  config.domain_size = 1000;
+  config.seed = 80;
+  PaperWorkload workload(config, attrs_, table_);
+  for (int i = 0; i < 300; ++i) add(workload.next_subscription());
+  std::vector<Event> events;
+  for (int i = 0; i < 130; ++i) events.push_back(workload.next_event());
+  ThrowingSink thrower;
+  EXPECT_THROW(engine_.match_range(events, 0, 64, thrower, *ctx_), Thrown);
+  // The same 64-event slice takes the block path here, so the throw above
+  // came mid-block.
+  EXPECT_GT(check_all_chunks(events)[2], 0u);
+}
+
+TEST_F(BlockPathTest, OneContextAlternatesBetweenEngines) {
+  // Two engines of different sizes and shapes share one context, chunk by
+  // chunk: a lane mask one engine left behind must never leak into the
+  // other's blocks (interior ids of one are leaf ids of the other).
+  PaperWorkloadConfig config;
+  config.attribute_count = 10;
+  config.domain_size = 1000;
+  config.seed = 79;
+  PaperWorkload workload(config, attrs_, table_);
+  for (int i = 0; i < 300; ++i) add(workload.next_subscription());
+
+  NonCanonicalEngine pairs(table_);
+  std::deque<ast::Expr> pair_exprs;
+  Subs pair_subs;
+  for (int i = 0; i < 40; ++i) {
+    pair_exprs.push_back(parse_subscription(
+        "attr0 > " + std::to_string(i * 20) + " and attr1 < " +
+            std::to_string(1000 - i * 20),
+        attrs_, table_));
+    pair_subs.emplace_back(pairs.add(pair_exprs.back().root()),
+                           &pair_exprs.back().root());
+  }
+  ASSERT_NE(pairs.forest().node_bound(), engine_.forest().node_bound());
+
+  std::vector<Event> events;
+  for (int i = 0; i < 130; ++i) events.push_back(workload.next_event());
+  const auto ctx = engine_.make_context();
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t chunk : {7, 64, 65}) {
+      EXPECT_GT(check(engine_, subs_, events, chunk, *ctx), 0u);
+      EXPECT_GT(check(pairs, pair_subs, events, chunk, *ctx), 0u);
+    }
   }
 }
 

@@ -254,5 +254,93 @@ TEST(EpochChurnTest, ChurnFreesPostingBlocksAndRangeLeavesDuringMatching) {
   EXPECT_EQ(probe_log, expected);
 }
 
+// Churn while match tasks take the forest's block path (one evaluation of
+// every live node per chunk, lane masks in the worker's context): paper-
+// shaped subscriptions over unique predicates, and an event that fulfils
+// every `>` leaf, a third of all leaves, so each chunk is dense. Every
+// round frees one subscription's ten node slots and the next subscribe
+// reuses them while other chunks sweep the forest.
+TEST(EpochChurnTest, ChurnReusesNodeSlotsDuringBlockMatching) {
+  AttributeRegistry attrs;
+  ShardedBroker broker(attrs, ShardedBrokerConfig{
+                                  .shard_count = 4,
+                                  .engine = EngineKind::NonCanonical});
+
+  std::atomic<bool> probing{false};
+  std::atomic<std::size_t> concurrent_notifications{0};
+  std::vector<std::uint32_t> probe_log;
+  const SubscriberId session =
+      broker.register_subscriber([&](const Notification& n) {
+        if (probing.load(std::memory_order_relaxed)) {
+          probe_log.push_back(n.subscription.value());
+        } else {
+          concurrent_notifications.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+
+  const auto text = [](int k) {
+    const std::string n = std::to_string(k);
+    return "(attr0 > " + n + " or attr1 == " + n + ") and (attr2 > " + n +
+           " or attr3 == " + n + ") and (attr4 > " + n + " or attr5 == " +
+           n + ")";
+  };
+  constexpr int kWindow = 200;
+  std::vector<SubscriptionId> live;
+  int next_k = 0;
+  while (next_k < kWindow) {
+    live.push_back(broker.subscribe(session, text(next_k++)));
+  }
+
+  const Event event = EventBuilder(attrs)
+                          .set("attr0", 1000000000)
+                          .set("attr2", 1000000000)
+                          .set("attr4", 1000000000)
+                          .build();
+  std::vector<Event> batch(64, event);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> pumped{0};
+  std::thread publisher([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      broker.publish_batch(std::span<const Event>(batch.data(), batch.size()));
+      pumped.fetch_add(1, std::memory_order_release);
+    }
+  });
+
+  for (int round = 0; round < 400; ++round) {
+    ASSERT_TRUE(broker.unsubscribe(live.front()));
+    live.erase(live.begin());
+    live.push_back(broker.subscribe(session, text(next_k++)));
+    if (round % 20 == 0) {
+      broker.wait_applied(broker.control_generation());
+      const std::uint64_t mark = pumped.load(std::memory_order_acquire);
+      while (pumped.load(std::memory_order_acquire) < mark + 2) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  publisher.join();
+  broker.quiesce();
+  ASSERT_EQ(broker.subscription_count(), live.size());
+  EXPECT_GT(broker.metrics().counter_total("ncps_match_block_events_total"),
+            0u);
+
+  // Exactly the survivors, once per event of a whole batch, so the probe
+  // takes the block path too: a lane mask read through a recycled slot
+  // would notify a removed subscription here, or miss a live one.
+  probing.store(true, std::memory_order_release);
+  ASSERT_EQ(broker.publish_batch(
+                std::span<const Event>(batch.data(), batch.size())),
+            batch.size() * live.size());
+  std::vector<std::uint32_t> expected;
+  for (const SubscriptionId id : live) {
+    expected.insert(expected.end(), batch.size(), id.value());
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(probe_log.begin(), probe_log.end());
+  EXPECT_EQ(probe_log, expected);
+}
+
 }  // namespace
 }  // namespace ncps
