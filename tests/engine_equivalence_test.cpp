@@ -16,7 +16,9 @@
 #include <string>
 
 #include "engine/engine_factory.h"
+#include "storage/serializer.h"
 #include "subscription/parser.h"
+#include "subscription/printer.h"
 #include "test_util.h"
 #include "workload/paper_workload.h"
 #include "workload/random_workload.h"
@@ -458,6 +460,56 @@ TEST_F(BlockPathTest, RemovalsThatReuseNodeSlots) {
   }
   EXPECT_TRUE(parent_below_child);
   EXPECT_GT(check_all_chunks(events)[3], 0u);
+}
+
+TEST_F(BlockPathTest, RestoredForestTakesTheSameBlocks) {
+  // load_state rebuilds the per-rank live counts the passes stop on.
+  // Generated into a table of its own and re-parsed as text, so that at
+  // snapshot time the engine's leaves own every live predicate.
+  PredicateTable workload_table;
+  RandomWorkload workload(with_not(), attrs_, workload_table);
+  for (int i = 0; i < 200; ++i) {
+    const ast::Expr expr = workload.next_subscription();
+    add(print_expression(expr.root(), workload_table, attrs_));
+  }
+  const std::vector<Event> events = random_events(workload, 130);
+
+  engine_.prepare_snapshot();
+  storage::Writer saved;
+  engine_.save_state(saved);
+  std::vector<AttributeId> attr_remap;
+  for (std::uint32_t a = 0; a < attrs_.size(); ++a) {
+    attr_remap.push_back(AttributeId(a));
+  }
+  PredicateTable restored_table;
+  NonCanonicalEngine restored(restored_table);
+  storage::Reader reader(saved.bytes());
+  restored.load_state(reader, attr_remap, nullptr);
+  EXPECT_EQ(restored.forest().interior_ranks(),
+            engine_.forest().interior_ranks());
+
+  const auto restored_ctx = restored.make_context();
+  for (const std::size_t chunk : {7, 64, 65}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    PerEventSink original_sink(events.size());
+    PerEventSink restored_sink(events.size());
+    ctx_->stats.reset();
+    for (std::size_t first = 0; first < events.size(); first += chunk) {
+      const std::size_t last = std::min(events.size(), first + chunk);
+      engine_.match_range(events, first, last, original_sink, *ctx_);
+      restored.match_range(events, first, last, restored_sink,
+                           *restored_ctx);
+    }
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      EXPECT_EQ(restored_sink.take(e), original_sink.take(e)) << "event " << e;
+    }
+    EXPECT_GT(ctx_->stats.block_events, 0u);
+    EXPECT_EQ(restored_ctx->stats.block_events, ctx_->stats.block_events);
+    EXPECT_EQ(restored_ctx->stats.node_evaluations,
+              ctx_->stats.node_evaluations);
+    EXPECT_EQ(restored_ctx->stats.matches, ctx_->stats.matches);
+    restored_ctx->stats.reset();
+  }
 }
 
 TEST_F(BlockPathTest, DeepSubscriptionSendsChunksPerEvent) {
