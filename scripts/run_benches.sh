@@ -74,17 +74,36 @@ if [ -s "$sharing_json" ] && ! grep -q '"sharing_refinement"' "$sharing_json"; t
 fi
 
 # Schema guard: bench_ablation's phase2_paper study must carry the forest's
-# match_range rows in 8- and 64-event chunks (the block path) beside the
-# per-event rows.
+# match_range rows in 8-, 16-, 32- and 64-event chunks (the block path),
+# with phase 1 beside phase 2, next to the per-event rows; and every chunked
+# row must report the forest's per-event row's matches_per_event.
 ablation_json="$repo_root/BENCH_ablation.json"
 if [ -s "$ablation_json" ]; then
-  for chunk in 8 64; do
+  for chunk in 8 16 32 64; do
     if ! grep '"study":"phase2_paper"' "$ablation_json" |
-        grep -q "\"chunk_events\":$chunk,"; then
-      echo "error: BENCH_ablation.json lacks the phase2_paper row in $chunk-event chunks" >&2
+        grep "\"chunk_events\":$chunk," | grep -q '"phase1_us"'; then
+      echo "error: BENCH_ablation.json lacks the phase2_paper row in $chunk-event chunks (with phase1_us)" >&2
       status=1
     fi
   done
+  if ! python3 - "$ablation_json" <<'PY'
+import json, sys
+rows = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+rows = [r for r in rows if r.get("study") == "phase2_paper"
+        and r.get("engine") == "non-canonical"]
+per_event = [r for r in rows if "chunk_events" not in r]
+if not per_event:
+    sys.exit("no per-event non-canonical phase2_paper row")
+want = per_event[0]["matches_per_event"]
+bad = [r["chunk_events"] for r in rows
+       if "chunk_events" in r and r["matches_per_event"] != want]
+if bad:
+    sys.exit(f"chunked rows {bad} disagree with matches_per_event {want}")
+PY
+  then
+    echo "error: BENCH_ablation.json phase2_paper chunked rows report other matches than the per-event row" >&2
+    status=1
+  fi
 fi
 
 # Schema guard: bench_phase1 rows must carry the naive-vs-indexed speedup and

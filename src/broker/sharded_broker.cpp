@@ -18,11 +18,13 @@ namespace {
 
 /// Adaptive chunking target: total match tasks per batch aims at this many
 /// per pool worker, so a worker that finishes its own slice finds several
-/// stealable chunks on a skew-loaded shard's deque. 8 keeps per-task
-/// overhead (one shared-lock + one stats fold) well under 1% for the
-/// benchmark batch sizes while leaving enough granularity to level a
-/// worst-case all-on-one-shard skew.
-constexpr std::size_t kMatchTasksPerWorker = 8;
+/// stealable chunks on a skew-loaded shard's deque. 4 keeps per-task
+/// overhead (one shared-lock + one stats fold) well under 1% and leaves
+/// enough granularity to level `overlap`'s 75%-on-one-shard skew, while a
+/// 64-event batch over 4 shards and 4 matching threads still yields
+/// 16-event chunks: the forest's block path pays its phase-1 tree walks,
+/// rank passes and root scan once per chunk (DESIGN.md §1c).
+constexpr std::size_t kMatchTasksPerWorker = 4;
 
 /// Per-event-range merge fan-out (tasks per worker). Merging is cheap per
 /// event, so fewer, larger ranges than the match fan-out.

@@ -35,18 +35,19 @@ namespace ncps {
 
 /// Plane-wide wake-up shared by all outboxes: flush() sleeps on `cv` until
 /// each outbox's completed marker reaches its target, and every completion
-/// (delivered, or dropped after acceptance) bumps `completed` and wakes the
-/// waiters.
+/// (delivered, or dropped after acceptance) wakes the waiters.
 struct DeliveryProgress {
-  std::atomic<std::uint64_t> completed{0};
   std::mutex mutex;
   std::condition_variable cv;
   std::atomic<std::uint32_t> waiters{0};
 
-  /// Consumer/eviction side: `n` previously accepted notifications are done.
+  /// Consumer/eviction side: `n` previously accepted notifications are
+  /// done, and the caller has already advanced its outbox's marker.
   void complete(std::uint64_t n) {
     if (n == 0) return;
-    completed.fetch_add(n);  // seq_cst: ordered against the waiter counter
+    // Store-buffer litmus with flush(): either this load sees the waiter
+    // registered, or the waiter's marker check sees the advanced marker.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (waiters.load() > 0) {
       { const std::lock_guard<std::mutex> lock(mutex); }
       cv.notify_all();

@@ -1,7 +1,5 @@
 #include "engine/engine.h"
 
-#include <chrono>
-
 namespace ncps {
 
 void FilterEngine::finish_bulk_load(WorkStealingPool* pool) {
@@ -21,28 +19,21 @@ void FilterEngine::finish_bulk_load(WorkStealingPool* pool) {
   index_.bulk_load(entries, pool);
 }
 
-void FilterEngine::match_range(std::span<const Event> events,
-                               std::size_t first, std::size_t last,
-                               MatchSink& sink, MatchContext& ctx) const {
-  NCPS_EXPECTS(first <= last && last <= events.size());
-  if (first == last) return;
-  const std::span<const Event> range = events.subspan(first, last - first);
-  const auto start = std::chrono::steady_clock::now();
-  ctx.fulfilled.clear();
-  ctx.offsets.clear();
-  index_.match_batch(range, *table_, ctx.fulfilled, ctx.offsets);
-  const auto phase1_end = std::chrono::steady_clock::now();
-  match_slice(range, first, sink, ctx);
-  const auto end = std::chrono::steady_clock::now();
-  ctx.stats.phase1_ns += static_cast<std::uint64_t>(
-      std::chrono::nanoseconds(phase1_end - start).count());
-  ctx.stats.phase2_ns += static_cast<std::uint64_t>(
-      std::chrono::nanoseconds(end - phase1_end).count());
-}
-
 void FilterEngine::match_slice(std::span<const Event> range,
                                std::size_t first, MatchSink& sink,
                                MatchContext& ctx) const {
+  Clock::time_point now = Clock::now();
+  ctx.fulfilled.clear();
+  ctx.offsets.clear();
+  index_.match_batch(range, *table_, ctx.fulfilled, ctx.offsets);
+  now = lap(now, ctx.stats.phase1_ns);
+  match_each(range, first, sink, ctx);
+  lap(now, ctx.stats.phase2_ns);
+}
+
+void FilterEngine::match_each(std::span<const Event> range,
+                              std::size_t first, MatchSink& sink,
+                              MatchContext& ctx) const {
   for (std::size_t i = 0; i < range.size(); ++i) {
     const std::span<const PredicateId> fulfilled(
         ctx.fulfilled.data() + ctx.offsets[i],

@@ -8,11 +8,13 @@
 //     algorithms differ and where the paper measures.
 //
 // match_range(events, first, last, sink, ctx) runs both phases over a slice
-// of a batch: phase 1 once over the slice (index lookups and scratch buffers
-// amortise across events), then phase 2 over the slice through the
-// match_slice hook, streaming matches into a MatchSink in batch order. The
-// hook's default runs phase 2 per event; the forest engine may instead
-// evaluate its DAG once per block of up to 64 events (DESIGN.md §1c).
+// of a batch through the match_slice hook, streaming matches into a
+// MatchSink in batch order. The hook's default runs phase 1 over the slice
+// (index lookups and scratch buffers amortise across events), then phase 2
+// per event. The forest engine may instead take the block path for a
+// dense slice (DESIGN.md §1c): phase 1 writes lane masks, one bit per
+// event of a block of up to 64, and phase 2 evaluates the DAG once per
+// block.
 // match_predicates(fulfilled, ..., ctx) enters at phase 2 for one event
 // with an externally supplied fulfilled-predicate set, which is how the
 // figure benchmarks reproduce the paper's methodology (fulfilled counts of
@@ -49,12 +51,13 @@
 // The rule has a second half: no MatchContext keeps a pointer or node id
 // into engine structures across match_range calls. Every id a context
 // holds (forest frontier, rank buckets, leaf bitmap, lane masks, hit and
-// truth arrays, the phase-1 fulfilled set) is written and consumed within
-// one event or one call, and epoch-stamped or re-zeroed scratch trusts no
-// value from before, so a slot the gate let a writer free or reuse is
-// never read through a stale context.
+// truth arrays, the phase-1 fulfilled set and lane runs) is written and
+// consumed within one event or one call, and epoch-stamped or re-zeroed
+// scratch trusts no value from before, so a slot the gate let a writer free
+// or reuse is never read through a stale context.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -93,8 +96,9 @@ struct MatchStats {
   /// counts node_evaluations and candidates once per block there, not
   /// once per event (DESIGN.md §1c).
   std::uint64_t block_events = 0;
-  /// Wall time in match_range, split at the phase boundary (three clock
-  /// reads per call, none per event; match_predicates adds nothing).
+  /// Wall time in match_range, split at the phase boundary (a few clock
+  /// reads per call or per 64-event block, none per event;
+  /// match_predicates adds nothing).
   std::uint64_t phase1_ns = 0;
   std::uint64_t phase2_ns = 0;
 
@@ -201,13 +205,16 @@ class FilterEngine {
     match_predicates_impl(fulfilled, event_index, event, sink, ctx);
   }
 
-  /// Full pipeline over events[first, last), concurrent-safe: phase 1 once
-  /// over the sub-range through this engine's index, then phase 2 over the
-  /// sub-range (match_slice) streamed into `sink` in batch order with
-  /// *batch-global* event indexes. This is the unit of work a (shard ×
+  /// Full pipeline over events[first, last), concurrent-safe: both phases
+  /// over the sub-range (match_slice), streamed into `sink` in batch order
+  /// with *batch-global* event indexes. This is the unit of work a (shard ×
   /// event-chunk) match task executes.
   void match_range(std::span<const Event> events, std::size_t first,
-                   std::size_t last, MatchSink& sink, MatchContext& ctx) const;
+                   std::size_t last, MatchSink& sink, MatchContext& ctx) const {
+    NCPS_EXPECTS(first <= last && last <= events.size());
+    if (first == last) return;
+    match_slice(events.subspan(first, last - first), first, sink, ctx);
+  }
 
   /// Enter bulk-load mode: until finish_bulk_load(), predicates newly
   /// acquired by add() are NOT registered with the phase-1 index one by one;
@@ -291,13 +298,29 @@ class FilterEngine {
                                      const Event& event, MatchSink& sink,
                                      MatchContext& ctx) const = 0;
 
-  /// Phase 2 of match_range over its whole slice: `range` holds the
-  /// slice's events, `first` the batch index of range[0], and
-  /// ctx.fulfilled / ctx.offsets their phase-1 sets. Matches must reach
-  /// `sink` in batch order. The default calls match_predicates per event;
-  /// an override keeps the same const, context-only contract.
+  /// Both phases of match_range over its non-empty slice: `range` holds
+  /// the slice's events, `first` the batch index of range[0]. Matches must
+  /// reach `sink` in batch order, and each phase's wall time goes to
+  /// ctx.stats (phase1_ns, phase2_ns). The default stabs the slice into
+  /// ctx.fulfilled / ctx.offsets, then runs match_each; an override keeps
+  /// the same const, context-only contract.
   virtual void match_slice(std::span<const Event> range, std::size_t first,
                            MatchSink& sink, MatchContext& ctx) const;
+
+  /// Phase 2 per event over a slice whose phase-1 sets are in
+  /// ctx.fulfilled / ctx.offsets: match_predicates once per event.
+  void match_each(std::span<const Event> range, std::size_t first,
+                  MatchSink& sink, MatchContext& ctx) const;
+
+  using Clock = std::chrono::steady_clock;
+  /// Adds the wall time since `since` to `ns` and returns the current time,
+  /// so back-to-back phases share their boundary reads.
+  static Clock::time_point lap(Clock::time_point since, std::uint64_t& ns) {
+    const Clock::time_point now = Clock::now();
+    ns += static_cast<std::uint64_t>(
+        std::chrono::nanoseconds(now - since).count());
+    return now;
+  }
 
   /// Take an engine-owned reference to a live predicate; the first
   /// engine-local use registers it with the phase-1 index. Index membership

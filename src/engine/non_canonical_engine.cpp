@@ -114,7 +114,16 @@ void NonCanonicalEngine::match_predicates_impl(
 
 void NonCanonicalEngine::match_slice(std::span<const Event> range,
                                      std::size_t first, MatchSink& sink,
-                                     MatchContext& ctx) const {
+                                     MatchContext& base_ctx) const {
+  auto& ctx = static_cast<ForestContext&>(base_ctx);
+  Clock::time_point now = Clock::now();
+  // The path is chosen before phase 1 runs for the rest of the slice: the
+  // first event, stabbed alone, stands for every event's fulfilled count.
+  ctx.fulfilled.clear();
+  ctx.offsets.assign(1, 0);
+  index_.match(range.front(), *table_, ctx.fulfilled);
+  ctx.offsets.push_back(static_cast<std::uint32_t>(ctx.fulfilled.size()));
+
   // Per block, the block path sweeps the node arena once per non-empty
   // rank, plus once to reset the lane masks and scan for true roots; the
   // per-event path costs about kSlotsPerFlip slots per fulfilled leaf. A
@@ -124,13 +133,32 @@ void NonCanonicalEngine::match_slice(std::span<const Event> range,
   const std::size_t blocks = (range.size() + kLanes - 1) / kLanes;
   const std::size_t sweep =
       blocks * (forest_.interior_ranks() + 1) * forest_.node_bound();
-  if (range.size() < 2 || ctx.fulfilled.size() * kSlotsPerFlip < sweep) {
-    FilterEngine::match_slice(range, first, sink, ctx);
+  if (range.size() < 2 ||
+      ctx.fulfilled.size() * range.size() * kSlotsPerFlip < sweep) {
+    for (const Event& event : range.subspan(1)) {
+      index_.match(event, *table_, ctx.fulfilled);
+      ctx.offsets.push_back(static_cast<std::uint32_t>(ctx.fulfilled.size()));
+    }
+    now = lap(now, ctx.stats.phase1_ns);
+    match_each(range, first, sink, ctx);
+    lap(now, ctx.stats.phase2_ns);
     return;
   }
+
+  // Block path: the first event's set is lane 0's run of the first block,
+  // and phase 1 stabs the block's other events together.
+  ctx.block.clear();
+  ctx.block.ids.swap(ctx.fulfilled);
+  ctx.block.close(1);
   for (std::size_t begin = 0; begin < range.size(); begin += kLanes) {
-    match_block(range, first, begin, std::min(range.size(), begin + kLanes),
-                sink, static_cast<ForestContext&>(ctx));
+    const std::size_t end = std::min(range.size(), begin + kLanes);
+    if (begin != 0) ctx.block.clear();
+    const std::size_t from = begin == 0 ? 1 : begin;
+    index_.stab_block(range.subspan(from, end - from), from - begin, *table_,
+                      ctx.block_scratch, ctx.block);
+    now = lap(now, ctx.stats.phase1_ns);
+    match_block(range, first, begin, end, sink, ctx);
+    now = lap(now, ctx.stats.phase2_ns);
   }
 }
 
@@ -146,13 +174,15 @@ void NonCanonicalEngine::match_block(std::span<const Event> range,
   if (ctx.lanes.size() < bound) ctx.lanes.resize(bound);
   std::fill_n(ctx.lanes.begin(), bound, 0);
 
-  // Seed: lane i of a fulfilled leaf is event begin + i.
-  for (std::size_t i = 0; i < lanes; ++i) {
-    const std::uint64_t bit = std::uint64_t{1} << i;
-    for (std::uint32_t k = ctx.offsets[begin + i];
-         k < ctx.offsets[begin + i + 1]; ++k) {
-      const NodeId leaf = forest_.leaf_of(ctx.fulfilled[k]);
-      if (leaf != SharedForest::kNoNode) ctx.lanes[leaf] |= bit;
+  // Each fulfilled predicate's leaf takes the lanes of its run.
+  std::uint64_t fulfilled = 0;
+  std::uint32_t k = 0;
+  for (const LaneRuns::Run& run : ctx.block.runs) {
+    fulfilled += std::uint64_t{run.end - k} *
+                 static_cast<unsigned>(std::popcount(run.lanes));
+    for (; k < run.end; ++k) {
+      const NodeId leaf = forest_.leaf_of(ctx.block.ids[k]);
+      if (leaf != SharedForest::kNoNode) ctx.lanes[leaf] |= run.lanes;
     }
   }
 
@@ -198,8 +228,7 @@ void NonCanonicalEngine::match_block(std::span<const Event> range,
 
   ctx.stats.events += lanes;
   ctx.stats.block_events += lanes;
-  ctx.stats.fulfilled_predicates +=
-      ctx.offsets[end] - ctx.offsets[begin];
+  ctx.stats.fulfilled_predicates += fulfilled;
   ctx.stats.node_evaluations += evaluated;
   ctx.stats.candidates += live_count_;
 }

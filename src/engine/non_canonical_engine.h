@@ -30,10 +30,13 @@
 //     list and match whenever nothing touches (and refutes) them;
 //   - a match_range slice dense enough that flipping its fulfilled leaves
 //     would cost more than sweeping the forest takes the block path
-//     instead (DESIGN.md §1c): each fulfilled leaf sets its event's bit in
-//     a 64-bit lane mask, and every live interior node is evaluated once
-//     per block of up to 64 events, rank by rank, with one AND, OR or NOT
-//     word operation;
+//     instead (DESIGN.md §1c). The slice's first event, stabbed on its
+//     own, prices that choice before the rest of phase 1 runs. On the
+//     block path phase 1 reports each fulfilled predicate once per block
+//     of up to 64 events with a 64-bit lane mask (one bit per event),
+//     which its leaf ORs in; every live interior node is then evaluated
+//     once per block, rank by rank, with one AND, OR or NOT word
+//     operation;
 //   - identity is the only sharing rule: a refinement `base and c` shares
 //     the base's children as nodes, but never borrows the base's truth.
 //     Its AND is decided from its own flip count in O(1), so a covering
@@ -131,6 +134,10 @@ class NonCanonicalEngine final : public FilterEngine {
     // sorting (rank, node) keys per event).
     std::vector<std::vector<NodeId>> rank_buckets;
     std::uint32_t max_rank_touched = 0;
+    // Block path: phase 1's output for one block (fulfilled ids with the
+    // lanes they hold in) and its scratch.
+    LaneRuns block;
+    BlockScratch block_scratch;
     // Block path: each node's truth in every event of the block, one bit
     // per event, by node id. Zeroed over [0, node_bound) at the start of
     // every block, so no value left by another engine or by a node slot's
@@ -160,11 +167,12 @@ class NonCanonicalEngine final : public FilterEngine {
   /// many node slots (DESIGN.md §1c gives the measurement).
   static constexpr std::size_t kSlotsPerFlip = 16;
 
-  /// Phase 2 of a match_range slice: the block path when the slice is
-  /// dense enough, else the per-event default.
+  /// Both phases of a match_range slice: the block path when the slice is
+  /// dense enough, else phase 1 and phase 2 per event.
   void match_slice(std::span<const Event> range, std::size_t first,
                    MatchSink& sink, MatchContext& ctx) const override;
-  /// The block path over events [begin, end) of the slice (at most kLanes).
+  /// Phase 2 of the block path over events [begin, end) of the slice (at
+  /// most kLanes), from the lane runs phase 1 left in ctx.block.
   void match_block(std::span<const Event> range, std::size_t first,
                    std::size_t begin, std::size_t end, MatchSink& sink,
                    ForestContext& ctx) const;

@@ -1,5 +1,6 @@
 #include "index/attribute_index.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -163,45 +164,144 @@ void AttributeIndex::stab(const Value& value, const PredicateTable& table,
     lt_.for_each_span(lt_.upper_bound(last_at), lt_.end(), copy);
     le_.for_each_span(le_.lower_bound(first_at), le_.end(), copy);
 
-    // Intervals: within a class every width is below `reach`, so only lo in
-    // [v - reach, v] can match. Each run is sorted by hi descending, so the
-    // first hi < v ends it.
-    std::uint64_t probes = 0;
-    for (const WidthClass& cls : between_) {
-      for (auto it = std::isinf(cls.reach) ? cls.by_lo.begin()
-                                           : cls.by_lo.lower_bound(v - cls.reach);
-           it != cls.by_lo.end() && it.key() <= v; ++it) {
-        for (const IntervalEntry& entry : it.value().entries) {
-          ++probes;
-          if (entry.hi < v) break;
-          out.push_back(PredicateId(entry.id));
-        }
-      }
-    }
-    if (probes != 0) {
-      interval_probes_.value.fetch_add(probes, std::memory_order_relaxed);
-    }
+    stab_intervals(v, out);
   }
 
-  if (value.type() == ValueType::String) {
-    const std::string& s = value.as_string();
-    // Probe every prefix of the event value, including the empty prefix —
-    // as string_views over the event's own buffer, so no allocation.
-    const std::string_view sv(s);
-    for (std::size_t len = 0; len <= sv.size(); ++len) {
-      prefix_.stab(sv.substr(0, len), out);
-    }
-  }
+  stab_prefixes(value, out);
 
   // Presence predicates match any value.
   exists_.append_to(out);
 
+  stab_scan(value, table, out);
+}
+
+void AttributeIndex::stab_intervals(double v,
+                                    std::vector<PredicateId>& out) const {
+  // Within a class every width is below `reach`, so only lo in
+  // [v - reach, v] can match. Each run is sorted by hi descending, so the
+  // first hi < v ends it.
+  std::uint64_t probes = 0;
+  for (const WidthClass& cls : between_) {
+    for (auto it = std::isinf(cls.reach) ? cls.by_lo.begin()
+                                         : cls.by_lo.lower_bound(v - cls.reach);
+         it != cls.by_lo.end() && it.key() <= v; ++it) {
+      for (const IntervalEntry& entry : it.value().entries) {
+        ++probes;
+        if (entry.hi < v) break;
+        out.push_back(PredicateId(entry.id));
+      }
+    }
+  }
+  if (probes != 0) {
+    interval_probes_.value.fetch_add(probes, std::memory_order_relaxed);
+  }
+}
+
+void AttributeIndex::stab_prefixes(const Value& value,
+                                   std::vector<PredicateId>& out) const {
+  if (value.type() != ValueType::String || prefix_.empty()) return;
+  // Probe every prefix of the event value, including the empty prefix —
+  // as string_views over the event's own buffer, so no allocation.
+  const std::string_view sv(value.as_string());
+  for (std::size_t len = 0; len <= sv.size(); ++len) {
+    prefix_.stab(sv.substr(0, len), out);
+  }
+}
+
+void AttributeIndex::stab_scan(const Value& value, const PredicateTable& table,
+                               std::vector<PredicateId>& out) const {
   // Scan list: evaluate non-indexable predicates directly.
   scan_.for_each([&](std::uint32_t raw) {
     const PredicateId id(raw);
     const Predicate& p = table.get(id);
     if (eval_operator(p.op, value, p.lo, p.hi)) out.push_back(id);
   });
+}
+
+namespace {
+
+/// Merge-walks the range-tree entries [first, last) against a block's
+/// values sorted ascending: an entry's lanes are table[j], j the number of
+/// values before its bound (v <= bound when kOrEqual, else v < bound).
+/// Bounds ascend, so j only advances, and a run ends only where it does.
+template <bool kOrEqual, typename Tree>
+void merge_walk(const Tree& tree, typename Tree::iterator first,
+                typename Tree::iterator last,
+                std::span<const BlockScratch::Sorted> sorted,
+                const std::vector<std::uint64_t>& table, LaneRuns& out) {
+  std::size_t j = 0;
+  const auto before = [&](double bound) {
+    return kOrEqual ? sorted[j].value <= bound : sorted[j].value < bound;
+  };
+  tree.for_each_leaf(first, last, [&](auto keys, auto ids) {
+    const std::size_t base = out.ids.size();
+    out.ids.insert(out.ids.end(), ids.begin(), ids.end());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (j == sorted.size() || !before(keys[i].bound)) continue;
+      out.close_at(base + i, table[j]);
+      do {
+        ++j;
+      } while (j < sorted.size() && before(keys[i].bound));
+    }
+  });
+  out.close(table[j]);
+}
+
+}  // namespace
+
+void AttributeIndex::stab_block(std::span<const LaneValue> values,
+                                const PredicateTable& table,
+                                BlockScratch& scratch, LaneRuns& out) const {
+  // Per event: the point, interval, prefix and scan structures.
+  std::uint64_t present = 0;
+  std::vector<BlockScratch::Sorted>& sorted = scratch.sorted;
+  sorted.clear();
+  for (const LaneValue& lane_value : values) {
+    const Value& value = *lane_value.value;
+    present |= lane_value.lane;
+    eq_.stab(value, out.ids);
+    if (value.is_numeric() && !std::isnan(value.numeric())) {
+      sorted.push_back({value.numeric(), lane_value.lane});
+      stab_intervals(value.numeric(), out.ids);
+    }
+    stab_prefixes(value, out.ids);
+    stab_scan(value, table, out.ids);
+    out.close(lane_value.lane);
+  }
+  exists_.append_to(out.ids);
+  out.close(present);
+  if (sorted.empty() || (lt_.empty() && le_.empty() && gt_.empty() &&
+                         ge_.empty())) {
+    return;
+  }
+
+  // Once per block: the values in order, and the lanes below and from
+  // each position. A `>`/`>=` entry holds in the lanes from the first value
+  // above its bound, a `<`/`<=` entry in the lanes below it, so each entry
+  // gets one mask and each tree one walk over the bounds some value
+  // fulfils.
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& a, const auto& b) { return a.value < b.value; });
+  const std::size_t k = sorted.size();
+  scratch.below.resize(k + 1);
+  scratch.from.resize(k + 1);
+  scratch.below[0] = 0;
+  scratch.from[k] = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    scratch.below[j + 1] = scratch.below[j] | sorted[j].lane;
+    scratch.from[k - 1 - j] = scratch.from[k - j] | sorted[k - 1 - j].lane;
+  }
+  constexpr std::uint32_t kMaxId = std::numeric_limits<std::uint32_t>::max();
+  const double lo = sorted.front().value;
+  const double hi = sorted.back().value;
+  merge_walk<true>(gt_, gt_.begin(), gt_.lower_bound(RangeKey{hi, 0}),
+                   sorted, scratch.from, out);
+  merge_walk<false>(ge_, ge_.begin(), ge_.upper_bound(RangeKey{hi, kMaxId}),
+                    sorted, scratch.from, out);
+  merge_walk<false>(lt_, lt_.upper_bound(RangeKey{lo, kMaxId}), lt_.end(),
+                    sorted, scratch.below, out);
+  merge_walk<true>(le_, le_.lower_bound(RangeKey{lo, 0}), le_.end(), sorted,
+                   scratch.below, out);
 }
 
 bool AttributeIndex::empty() const {

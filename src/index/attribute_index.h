@@ -36,11 +36,18 @@
 //
 // Every predicate registered on this attribute lives in exactly one of these
 // structures, so a stab emits each matching id exactly once.
+//
+// stab_block stabs the values of up to 64 events at once (DESIGN.md §5)
+// and reports each fulfilled id with the lane mask of the events it holds
+// in. The range trees are merge-walked once per block against the block's
+// sorted values, one mask per entry; every other structure is stabbed per
+// event and tags its ids with that event's lane bit.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -54,6 +61,55 @@
 #include "predicate/predicate_table.h"
 
 namespace ncps {
+
+/// A block stab's output over up to 64 events, one lane bit per event:
+/// `ids` cut into runs, each fulfilled by exactly the events whose bits its
+/// `lanes` has set. Run r covers ids [runs[r - 1].end, runs[r].end), so
+/// every id belongs to a run once close() has been called.
+struct LaneRuns {
+  struct Run {
+    std::uint32_t end;
+    std::uint64_t lanes;
+  };
+  std::vector<PredicateId> ids;
+  std::vector<Run> runs;
+
+  void clear() {
+    ids.clear();
+    runs.clear();
+  }
+  /// Ends the ids appended since the last run at `end` as one run held in
+  /// `lanes`; merges into the last run when its lanes are the same.
+  void close_at(std::size_t end, std::uint64_t lanes) {
+    const std::uint32_t begin = runs.empty() ? 0 : runs.back().end;
+    if (end == begin) return;
+    if (!runs.empty() && runs.back().lanes == lanes) {
+      runs.back().end = static_cast<std::uint32_t>(end);
+    } else {
+      runs.push_back(Run{static_cast<std::uint32_t>(end), lanes});
+    }
+  }
+  void close(std::uint64_t lanes) { close_at(ids.size(), lanes); }
+};
+
+/// One event's value for an attribute in a block stab, with its lane bit.
+struct LaneValue {
+  const Value* value;
+  std::uint64_t lane;
+};
+
+/// Caller-owned scratch of a block stab, one per matching thread.
+struct BlockScratch {
+  std::vector<LaneValue> values;      // the block's values, by attribute
+  std::vector<std::uint32_t> starts;  // per attribute, its first value
+  struct Sorted {
+    double value;
+    std::uint64_t lane;
+  };
+  std::vector<Sorted> sorted;         // one attribute's numeric values
+  std::vector<std::uint64_t> below;   // below[j]: lanes of sorted[0, j)
+  std::vector<std::uint64_t> from;    // from[j]: lanes of sorted[j, end)
+};
 
 class AttributeIndex {
  public:
@@ -69,6 +125,14 @@ class AttributeIndex {
   /// `table` resolves scan-list predicates.
   void stab(const Value& value, const PredicateTable& table,
             std::vector<PredicateId>& out) const;
+
+  /// Block stab: append to `out` every predicate id on this attribute that
+  /// some value in `values` fulfils, in runs whose lanes are the lane bits
+  /// of exactly those values. Equals stab() per value with the lane bits
+  /// ORed per id. Each range-tree id appears once per call.
+  void stab_block(std::span<const LaneValue> values,
+                  const PredicateTable& table, BlockScratch& scratch,
+                  LaneRuns& out) const;
 
   [[nodiscard]] bool empty() const;
   [[nodiscard]] std::size_t indexed_count() const { return indexed_count_; }
@@ -146,6 +210,12 @@ class AttributeIndex {
 
   /// The tree of Lt, Le, Gt or Ge.
   RangeTree& range_tree(Operator op);
+
+  // Per-value parts of stab() that stab_block runs once per event.
+  void stab_intervals(double v, std::vector<PredicateId>& out) const;
+  void stab_prefixes(const Value& value, std::vector<PredicateId>& out) const;
+  void stab_scan(const Value& value, const PredicateTable& table,
+                 std::vector<PredicateId>& out) const;
 
   HashIndex eq_;
   RangeTree lt_;

@@ -195,19 +195,31 @@ class BPlusTree {
     return it;
   }
 
-  /// Visit the values in [first, last) in key order, one contiguous span
-  /// per leaf. `last` must be reachable from `first`.
+  /// Visit the entries in [first, last) in key order, one leaf at a time:
+  /// fn(keys, values) gets two parallel contiguous spans. `last` must be
+  /// reachable from `first`.
   template <typename Fn>
-  void for_each_span(iterator first, iterator last, Fn&& fn) const {
+  void for_each_leaf(iterator first, iterator last, Fn&& fn) const {
     for (LeafNode* leaf = first.leaf_; leaf != nullptr; leaf = leaf->next) {
       const bool at_last = leaf == last.leaf_;
       const std::size_t begin = leaf == first.leaf_ ? first.index_ : 0;
       const std::size_t end = at_last ? last.index_ : leaf->count;
       if (begin < end) {
-        fn(std::span<const Value>(leaf->values + begin, end - begin));
+        fn(std::span<const Key>(leaf->keys + begin, end - begin),
+           std::span<const Value>(leaf->values + begin, end - begin));
       }
       if (at_last) return;
     }
+  }
+
+  /// Visit the values in [first, last) in key order, one contiguous span
+  /// per leaf.
+  template <typename Fn>
+  void for_each_span(iterator first, iterator last, Fn&& fn) const {
+    for_each_leaf(first, last,
+                  [&fn](std::span<const Key>, std::span<const Value> values) {
+                    fn(values);
+                  });
   }
 
   [[nodiscard]] std::size_t memory_bytes() const {

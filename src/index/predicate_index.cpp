@@ -107,6 +107,52 @@ void PredicateIndex::match_batch(std::span<const Event> events,
   }
 }
 
+void PredicateIndex::stab_block(std::span<const Event> events,
+                                std::size_t first_lane,
+                                const PredicateTable& table,
+                                BlockScratch& scratch, LaneRuns& out) const {
+  NCPS_EXPECTS(first_lane + events.size() <= 64);
+  // Group the block's values by attribute, in lane order (a counting sort:
+  // attribute a's values end up in [starts[a], starts[a + 1])).
+  const std::size_t bound = per_attribute_.size();
+  std::vector<std::uint32_t>& starts = scratch.starts;
+  starts.assign(bound + 2, 0);
+  for (const Event& event : events) {
+    for (const Event::Entry& entry : event.entries()) {
+      if (entry.attribute.value() < bound) ++starts[entry.attribute.value() + 2];
+    }
+  }
+  for (std::size_t a = 2; a < starts.size(); ++a) starts[a] += starts[a - 1];
+  scratch.values.resize(starts.back());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::uint64_t lane = std::uint64_t{1} << (first_lane + i);
+    for (const Event::Entry& entry : events[i].entries()) {
+      if (entry.attribute.value() >= bound) continue;
+      scratch.values[starts[entry.attribute.value() + 1]++] =
+          LaneValue{&entry.value, lane};
+    }
+  }
+  for (std::size_t a = 0; a < bound; ++a) {
+    if (starts[a] == starts[a + 1] || per_attribute_[a].empty()) continue;
+    per_attribute_[a].stab_block(
+        std::span<const LaneValue>(scratch.values.data() + starts[a],
+                                   starts[a + 1] - starts[a]),
+        table, scratch, out);
+  }
+  // NotExists predicates hold in the lanes that lack their attribute.
+  for (const NotExistsEntry& entry : not_exists_) {
+    std::uint64_t lanes = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (!events[i].has(entry.attribute)) {
+        lanes |= std::uint64_t{1} << (first_lane + i);
+      }
+    }
+    if (lanes == 0) continue;
+    out.ids.push_back(entry.id);
+    out.close(lanes);
+  }
+}
+
 PostingList::Stats PredicateIndex::posting_stats() const {
   PostingList::Stats stats;
   for (const AttributeIndex& index : per_attribute_) {

@@ -7,7 +7,8 @@
 // The PredicateIndex fans an event's attributes out to per-attribute
 // AttributeIndex structures and handles the one cross-attribute operator
 // (NotExists). Output: the list of matching predicate ids, each exactly once
-// — the {id(p)} set handed to phase 2.
+// — the {id(p)} set handed to phase 2 — or, for a block of events, the ids
+// with the lane mask of the events each one holds in.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +57,15 @@ class PredicateIndex {
   void match_batch(std::span<const Event> events, const PredicateTable& table,
                    std::vector<PredicateId>& flat,
                    std::vector<std::uint32_t>& offsets) const;
+
+  /// Phase 1 for a block of events, each event i on lane first_lane + i
+  /// (at most 64 lanes): append every predicate some event fulfils to
+  /// `out`, in runs tagged with the lanes of exactly the events that
+  /// fulfil it. Equals match() per event with the lane bits ORed per id;
+  /// each attribute index is stabbed once for the block (DESIGN.md §5).
+  void stab_block(std::span<const Event> events, std::size_t first_lane,
+                  const PredicateTable& table, BlockScratch& scratch,
+                  LaneRuns& out) const;
 
   [[nodiscard]] std::size_t attribute_count() const { return per_attribute_.size(); }
   [[nodiscard]] MemoryBreakdown memory() const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -12,7 +13,9 @@
 
 #include "common/contracts.h"
 #include "common/random.h"
+#include "event/event.h"
 #include "event/schema.h"
+#include "index/predicate_index.h"
 #include "test_util.h"
 
 namespace ncps {
@@ -453,6 +456,130 @@ TEST_F(AttributeIndexTest, RandomizedChurnAgainstBruteForce) {
       const std::int64_t v = rng.range(0, 20);
       EXPECT_EQ(stab(Value(v)), reference(Value(v))) << "round " << round;
     }
+  }
+}
+
+// The block stab against the per-event stab: over blocks of 1, 2, 63 and
+// 64 events (and 63 starting at lane 1), every predicate's lanes must be
+// exactly the events whose per-event stab emits it, and each (predicate,
+// event) pair must appear once, so the block path's fulfilled count is
+// exact. The population mixes every operator class on a small domain
+// (duplicate bounds, events equal to bounds and to each other), with ±inf
+// bounds, NaN, ±inf and string values, missing attributes and NotExists.
+TEST(BlockStabTest, EqualsPerEventStabWithLanesOred) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  AttributeRegistry attrs;
+  const std::vector<AttributeId> numeric = {attrs.intern("a"),
+                                            attrs.intern("b"),
+                                            attrs.intern("c")};
+  const AttributeId text = attrs.intern("s");
+  const AttributeId never = attrs.intern("never");  // no event carries it
+  const std::vector<std::string> words = {"", "a", "ab", "abc", "b", "ba"};
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Pcg32 rng(seed);
+    const auto number = [&]() -> Value {
+      switch (rng.bounded(8)) {
+        case 0: return Value(static_cast<double>(rng.range(0, 12)) + 0.5);
+        case 1: return Value(rng.chance(0.5) ? kInf : -kInf);
+        default: return Value(rng.range(0, 12));
+      }
+    };
+    PredicateTable table;
+    PredicateIndex index;
+    for (int i = 0; i < 400; ++i) {
+      Predicate p;
+      p.attribute = numeric[rng.bounded(3)];
+      switch (rng.bounded(12)) {
+        case 0: p.op = Operator::Eq; p.lo = number(); break;
+        case 1: p.op = Operator::Ne; p.lo = number(); break;
+        case 2: p.op = Operator::Lt; p.lo = number(); break;
+        case 3: p.op = Operator::Le; p.lo = number(); break;
+        case 4: p.op = Operator::Gt; p.lo = number(); break;
+        case 5: p.op = Operator::Ge; p.lo = number(); break;
+        case 6: {
+          const auto a = rng.range(0, 12);
+          const auto b = rng.range(0, 12);
+          p.op = Operator::Between;
+          p.lo = Value(std::min(a, b));
+          p.hi = Value(std::max(a, b));
+          break;
+        }
+        case 7: p.op = Operator::Exists; break;
+        case 8:
+          p.op = Operator::NotExists;
+          if (rng.chance(0.3)) p.attribute = never;
+          break;
+        case 9:
+          p.attribute = text;
+          p.op = Operator::Prefix;
+          p.lo = Value(words[rng.bounded(6)]);
+          break;
+        case 10:
+          p.attribute = text;
+          p.op = rng.chance(0.5) ? Operator::Suffix : Operator::Eq;
+          p.lo = Value(words[rng.bounded(6)]);
+          break;
+        default:
+          // An ordered comparison with a string operand: the scan list.
+          p.attribute = rng.chance(0.5) ? text : p.attribute;
+          p.op = Operator::Lt;
+          p.lo = Value(words[rng.bounded(6)]);
+          break;
+      }
+      const auto r = table.intern(p);
+      if (r.newly_created) index.add(r.id, table.get(r.id));
+    }
+
+    std::vector<Event> events(64);
+    for (Event& event : events) {
+      for (const AttributeId a : numeric) {
+        if (rng.chance(0.2)) continue;  // missing attribute
+        switch (rng.bounded(10)) {
+          case 0:
+            event.set(a, Value(std::numeric_limits<double>::quiet_NaN()));
+            break;
+          case 1: event.set(a, Value(words[rng.bounded(6)])); break;
+          default: event.set(a, number()); break;
+        }
+      }
+      if (rng.chance(0.7)) event.set(text, Value(words[rng.bounded(6)]));
+    }
+
+    BlockScratch scratch;
+    LaneRuns runs;
+    const auto check = [&](std::size_t count, std::size_t first_lane) {
+      const std::span<const Event> block(events.data(), count);
+      std::map<PredicateId, std::uint64_t> expected;
+      std::uint64_t expected_pairs = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        std::vector<PredicateId> ids;
+        index.match(block[i], table, ids);
+        expected_pairs += ids.size();
+        for (const PredicateId id : ids) {
+          expected[id] |= std::uint64_t{1} << (first_lane + i);
+        }
+      }
+      runs.clear();
+      index.stab_block(block, first_lane, table, scratch, runs);
+      std::map<PredicateId, std::uint64_t> actual;
+      std::uint64_t pairs = 0;
+      std::uint32_t k = 0;
+      for (const LaneRuns::Run& run : runs.runs) {
+        EXPECT_NE(run.lanes, 0u);
+        for (; k < run.end; ++k) {
+          EXPECT_EQ(actual[runs.ids[k]] & run.lanes, 0u) << "lane twice";
+          actual[runs.ids[k]] |= run.lanes;
+          pairs += static_cast<unsigned>(std::popcount(run.lanes));
+        }
+      }
+      EXPECT_EQ(k, runs.ids.size()) << "ids outside every run";
+      EXPECT_EQ(actual, expected) << "seed " << seed << ", " << count
+                                  << " events from lane " << first_lane;
+      EXPECT_EQ(pairs, expected_pairs);
+    };
+    for (const std::size_t count : {1u, 2u, 63u, 64u}) check(count, 0);
+    check(63, 1);
   }
 }
 

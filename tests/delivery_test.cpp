@@ -156,7 +156,7 @@ TEST(OutboxTest, DeliversFifoAcrossBatches) {
   EXPECT_EQ(stats.delivered, 3u);
   EXPECT_EQ(stats.dropped, 0u);
   EXPECT_EQ(stats.max_queue_depth, 3u);
-  EXPECT_EQ(fx.progress.completed.load(), 3u);
+  EXPECT_EQ(outbox.completed_marker(), 3u);
 }
 
 TEST(OutboxTest, DropNewestDiscardsIncomingWhenFull) {
@@ -186,7 +186,7 @@ TEST(OutboxTest, DropOldestEvictsQueuedWhenFull) {
   EXPECT_EQ(stats.delivered, 2u);
   EXPECT_EQ(stats.dropped, 1u);
   // Evicted notifications still count as completed (flush must not hang).
-  EXPECT_EQ(fx.progress.completed.load(), 3u);
+  EXPECT_EQ(outbox.completed_marker(), 3u);
 }
 
 TEST(OutboxTest, BlockWaitsForConsumerSpace) {
@@ -233,7 +233,7 @@ TEST(OutboxTest, CloseDiscardsPendingAndUnblocksProducer) {
   EXPECT_EQ(stats.delivered, 0u);
   EXPECT_EQ(stats.dropped, 3u);
   // The two batches accepted before close complete as drops.
-  EXPECT_EQ(fx.progress.completed.load(), 2u);
+  EXPECT_EQ(outbox.completed_marker(), 2u);
 }
 
 // ------------------------------------------------------- DeliveryPlane ---

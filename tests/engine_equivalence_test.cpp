@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "common/random.h"
 #include "engine/engine_factory.h"
 #include "storage/serializer.h"
 #include "subscription/parser.h"
@@ -401,6 +402,50 @@ TEST_F(BlockPathTest, EachSideOfTheSelectionRuleRuns) {
                     .build();
   }
   for (const std::uint64_t b : check_all_chunks(events)) EXPECT_EQ(b, 0u);
+}
+
+// The path is chosen before phase 1 runs, from the slice's first event
+// stabbed alone. On the e2e workloads' shapes at the broker's 16-event
+// chunks, `paper` (ANDs of ORs over `>`, `<=`, `==`; a third of the leaves
+// fulfilled per event) must take the block path for every event, and
+// `selective` (ANDs of two narrow `between` ranges; ~1.4% of the leaves)
+// must stay per event: its margin under the rule is ~1.7× at 16 events and
+// shrinks as chunks grow. check() holds fulfilled_predicates exact on both.
+TEST_F(BlockPathTest, PaperShapedSlicesTakeTheBlockPath) {
+  PaperWorkloadConfig config;
+  config.predicates_per_subscription = 6;
+  config.attribute_count = 50;
+  config.domain_size = 1'000'000'000;
+  config.seed = 5;
+  PaperWorkload workload(config, attrs_, table_);
+  for (int i = 0; i < 600; ++i) add(workload.next_subscription());
+  std::vector<Event> events;
+  for (int i = 0; i < 64; ++i) events.push_back(workload.next_event());
+  EXPECT_EQ(check(engine_, subs_, events, 16, *ctx_), events.size());
+}
+
+TEST_F(BlockPathTest, SelectiveShapedSlicesStayPerEvent) {
+  PaperWorkloadConfig config;
+  config.attribute_count = 50;
+  config.domain_size = 1'000'000'000;
+  config.seed = 6;
+  PredicateTable unused;
+  PaperWorkload workload(config, attrs_, unused);
+  Pcg32 rng(6);
+  constexpr std::int64_t kWidth = 7'000'000;
+  const auto range = [&](std::uint32_t attribute) {
+    const std::int64_t lo = rng.range(0, config.domain_size - kWidth);
+    return "attr" + std::to_string(attribute) + " between " +
+           std::to_string(lo) + " and " + std::to_string(lo + kWidth - 1);
+  };
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint32_t a = rng.bounded(50);
+    const std::uint32_t b = (a + 1 + rng.bounded(49)) % 50;
+    add(range(a) + " and " + range(b));
+  }
+  std::vector<Event> events;
+  for (int i = 0; i < 64; ++i) events.push_back(workload.next_event());
+  EXPECT_EQ(check(engine_, subs_, events, 16, *ctx_), 0u);
 }
 
 TEST_F(BlockPathTest, SharedDuplicatedSingleAndStaticallyTrueRoots) {

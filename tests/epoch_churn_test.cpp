@@ -342,5 +342,94 @@ TEST(EpochChurnTest, ChurnReusesNodeSlotsDuringBlockMatching) {
   EXPECT_EQ(probe_log, expected);
 }
 
+// Churn in the range trees while match tasks stab them a block at a time:
+// the block path's phase 1 merge-walks each `>`/`<` tree's leaves against
+// the block's sorted values (DESIGN.md §5). Subscriptions `attr0 > K or
+// attr1 < K`, pairs sharing K, keep every event dense (each fulfils one leaf
+// of every pair), and the batch's 64 events carry 64 distinct values across
+// the live bounds, so every walk crosses value boundaries inside leaves.
+// Each round adds a bound above every live one and drops the lowest, so
+// both trees split at one edge and borrow and merge at the other while
+// other chunks walk them. No value equals a bound, so every subscription
+// matches every event, and a lane mask read from a freed leaf would drop a
+// notification or add a removed subscription's.
+TEST(EpochChurnTest, ChurnSplitsAndMergesRangeLeavesDuringBlockStabs) {
+  AttributeRegistry attrs;
+  ShardedBroker broker(attrs, ShardedBrokerConfig{
+                                  .shard_count = 4,
+                                  .engine = EngineKind::NonCanonical});
+
+  std::atomic<bool> probing{false};
+  std::atomic<std::size_t> concurrent_notifications{0};
+  std::vector<std::uint32_t> probe_log;
+  const SubscriberId session =
+      broker.register_subscriber([&](const Notification& n) {
+        if (probing.load(std::memory_order_relaxed)) {
+          probe_log.push_back(n.subscription.value());
+        } else {
+          concurrent_notifications.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+
+  const auto text = [](int k) {
+    const std::string bound = std::to_string(k / 2);
+    return "attr0 > " + bound + " or attr1 < " + bound;
+  };
+  constexpr int kWindow = 320;
+  std::vector<SubscriptionId> live;
+  int next_k = 0;
+  while (next_k < kWindow) {
+    live.push_back(broker.subscribe(session, text(next_k++)));
+  }
+
+  // Values 0.5, 8.5, ..., 504.5: the bounds run from 0 to ~460 over the
+  // test, so each block's values straddle the live ones throughout.
+  std::vector<Event> batch;
+  for (int i = 0; i < 64; ++i) {
+    const double v = i * 8 + 0.5;
+    batch.push_back(EventBuilder(attrs).set("attr0", v).set("attr1", v).build());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> pumped{0};
+  std::thread publisher([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      broker.publish_batch(std::span<const Event>(batch.data(), batch.size()));
+      pumped.fetch_add(1, std::memory_order_release);
+    }
+  });
+
+  for (int round = 0; round < 600; ++round) {
+    ASSERT_TRUE(broker.unsubscribe(live.front()));
+    live.erase(live.begin());
+    live.push_back(broker.subscribe(session, text(next_k++)));
+    if (round % 20 == 0) {
+      broker.wait_applied(broker.control_generation());
+      const std::uint64_t mark = pumped.load(std::memory_order_acquire);
+      while (pumped.load(std::memory_order_acquire) < mark + 2) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  publisher.join();
+  broker.quiesce();
+  ASSERT_EQ(broker.subscription_count(), live.size());
+  EXPECT_EQ(broker.metrics().counter_total("ncps_match_block_events_total"),
+            broker.metrics().counter_total("ncps_match_events_total"));
+
+  probing.store(true, std::memory_order_release);
+  ASSERT_EQ(broker.publish_batch(
+                std::span<const Event>(batch.data(), batch.size())),
+            batch.size() * live.size());
+  std::vector<std::uint32_t> expected;
+  for (const SubscriptionId id : live) {
+    expected.insert(expected.end(), batch.size(), id.value());
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(probe_log.begin(), probe_log.end());
+  EXPECT_EQ(probe_log, expected);
+}
+
 }  // namespace
 }  // namespace ncps
