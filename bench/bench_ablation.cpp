@@ -1,7 +1,8 @@
 // Ablation micro-benchmarks for the design decisions DESIGN.md calls out:
 //
-//   1. Encoded byte trees vs pointer ASTs (heap and arena) for evaluation —
-//      the paper's §3.3 encoding choice (v1, v2 and encode-time reordering).
+//   1. Encoded byte trees vs pointer ASTs for evaluation — the paper's §3.3
+//      encoding choice: tree-v1 as written, tree-v1 reordered cheapest-first
+//      at encode time, and the heap AST.
 //   2. Phase-2 cost vs predicate sharing, unshared tree engine against the
 //      shared-forest engine, as the workload leaves the paper's
 //      unique-predicate regime.
@@ -23,10 +24,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/arena.h"
 #include "index/bplus_tree.h"
 #include "subscription/encoded_tree.h"
-#include "subscription/encoded_tree_v2.h"
 
 namespace {
 
@@ -34,49 +33,6 @@ using namespace ncps;
 using namespace ncps::bench;
 
 // ---- 1. Evaluation representation -----------------------------------------
-
-/// Pointer-free arena node for the flattest fair pointer-AST comparison.
-struct ArenaNode {
-  ast::NodeKind kind;
-  PredicateId pred;
-  ArenaNode** children;
-  std::uint32_t child_count;
-};
-
-ArenaNode* build_arena_tree(const ast::Node& node, Arena& arena) {
-  auto* n = arena.create<ArenaNode>();
-  n->kind = node.kind;
-  n->pred = node.pred;
-  n->child_count = static_cast<std::uint32_t>(node.children.size());
-  n->children = static_cast<ArenaNode**>(
-      arena.allocate(sizeof(ArenaNode*) * node.children.size(),
-                     alignof(ArenaNode*)));
-  for (std::size_t i = 0; i < node.children.size(); ++i) {
-    n->children[i] = build_arena_tree(*node.children[i], arena);
-  }
-  return n;
-}
-
-template <typename TruthFn>
-bool eval_arena(const ArenaNode& node, TruthFn&& truth) {
-  switch (node.kind) {
-    case ast::NodeKind::Leaf:
-      return truth(node.pred);
-    case ast::NodeKind::And:
-      for (std::uint32_t i = 0; i < node.child_count; ++i) {
-        if (!eval_arena(*node.children[i], truth)) return false;
-      }
-      return true;
-    case ast::NodeKind::Or:
-      for (std::uint32_t i = 0; i < node.child_count; ++i) {
-        if (eval_arena(*node.children[i], truth)) return true;
-      }
-      return false;
-    case ast::NodeKind::Not:
-      return !eval_arena(*node.children[0], truth);
-  }
-  return false;
-}
 
 // A cheap deterministic pseudo-truth: ~1/3 of predicates true.
 bool truth_of(PredicateId id, std::uint32_t salt) {
@@ -93,10 +49,8 @@ void eval_representation_study(int passes) {
   PaperWorkload workload(config, attrs, table);
 
   std::vector<ast::Expr> exprs;
-  std::vector<std::byte> encoded, reordered, encoded_v2;
-  std::vector<std::size_t> offsets, r_offsets, v2_offsets, widths, v2_widths;
-  Arena arena;
-  std::vector<ArenaNode*> arena_roots;
+  std::vector<std::byte> encoded, reordered;
+  std::vector<std::size_t> offsets, r_offsets, widths;
   for (int i = 0; i < kTrees; ++i) {
     exprs.push_back(workload.next_subscription());
     offsets.push_back(encoded.size());
@@ -104,9 +58,6 @@ void eval_representation_study(int passes) {
     r_offsets.push_back(reordered.size());
     (void)encode_tree(exprs.back().root(), reordered,
                       ReorderPolicy::kCheapestFirst);
-    v2_offsets.push_back(encoded_v2.size());
-    v2_widths.push_back(encode_tree_v2(exprs.back().root(), encoded_v2));
-    arena_roots.push_back(build_arena_tree(exprs.back().root(), arena));
   }
 
   // Per-representation resident bytes for the 256 trees, so the rows
@@ -167,30 +118,10 @@ void eval_representation_study(int passes) {
     }
     return acc;
   });
-  run("encoded_v2", encoded_v2.size(), [&](std::uint32_t salt) {
-    bool acc = false;
-    for (int i = 0; i < kTrees; ++i) {
-      const std::span<const std::byte> tree(
-          encoded_v2.data() + v2_offsets[i], v2_widths[i]);
-      acc ^= evaluate_encoded_v2(
-          tree, [&](PredicateId id) { return truth_of(id, salt); });
-    }
-    return acc;
-  });
   run("pointer_ast", pointer_bytes, [&](std::uint32_t salt) {
     bool acc = false;
     for (int i = 0; i < kTrees; ++i) {
       acc ^= ast::evaluate(exprs[i].root(), [&](PredicateId id) {
-        return truth_of(id, salt);
-      });
-    }
-    return acc;
-  });
-  run("arena_ast", arena.allocated_bytes(),
-      [&](std::uint32_t salt) {
-    bool acc = false;
-    for (int i = 0; i < kTrees; ++i) {
-      acc ^= eval_arena(*arena_roots[i], [&](PredicateId id) {
         return truth_of(id, salt);
       });
     }

@@ -3,7 +3,7 @@
 // Takes a subscription expression (or uses the paper's Fig. 1 example) and
 // reports everything the engines would do with it: the parsed tree, the cost
 // of canonicalising it (DNF blow-up — exactly what a conjunctive-only system
-// pays), both byte encodings, and the simplified form.
+// pays), its byte encoding, and the simplified form.
 //
 //   $ ./examples/subscription_inspector
 //   $ ./examples/subscription_inspector 'a > 1 and (b == 2 or b == 3)'
@@ -12,7 +12,6 @@
 
 #include "subscription/dnf.h"
 #include "subscription/encoded_tree.h"
-#include "subscription/encoded_tree_v2.h"
 #include "subscription/parser.h"
 #include "subscription/printer.h"
 #include "subscription/simplify.h"
@@ -72,11 +71,8 @@ int main(int argc, char** argv) {
 
   std::vector<std::byte> v1;
   encode_tree(expr.root(), v1);
-  std::vector<std::byte> v2;
-  encode_tree_v2(expr.root(), v2);
-  std::printf("\nencodings (what the non-canonical engine stores):\n");
+  std::printf("\nencoding (what the non-canonical tree engine stores):\n");
   std::printf("  v1 (paper layout): %zu bytes\n", v1.size());
-  std::printf("  v2 (varint):       %zu bytes\n", v2.size());
 
   const ast::Expr slim = simplify(expr.root(), table);
   std::printf("\nsimplified:  %s\n",

@@ -204,7 +204,8 @@ class ShardedBroker {
 
   /// Register a subscription for a subscriber; the router places it on one
   /// shard. Throws ParseError on malformed text (and, for counting engines,
-  /// DnfExplosionError/SubscriptionTooLargeError) with no state change.
+  /// DnfExplosionError/SubscriptionTooLargeError; for the tree engine,
+  /// EncodeError) with no state change.
   /// Thread-safe; the subscription is matched by every batch that starts
   /// after this returns.
   SubscriptionId subscribe(SubscriberId subscriber, std::string_view text);

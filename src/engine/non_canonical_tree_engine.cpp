@@ -1,7 +1,6 @@
 #include "engine/non_canonical_tree_engine.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/contracts.h"
 
@@ -21,14 +20,10 @@ SubscriptionId NonCanonicalTreeEngine::allocate_id() {
 
 void NonCanonicalTreeEngine::validate(const ast::Node& expression,
                                       PredicateTable& /*scratch*/) const {
-  // Dry-run the encoder into a scratch buffer: v1 enforces its fixed-width
+  // Dry-run the encoder into a scratch buffer: it enforces its fixed-width
   // limits by throwing EncodeError, which is the only way add() can fail.
   std::vector<std::byte> scratch_bytes;
-  if (encoding_ == TreeEncoding::kV1Paper) {
-    (void)encode_tree(expression, scratch_bytes);
-  } else {
-    (void)encode_tree_v2(expression, scratch_bytes);
-  }
+  (void)encode_tree(expression, scratch_bytes);
 }
 
 SubscriptionId NonCanonicalTreeEngine::add(const ast::Node& expression) {
@@ -37,10 +32,7 @@ SubscriptionId NonCanonicalTreeEngine::add(const ast::Node& expression) {
 
   // Encode the tree as the subscriber wrote it — no canonicalisation.
   const std::size_t offset = tree_bytes_.size();
-  const std::size_t length =
-      encoding_ == TreeEncoding::kV1Paper
-          ? encode_tree(expression, tree_bytes_)
-          : encode_tree_v2(expression, tree_bytes_);
+  const std::size_t length = encode_tree(expression, tree_bytes_);
   NCPS_ASSERT(offset <= UINT32_MAX && length <= UINT32_MAX);
   locations_[id.value()] =
       Location{static_cast<std::uint32_t>(offset),
@@ -124,18 +116,6 @@ void NonCanonicalTreeEngine::match_impl(std::span<const PredicateId> fulfilled,
   for (const PredicateId pid : fulfilled) {
     if (pid.value() < ctx.truth.capacity()) ctx.truth.insert(pid.value());
   }
-  if (stats_enabled_) {
-    // Bench-only selectivity statistics (engine state, single-threaded).
-    ++events_seen_;
-    if (fulfilled_count_.size() < ctx.truth.capacity()) {
-      fulfilled_count_.resize(ctx.truth.capacity(), 0);
-    }
-    for (const PredicateId pid : fulfilled) {
-      if (pid.value() < fulfilled_count_.size()) {
-        ++fulfilled_count_[pid.value()];
-      }
-    }
-  }
 
   // Leaf ids inside this engine's encoded trees are always within the truth
   // array (sized to the table's id bound at match start), so the per-leaf
@@ -147,7 +127,6 @@ void NonCanonicalTreeEngine::match_impl(std::span<const PredicateId> fulfilled,
     return truth_view.contains(pid.value());
   };
 
-  const bool v2 = encoding_ == TreeEncoding::kV2Varint;
   const auto evaluate_candidate = [&](SubscriptionId sid) {
     if (!ctx.seen_subs.insert(sid.value())) return;  // already examined
     ++ctx.stats.candidates;
@@ -155,9 +134,7 @@ void NonCanonicalTreeEngine::match_impl(std::span<const PredicateId> fulfilled,
     const std::span<const std::byte> tree(tree_bytes_.data() + loc.offset,
                                           loc.length);
     ++ctx.stats.tree_evaluations;
-    const bool matched =
-        v2 ? evaluate_encoded_v2(tree, truth) : evaluate_encoded(tree, truth);
-    if (matched) {
+    if (evaluate_encoded(tree, truth)) {
       emit(sid);
       ++ctx.stats.matches;
     }
@@ -188,96 +165,6 @@ void NonCanonicalTreeEngine::compact_tree_storage() {
     loc.offset = static_cast<std::uint32_t>(new_offset);
   }
   tree_bytes_ = std::move(compacted);
-  dead_bytes_ = 0;
-}
-
-namespace {
-
-/// Estimated probability that a subtree evaluates true, under predicate
-/// independence (the usual selectivity assumption).
-double subtree_truth_probability(const ast::Node& node,
-                                 const std::vector<std::uint32_t>& counts,
-                                 std::uint64_t events) {
-  switch (node.kind) {
-    case ast::NodeKind::Leaf: {
-      if (events == 0 || node.pred.value() >= counts.size()) return 0.5;
-      return static_cast<double>(counts[node.pred.value()]) /
-             static_cast<double>(events);
-    }
-    case ast::NodeKind::Not:
-      return 1.0 -
-             subtree_truth_probability(*node.children.front(), counts, events);
-    case ast::NodeKind::And: {
-      double p = 1.0;
-      for (const auto& c : node.children) {
-        p *= subtree_truth_probability(*c, counts, events);
-      }
-      return p;
-    }
-    case ast::NodeKind::Or: {
-      double p = 1.0;
-      for (const auto& c : node.children) {
-        p *= 1.0 - subtree_truth_probability(*c, counts, events);
-      }
-      return 1.0 - p;
-    }
-  }
-  return 0.5;
-}
-
-void order_children_by_selectivity(ast::Node& node,
-                                   const std::vector<std::uint32_t>& counts,
-                                   std::uint64_t events) {
-  for (auto& c : node.children) {
-    order_children_by_selectivity(*c, counts, events);
-  }
-  if (node.kind != ast::NodeKind::And && node.kind != ast::NodeKind::Or) {
-    return;
-  }
-  std::vector<double> prob(node.children.size());
-  for (std::size_t i = 0; i < node.children.size(); ++i) {
-    prob[i] = subtree_truth_probability(*node.children[i], counts, events);
-  }
-  std::vector<std::uint32_t> order(node.children.size());
-  std::iota(order.begin(), order.end(), 0u);
-  // AND short-circuits on the first false child → try the least-likely-true
-  // first; OR short-circuits on the first true child → most-likely first.
-  const bool ascending = node.kind == ast::NodeKind::And;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return ascending ? prob[a] < prob[b] : prob[a] > prob[b];
-                   });
-  std::vector<ast::NodePtr> sorted;
-  sorted.reserve(node.children.size());
-  for (const std::uint32_t i : order) {
-    sorted.push_back(std::move(node.children[i]));
-  }
-  node.children = std::move(sorted);
-}
-
-}  // namespace
-
-void NonCanonicalTreeEngine::reorder_trees_by_selectivity() {
-  std::vector<std::byte> rewritten;
-  rewritten.reserve(tree_bytes_.size() - dead_bytes_);
-  for (std::uint32_t i = 0; i < subs_.size(); ++i) {
-    if (!subs_[i].live) continue;
-    Location& loc = locations_[i];
-    const std::span<const std::byte> old(tree_bytes_.data() + loc.offset,
-                                         loc.length);
-    ast::NodePtr tree = encoding_ == TreeEncoding::kV1Paper
-                            ? decode_tree(old)
-                            : decode_tree_v2(old);
-    order_children_by_selectivity(*tree, fulfilled_count_, events_seen_);
-    const std::size_t offset = rewritten.size();
-    const std::size_t length =
-        encoding_ == TreeEncoding::kV1Paper
-            ? encode_tree(*tree, rewritten)
-            : encode_tree_v2(*tree, rewritten);
-    loc = Location{static_cast<std::uint32_t>(offset),
-                   static_cast<std::uint32_t>(length)};
-  }
-  tree_bytes_ = std::move(rewritten);
   dead_bytes_ = 0;
 }
 

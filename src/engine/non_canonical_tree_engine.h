@@ -7,7 +7,8 @@
 //   2. the predicate-subscription association table: id(p) → {id(s)},
 //   3. the subscription location table: id(s) → loc(s) — here an
 //      (offset, length) pair into one contiguous byte buffer,
-//   4. the encoded subscription trees themselves (paper §3.3 byte layout).
+//   4. the encoded subscription trees themselves, in the paper's §3.3
+//      fixed-width layout (tree-v1), the engine's one layout.
 //
 // Phase 2: mark fulfilled predicates in an epoch-stamped truth array, gather
 // candidate subscriptions (any subscription containing a fulfilled
@@ -16,7 +17,8 @@
 // the subscription is filtered exactly as the subscriber wrote it — but
 // every candidate pays its whole tree: N subscribers with identical filters
 // evaluate N identical trees per event. bench_sharing quantifies that
-// against the shared-forest engine.
+// against the shared-forest engine. Matching writes no engine state: the
+// truth array and the seen-set live in the caller's MatchContext.
 //
 // One correctness addition beyond the paper: a subscription whose expression
 // is satisfiable with *zero* fulfilled predicates (e.g. `not a == 1`, or the
@@ -33,21 +35,13 @@
 #include "engine/engine.h"
 #include "engine/posting_store.h"
 #include "subscription/encoded_tree.h"
-#include "subscription/encoded_tree_v2.h"
 
 namespace ncps {
 
-/// Which byte layout the engine stores subscription trees in.
-enum class TreeEncoding : std::uint8_t {
-  kV1Paper,   ///< the paper's §3.3 fixed-width layout
-  kV2Varint,  ///< the improved varint layout (paper §5 future work)
-};
-
 class NonCanonicalTreeEngine final : public FilterEngine {
  public:
-  explicit NonCanonicalTreeEngine(PredicateTable& table,
-                                  TreeEncoding encoding = TreeEncoding::kV1Paper)
-      : FilterEngine(table), encoding_(encoding) {}
+  explicit NonCanonicalTreeEngine(PredicateTable& table)
+      : FilterEngine(table) {}
 
   SubscriptionId add(const ast::Node& expression) override;
   bool remove(SubscriptionId id) override;
@@ -79,23 +73,6 @@ class NonCanonicalTreeEngine final : public FilterEngine {
   void compact_tree_storage();
 
   void compact_storage() override;
-
-  /// Start/stop recording per-predicate fulfilment frequencies (off by
-  /// default; a small per-event cost on the fulfilled set). Single-threaded
-  /// bench facility: the frequency counters are engine state written on the
-  /// match path, so statistics must stay off while matching concurrently.
-  void enable_statistics(bool on) { stats_enabled_ = on; }
-
-  /// Re-encode every live subscription tree ordered by observed predicate
-  /// selectivity: AND children least-likely-true first (fail fast), OR
-  /// children most-likely-true first (succeed fast). Matching results are
-  /// unchanged; expected truth lookups per evaluation drop. This is the
-  /// paper's §3.2 "reordering subscription trees" optimisation, driven by
-  /// statistics gathered via enable_statistics().
-  void reorder_trees_by_selectivity();
-
-  /// Events observed since statistics were enabled.
-  [[nodiscard]] std::uint64_t observed_events() const { return events_seen_; }
 
   /// Chunked posting accounting for the predicate→subscription association
   /// table (BENCH_memory's phase-2 compression row).
@@ -129,8 +106,6 @@ class NonCanonicalTreeEngine final : public FilterEngine {
 
   SubscriptionId allocate_id();
 
-  TreeEncoding encoding_;
-
   std::vector<std::byte> tree_bytes_;   // all encoded subscription trees
   std::vector<Location> locations_;     // subscription location table
   std::vector<SubRecord> subs_;         // per-subscription bookkeeping
@@ -142,13 +117,6 @@ class NonCanonicalTreeEngine final : public FilterEngine {
   // chunked posting lists (paper footnote 2: array-based association).
   PostingStore assoc_;
   std::vector<SubscriptionId> always_candidates_;
-
-  // Selectivity statistics (enable_statistics). Written on the (const)
-  // match path when enabled, hence mutable — a documented single-threaded
-  // bench facility, never on under concurrent matching.
-  bool stats_enabled_ = false;
-  mutable std::uint64_t events_seen_ = 0;
-  mutable std::vector<std::uint32_t> fulfilled_count_;  // per predicate id
 
   std::vector<PredicateId> pred_scratch_;
 };

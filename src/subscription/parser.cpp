@@ -315,8 +315,9 @@ ast::NodePtr intern_node(const RawNode& raw, PredicateTable& table) {
     case ast::NodeKind::And: return ast::make_and(std::move(children));
     case ast::NodeKind::Or: return ast::make_or(std::move(children));
     case ast::NodeKind::Not: return ast::make_not(std::move(children.front()));
-    default: NCPS_ASSERT(false && "unreachable");
+    default: break;
   }
+  ::ncps::contract_fail("Invariant", "unreachable", __FILE__, __LINE__);
 }
 
 }  // namespace

@@ -310,7 +310,7 @@ ast::NodePtr SharedForest::to_ast(NodeId id) const {
     case ast::NodeKind::Leaf:
       break;
   }
-  NCPS_ASSERT(false && "unreachable");
+  ::ncps::contract_fail("Invariant", "unreachable", __FILE__, __LINE__);
 }
 
 void SharedForest::compact_storage() {

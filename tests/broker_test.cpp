@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "subscription/encoded_tree.h"
+
 namespace ncps {
 namespace {
 
@@ -124,6 +129,44 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, BrokerTest,
                            }
                            return name;
                          });
+
+// The tree engine's validate() is the broker's only guard for the tree-v1
+// layout's limits: a node holds at most 255 children, and the parser
+// flattens an `or` chain into one node, so a 256-way `or` cannot be encoded.
+// Both control paths must reject it before any state changes.
+std::string or_chain(int terms) {
+  std::string text = "x == 0";
+  for (int i = 1; i < terms; ++i) text += " or x == " + std::to_string(i);
+  return text;
+}
+
+TEST(TreeEngineBrokerTest, UnencodableSubscriptionThrowsAndChangesNothing) {
+  AttributeRegistry attrs;
+  Broker broker(attrs, EngineKind::NonCanonicalTree);
+  const SubscriberId alice = broker.register_subscriber(
+      [](const Notification&) {});
+  broker.subscribe(alice, or_chain(255));  // the widest node v1 encodes
+  const std::size_t count = broker.subscription_count();
+  const std::uint64_t generation = broker.control_generation();
+
+  EXPECT_THROW(broker.subscribe(alice, or_chain(256)), EncodeError);
+  EXPECT_EQ(broker.subscription_count(), count);
+  EXPECT_EQ(broker.control_generation(), generation);
+}
+
+TEST(TreeEngineBrokerTest, BulkWithOneUnencodableTextRegistersNone) {
+  AttributeRegistry attrs;
+  Broker broker(attrs, EngineKind::NonCanonicalTree);
+  const SubscriberId alice = broker.register_subscriber(
+      [](const Notification&) {});
+  const std::uint64_t generation = broker.control_generation();
+  const std::vector<std::string> texts = {"x == 1", or_chain(256),
+                                          "y > 2 and x < 9"};
+  EXPECT_THROW((void)broker.subscribe_bulk(alice, texts), EncodeError);
+  EXPECT_EQ(broker.subscription_count(), 0u);
+  EXPECT_EQ(broker.control_generation(), generation);
+  EXPECT_EQ(broker.publish(EventBuilder(attrs).set("x", 1).build()), 0u);
+}
 
 }  // namespace
 }  // namespace ncps

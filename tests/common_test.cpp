@@ -1,4 +1,4 @@
-// Tests for the common substrate: PRNG, epoch sets, arena, strong ids,
+// Tests for the common substrate: PRNG, epoch sets, strong ids,
 // memory breakdowns, contracts, MPSC queue, generation fence.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/contracts.h"
 #include "common/epoch_set.h"
 #include "common/generation_fence.h"
@@ -150,53 +149,6 @@ TEST(EpochSetTest, EpochWrapZeroesStaleStamps) {
   EXPECT_FALSE(set.insert(3));
   set.clear();
   EXPECT_FALSE(set.contains(3));
-}
-
-TEST(ArenaTest, AllocationsAreAlignedAndDistinct) {
-  Arena arena;
-  void* a = arena.allocate(10, 8);
-  void* b = arena.allocate(10, 8);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(arena.allocated_bytes(), 20u);
-}
-
-TEST(ArenaTest, CreateConstructsObjects) {
-  Arena arena;
-  struct Point {
-    int x, y;
-  };
-  Point* p = arena.create<Point>(3, 4);
-  EXPECT_EQ(p->x, 3);
-  EXPECT_EQ(p->y, 4);
-}
-
-TEST(ArenaTest, GrowsBeyondOneBlock) {
-  Arena arena(1024);
-  std::vector<void*> ptrs;
-  for (int i = 0; i < 100; ++i) ptrs.push_back(arena.allocate(64, 8));
-  std::set<void*> distinct(ptrs.begin(), ptrs.end());
-  EXPECT_EQ(distinct.size(), ptrs.size());
-  EXPECT_GT(arena.memory_bytes(), 1024u);
-}
-
-TEST(ArenaTest, OversizedAllocationGetsDedicatedBlock) {
-  Arena arena(1024);
-  void* big = arena.allocate(10000, 8);
-  EXPECT_NE(big, nullptr);
-  // Still usable afterwards.
-  void* small = arena.allocate(16, 8);
-  EXPECT_NE(small, nullptr);
-}
-
-TEST(ArenaTest, ResetReleasesAll) {
-  Arena arena(1024);
-  for (int i = 0; i < 100; ++i) (void)arena.allocate(64, 8);
-  arena.reset();
-  EXPECT_EQ(arena.allocated_bytes(), 0u);
-  void* p = arena.allocate(16, 8);
-  EXPECT_NE(p, nullptr);
 }
 
 TEST(StrongIdTest, TypedDistinctness) {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/random.h"
 #include "engine/engine_factory.h"
 #include "storage/serializer.h"
 #include "subscription/parser.h"
@@ -770,72 +769,6 @@ class NonCanonicalTreeTest : public ::testing::Test {
   PredicateTable table_;
   NonCanonicalTreeEngine engine_{table_};
 };
-
-TEST_F(NonCanonicalTreeTest, SelectivityReorderingReducesTruthLookups) {
-  // OR(rare, common): with the author's order the evaluator probes `rare`
-  // first on every event; after statistics-driven reordering the common
-  // branch comes first and usually short-circuits.
-  engine_.enable_statistics(true);
-  const SubscriptionId s = subscribe("rare == 1 or common == 1");
-  const Event common_event =
-      EventBuilder(attrs_).set("common", 1).set("rare", 0).build();
-  const Event rare_event =
-      EventBuilder(attrs_).set("common", 0).set("rare", 1).build();
-
-  // Warm up the statistics: 'common' fulfils often, 'rare' almost never.
-  const auto ctx = engine_.make_context();
-  std::uint64_t lookups_before = 0;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(testing::match_event(engine_, common_event, *ctx),
-              std::vector{s});
-    lookups_before += ctx->stats.truth_lookups;
-  }
-  EXPECT_EQ(engine_.observed_events(), 50u);
-
-  engine_.reorder_trees_by_selectivity();
-
-  std::uint64_t lookups_after = 0;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(testing::match_event(engine_, common_event, *ctx),
-              std::vector{s});
-    lookups_after += ctx->stats.truth_lookups;
-  }
-  // Before: rare probed (miss) then common (hit) = 2 lookups per event.
-  // After: common first = 1 lookup per event.
-  EXPECT_LT(lookups_after, lookups_before);
-  EXPECT_EQ(lookups_after, 50u);
-
-  // Semantics unchanged for the rare branch.
-  EXPECT_EQ(testing::match_event(engine_, rare_event), std::vector{s});
-}
-
-TEST_F(NonCanonicalTreeTest, SelectivityReorderingPreservesMatching) {
-  engine_.enable_statistics(true);
-  std::vector<SubscriptionId> ids;
-  for (int i = 0; i < 20; ++i) {
-    ids.push_back(subscribe("(a == " + std::to_string(i % 4) +
-                            " or b == " + std::to_string(i % 3) +
-                            ") and (c == " + std::to_string(i % 5) +
-                            " or d == " + std::to_string(i % 2) + ")"));
-  }
-  Pcg32 rng(31);
-  std::vector<Event> events;
-  std::vector<std::vector<SubscriptionId>> expected;
-  for (int i = 0; i < 40; ++i) {
-    events.push_back(EventBuilder(attrs_)
-                         .set("a", rng.range(0, 4))
-                         .set("b", rng.range(0, 3))
-                         .set("c", rng.range(0, 5))
-                         .set("d", rng.range(0, 2))
-                         .build());
-    expected.push_back(testing::match_event(engine_, events.back()));
-  }
-  engine_.reorder_trees_by_selectivity();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(testing::match_event(engine_, events[i]), expected[i])
-        << "event " << i;
-  }
-}
 
 TEST_F(NonCanonicalTest, RemovingABaseFreesItsNodes) {
   // A refinement shares its base's leaves but holds nothing of the base's

@@ -5,7 +5,6 @@
 
 #include "common/random.h"
 #include "subscription/encoded_tree.h"
-#include "subscription/encoded_tree_v2.h"
 #include "subscription/dnf.h"
 #include "subscription/parser.h"
 #include "subscription/printer.h"
@@ -39,16 +38,6 @@ TEST(DecodeRobustnessTest, CorruptOperatorByteIsRejected) {
   EXPECT_THROW((void)decode_tree(bytes), EncodeError);
 }
 
-TEST(DecodeRobustnessTest, V2TrailingGarbageIsRejected) {
-  AttributeRegistry attrs;
-  PredicateTable table;
-  const ast::Expr e = parse_subscription("a == 1 or b == 2", attrs, table);
-  std::vector<std::byte> bytes;
-  encode_tree_v2(e.root(), bytes);
-  bytes.push_back(std::byte{0x01});
-  EXPECT_THROW((void)decode_tree_v2(bytes), ContractViolation);
-}
-
 TEST(EncodeBoundaryTest, Exactly255ChildrenEncodes) {
   std::vector<ast::NodePtr> children;
   for (int i = 0; i < 255; ++i) {
@@ -59,19 +48,6 @@ TEST(EncodeBoundaryTest, Exactly255ChildrenEncodes) {
   const std::size_t width = encode_tree(*root, out);
   EXPECT_EQ(width, 2u + 2u * 255u + 4u * 255u);
   const ast::NodePtr back = decode_tree(out);
-  EXPECT_TRUE(ast::equal(*root, *back));
-}
-
-TEST(EncodeBoundaryTest, V2HasNoChildCountLimit) {
-  // The varint child count lifts the paper layout's 255-children cap.
-  std::vector<ast::NodePtr> children;
-  for (int i = 0; i < 1000; ++i) {
-    children.push_back(ast::leaf(PredicateId(static_cast<std::uint32_t>(i))));
-  }
-  const ast::NodePtr root = ast::make_or(std::move(children));
-  std::vector<std::byte> out;
-  (void)encode_tree_v2(*root, out);
-  const ast::NodePtr back = decode_tree_v2(out);
   EXPECT_TRUE(ast::equal(*root, *back));
 }
 
